@@ -288,8 +288,7 @@ def _run_wemp(cfg, spec, mesh, kappa, soe, out, assert_mode) -> int:
     space = assemble_space(mesh, kappa, pou, cfg.level, workers=cfg.workers)
     ctx = build_context(spec, space, soe)
     ref = _reference(cfg, spec, mesh, ops, soe)
-    states, timings = wemp_solve(ctx, delta=cfg.delta, k_max=cfg.k_max,
-                                 workers=cfg.workers)
+    states, timings = wemp_solve(ctx, delta=cfg.delta, k_max=cfg.k_max)
 
     rows = []
     last_max = None

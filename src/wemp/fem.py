@@ -186,7 +186,9 @@ def factorized_spd(matrix):
         cho = scipy.linalg.cho_factor(matrix)
 
         def solve(rhs: np.ndarray) -> np.ndarray:
-            x = scipy.linalg.cho_solve(cho, rhs)
+            # cho_factor checked the matrix; the residual check below
+            # rejects a non-finite rhs or result
+            x = scipy.linalg.cho_solve(cho, rhs, check_finite=False)
             _check_residual(matrix, anorm, x, rhs)
             return x
 

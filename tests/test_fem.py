@@ -7,6 +7,7 @@ from wemp.fem import (
     assemble_load,
     assemble_operators,
     assemble_submesh_operators,
+    factorized_spd,
     l2_project,
     norms,
     read_kappa_raster,
@@ -92,6 +93,17 @@ def test_solve_spd_dense_and_sparse():
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0])
     xs = solve_spd(sp.csc_matrix(a), np.array([1.0, 1.0]))
     assert np.allclose(xs, [1.0 / 3.0, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solve_rejects_nonfinite_rhs(sparse, bad):
+    # the dense solve skips scipy's finite scan; the residual check must
+    # still refuse a right-hand side holding NaN or inf
+    a = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
+    solve = factorized_spd(sp.csc_matrix(a) if sparse else a)
+    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+        solve(np.array([1.0, bad, 2.0]))
 
 
 def test_solve_singular_raises():

@@ -1,11 +1,14 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.special import gamma
 
+from wemp import parareal
 from wemp.experiments import source_smooth, u0_standard
+from wemp.fem import assemble_load
 from wemp.msfem import MultiscaleSpace
 from wemp.parareal import (
     PropagatorContext,
@@ -234,6 +237,77 @@ def test_wemp_solve_stopping_and_timings(ctx44):
 
     states2, _ = wemp_solve(ctx44, delta=0.0, k_max=2)
     assert len(states2) == 3          # k_max caps the loop
+
+
+def counting_context(ctx):
+    calls = Counter()
+
+    def source(x, y, t):
+        calls[t] += 1
+        return source_smooth(x, y, t)
+    return dataclasses.replace(ctx, f=source), calls
+
+
+def load_instants(ctx):
+    # every instant either propagator asks for, as each computes it
+    coarse = {(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)}
+    return coarse | {n * ctx.tau_c + (j + 1) * ctx.tau_f
+                     for n in range(ctx.n_slabs) for j in range(ctx.m_sub)}
+
+
+def test_load_cache_evaluates_each_instant_once(ctx44):
+    ctx, calls = counting_context(ctx44)
+    states, _ = wemp_solve(ctx, delta=0.0, k_max=3)
+    assert set(calls) == load_instants(ctx)
+    assert set(calls.values()) == {1}
+    # the cache belongs to the solve: a second solve starts cold
+    assert ctx._loads == {}
+    again, _ = wemp_solve(ctx, delta=0.0, k_max=3)
+    assert set(calls.values()) == {2}
+    for a, b in zip(states, again):
+        assert np.array_equal(a.solutions, b.solutions)
+
+
+def test_load_cache_holds_exact_read_only_loads(ctx44):
+    ctx, _ = counting_context(ctx44)
+    # the steps of wemp_solve, on ctx itself so its cache can be read
+    state = initial_coarse_sweep(ctx)
+    for _ in range(3):
+        state = wemp_iteration(ctx, state)
+    space = ctx.space
+    assert set(ctx._loads) == load_instants(ctx)
+    for t, vec in ctx._loads.items():
+        fresh = space.basis.T @ assemble_load(space.mesh, space.fine_ops,
+                                              source_smooth, t)
+        assert np.array_equal(vec, fresh)
+        assert not vec.flags.writeable
+        assert ctx.load(t) is vec
+    with pytest.raises(ValueError):
+        vec[0] = 1.0
+
+
+def test_load_cache_stops_at_its_budget(ctx44, monkeypatch):
+    ctx, calls = counting_context(ctx44)
+    full, _ = wemp_solve(ctx, delta=0.0, k_max=3)
+    monkeypatch.setattr(parareal, "LOAD_CACHE_BUDGET_BYTES",
+                        3 * ctx.u0.nbytes)
+    for t in (0.25, 0.5, 0.75, 1.0):
+        ctx.load(t)
+    assert list(ctx._loads) == [0.25, 0.5, 0.75]
+    assert not ctx.load(1.0).flags.writeable
+    assert calls[1.0] == 3                # the solve, then two uncached calls
+    capped, _ = wemp_solve(ctx, delta=0.0, k_max=3)
+    for a, b in zip(full, capped):
+        assert np.array_equal(a.solutions, b.solutions)
+
+
+def test_replaced_context_starts_with_empty_load_cache(ctx44):
+    ctx, _ = counting_context(ctx44)
+    ctx.load(ctx.tau_c)
+    assert len(ctx._loads) == 1
+    other = dataclasses.replace(ctx, f=lambda x, y, t: 2.0 * x * y * t)
+    assert other._loads == {}
+    assert np.array_equal(other.load(ctx.tau_c), 2.0 * ctx.load(ctx.tau_c))
 
 
 def test_nonfinite_solution_raises(ctx44):

@@ -1,4 +1,5 @@
 import io
+import logging
 
 import numpy as np
 import pytest
@@ -125,6 +126,17 @@ def test_build_validation():
         soe_error_bound(0.5, 1e-3, 14.5)      # not an integer
     with pytest.raises(ValueError):
         soe_error_bound(0.5, 1e-3, 0)         # below 1
+
+
+def test_build_logs_no_warning(caplog):
+    # the sinc construction always puts its slowest rate far below
+    # 0.5/tau_f, so that comparison is logged at debug level only
+    with caplog.at_level(logging.DEBUG, logger="wemp.soe"):
+        soe = build_soe(0.5, 1e-3, 1e-2)
+    assert soe.gamma_min < 0.5 / 1e-3
+    assert not [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert any("slowest SOE rate" in r.getMessage() for r in caplog.records
+               if r.levelno == logging.DEBUG)
 
 
 def test_step_coefficient_identity_across_scales():
