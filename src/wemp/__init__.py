@@ -8,19 +8,16 @@ parareal engine (parareal), and the experiment harness (experiments, cli).
 
 from .mesh import TwoLevelMesh, CoarseNeighborhood, build_mesh, coarse_neighborhood
 from .fem import (CoefficientField, OperatorPair, assemble_operators,
-                  assemble_load, l2_project, norms, read_kappa_raster,
-                  write_kappa_raster)
+                  assemble_load, norms, read_kappa_raster, write_kappa_raster)
 from .soe import (SOEApproximation, StepCoefficients, build_soe,
                   build_soe_for_terms, soe_residual, step_coefficients,
                   validate_epsilon)
-from .stepping import (HistoryState, L1Coefficients, l1_apply,
-                       l1_coefficients, propagate_history,
-                       soe_caputo_known_part, history_norm, zero_history,
-                       mittag_leffler_neg)
+from .stepping import (HistoryState, L1Coefficients, l1_coefficients,
+                       propagate_history_with, soe_caputo_known_part,
+                       zero_history, mittag_leffler_neg)
 from .msfem import (MultiscaleSpace, PartitionOfUnity, assemble_space,
                     build_partition_of_unity, edge_projection, edge_wavelets,
-                    eta_indicator, harmonic_lift, neumann_corrector,
-                    weighted_coefficient)
+                    eta_indicator, weighted_coefficient)
 from .solvers import (ProblemSpec, Trajectory, fine_soe_solve,
                       multiscale_soe_solve, reference_l1_solve,
                       relative_errors_percent)

@@ -209,18 +209,6 @@ def _check_residual(matrix, anorm, x, rhs):
             f"|A||x|+|b| = {denom:.3e}, rtol = {SOLVE_RTOL:.1e}")
 
 
-def l2_project(op: OperatorPair, nodal_values: np.ndarray) -> np.ndarray:
-    """L2 projection onto the zero-boundary P1 space.
-
-    Identity on free dofs for functions already in the space; boundary dofs
-    are zeroed.
-    """
-    rhs = (op.mass @ nodal_values)[op.free_dofs]
-    out = np.zeros(op.mass.shape[0])
-    out[op.free_dofs] = solve_spd(op.mass_free.tocsc(), rhs)
-    return out
-
-
 def norms(op: OperatorPair, v: np.ndarray) -> tuple:
     """(L2 norm, energy norm) through the assembled matrices."""
     l2 = float(np.sqrt(max(v @ (op.mass @ v), 0.0)))

@@ -1,6 +1,6 @@
 """Wavelet-edge multiscale space on the two-level mesh.
 
-Construction stages, one per public function:
+Construction stages:
 
 1. partition of unity: per coarse cell, diffusivity-harmonic extensions of the
    affine corner data, assembled into global hat-like functions chi_i;
@@ -9,8 +9,9 @@ Construction stages, one per public function:
 3. harmonic lifts of the edge data into omega_i and one Neumann corrector per
    neighborhood driven by the weighted coefficient kappa_tilde;
 4. global space: columns chi_i * (local function), boundary dofs zeroed,
-   near-dependent columns dropped by a pivoted Gram filter, then the projected
-   mass and stiffness matrices.
+   near-dependent columns dropped by LAPACK's pivoted Cholesky (dpstrf) of
+   the Gram matrix scaled to unit diagonal, then the projected mass and
+   stiffness matrices.
 
 Only interior coarse vertices generate columns, so every basis function
 vanishes on the domain boundary.
@@ -24,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import TwoLevelMesh, CoarseNeighborhood, coarse_neighborhood
 from .fem import (CoefficientField, OperatorPair, assemble_operators,
@@ -243,19 +245,6 @@ class _LocalSolver:
         return sol[:-1]
 
 
-def harmonic_lift(mesh: TwoLevelMesh, kappa: CoefficientField,
-                  hood: CoarseNeighborhood, trace: np.ndarray) -> np.ndarray:
-    """One-off harmonic extension; see _LocalSolver.lift for conventions."""
-    return _LocalSolver(mesh, kappa, hood).lift(trace)
-
-
-def neumann_corrector(mesh: TwoLevelMesh, kappa: CoefficientField,
-                      hood: CoarseNeighborhood,
-                      kappa_tilde: np.ndarray) -> np.ndarray:
-    """One-off Neumann corrector; see _LocalSolver.corrector."""
-    return _LocalSolver(mesh, kappa, hood).corrector(kappa_tilde)
-
-
 def weighted_coefficient(mesh: TwoLevelMesh, kappa: CoefficientField,
                          pou: PartitionOfUnity) -> np.ndarray:
     """Per-fine-cell field H^2 kappa sum_i |grad chi_i|^2.
@@ -353,35 +342,27 @@ def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
 
 
 def _pivoted_gram_filter(gram: np.ndarray, tol: float) -> np.ndarray:
-    """Column subset selection by diagonally pivoted Cholesky.
+    """Column subset selection by diagonally pivoted Cholesky (dpstrf).
 
-    Stops when the best remaining residual diagonal, relative to the
-    column's own squared norm, drops to tol. Returns kept indices, sorted.
+    The Gram matrix is scaled to unit diagonal, so the factorization stops
+    when the best remaining residual diagonal, relative to the column's own
+    squared norm, drops to tol. Returns kept indices, sorted.
     """
-    n = gram.shape[0]
-    d0 = gram.diagonal().copy()
+    d0 = gram.diagonal()
     floor = tol * d0.max()
     if np.any(d0 < -floor):
         raise RuntimeError("Gram matrix has a negative diagonal entry")
     # identically vanishing products chi_i * v (possible in degenerate
     # refinement limits) simply drop out of the candidate set
-    d0 = np.maximum(d0, floor)
-    d = gram.diagonal().copy()
-    R = np.zeros((n, n))
-    chosen = []
-    remaining = np.ones(n, dtype=bool)
-    for k in range(n):
-        ratio = np.where(remaining, d / d0, -np.inf)
-        i = int(np.argmax(ratio))
-        if ratio[i] <= tol:
-            break
-        piv = np.sqrt(d[i])
-        col = gram[:, i] - R[:k].T @ R[:k, i]
-        R[k] = col / piv
-        d = d - R[k] ** 2
-        chosen.append(i)
-        remaining[i] = False
-    return np.sort(np.array(chosen, dtype=np.int64))
+    s = 1.0 / np.sqrt(np.maximum(d0, floor))
+    scaled = np.outer(s, s)
+    scaled *= gram
+    # exactly symmetric, so its transpose is the Fortran-ordered array that
+    # dpstrf factors in place
+    _, piv, rank, info = lapack.dpstrf(scaled.T, tol=tol, overwrite_a=True)
+    if info < 0:
+        raise RuntimeError(f"dpstrf rejected its argument {-info}")
+    return np.sort(piv[:rank] - 1)
 
 
 def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
@@ -446,44 +427,3 @@ def edge_projection(space: MultiscaleSpace, v: np.ndarray) -> np.ndarray:
     """Mass-orthogonal projection of a fine-nodal vector onto the space."""
     rhs = space.basis.T @ (space.fine_ops.mass @ v)
     return solve_spd(space.ms_mass, rhs)
-
-
-def trace_projection(space: MultiscaleSpace, v: np.ndarray) -> np.ndarray:
-    """Edge-trace construction of the projection, sum_i chi_i (lift of the
-    per-edge L2 wavelet projection of v's trace). Diagnostic alternative to
-    edge_projection; returns a fine-nodal vector."""
-    mesh = space.mesh
-    out = np.zeros(mesh.n_nodes)
-    for vertex in np.where(mesh.coarse_vertex_interior)[0]:
-        hood = coarse_neighborhood(mesh, vertex)
-        solver = _LocalSolver(mesh, space.kappa, hood)
-        bnd_nodes = neighborhood_boundary_nodes(hood)
-        bnd_pos = {g: i for i, g in enumerate(bnd_nodes)}
-        trace = np.zeros(bnd_nodes.size)
-        for side in hood.boundary_edges:
-            coords = mesh.fine_node_coords[side]
-            W = edge_wavelets(space.level, coords)
-            h_e = np.linalg.norm(coords[1] - coords[0])
-            v_nodes = v[side]
-            seg_avg = 0.5 * (v_nodes[:-1] + v_nodes[1:])
-            proj_seg = W.T @ (W @ (seg_avg * h_e))
-            nodal = segments_to_nodes(proj_seg)
-            for node, value in zip(side, nodal):
-                trace[bnd_pos[node]] += value
-        lift = solver.lift(trace)
-        chi_local = space.pou.vertex_function(vertex)[solver.local_nodes]
-        out[solver.local_nodes] += chi_local * lift
-    boundary = np.setdiff1d(np.arange(mesh.n_nodes), space.fine_ops.free_dofs)
-    out[boundary] = 0.0
-    return out
-
-
-def write_basis_triplets(space: MultiscaleSpace, path) -> None:
-    """Sparse triplet text dump: header "# rows cols nnz", then
-    "row col value" lines in row-major order."""
-    coo = space.basis.tocoo()
-    order = np.lexsort((coo.col, coo.row))
-    with open(path, "w") as fh:
-        fh.write(f"# {coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for r, c, v in zip(coo.row[order], coo.col[order], coo.data[order]):
-            fh.write(f"{r} {c} {v:.17g}\n")

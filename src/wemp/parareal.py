@@ -37,7 +37,7 @@ from . import fem
 from .fem import factorized_spd
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import ProblemSpec, soe_implicit_step
+from .solvers import ProblemSpec, soe_implicit_step, soe_march
 from .stepping import HistoryState, propagate_history_with, zero_history
 
 # one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
@@ -90,9 +90,7 @@ def build_context(spec: ProblemSpec, space: MultiscaleSpace,
                   soe: SOEApproximation) -> PropagatorContext:
     if spec.m_sub < 1:
         raise ValueError("tau_c must be at least tau_f")
-    coords = space.mesh.fine_node_coords
-    u0_full = np.asarray(spec.u0(coords[:, 0], coords[:, 1]), dtype=np.float64)
-    u0 = space.project(u0_full)
+    u0 = space.project(spec.nodal_u0(space.mesh))
     c_gamma = float(gamma(2.0 - spec.alpha))
     solve_c = factorized_spd(space.ms_mass / (spec.tau_c ** spec.alpha * c_gamma)
                              + space.ms_stiffness)
@@ -120,12 +118,10 @@ def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
                    Phi: HistoryState):
     """m_sub tau_f steps through slab n; global clock for the kernel terms."""
     t_start = n * ctx.tau_c
-    v, psi = U, Phi
-    for j in range(ctx.m_sub):
-        t_next = t_start + (j + 1) * ctx.tau_f
-        v, psi = soe_implicit_step(ctx.solve_fine, ctx.space.ms_mass, ctx.soe,
-                                   ctx.fine_coeffs, v, ctx.u0, t_next, psi,
-                                   ctx.load(t_next))
+    v, psi, _ = soe_march(ctx.solve_fine, ctx.space.ms_mass, ctx.soe,
+                          ctx.fine_coeffs, U, ctx.u0, Phi,
+                          [t_start + (j + 1) * ctx.tau_f
+                           for j in range(ctx.m_sub)], ctx.load)
     return v, psi
 
 
@@ -202,9 +198,11 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
 
     Returns (states, timings): states[k] is the iterate after k corrections
     (states[0] is the coarse sweep); timings is a list of dicts with the
-    slab-phase ("parallel_s") and sweep wall times per iteration. `workers`
-    changes nothing, as in wemp_iteration. The solve fills a load cache of
-    its own, so it costs the same whether or not ctx has solved before.
+    slab-phase ("parallel_s") and sweep wall times per iteration. Only the
+    last state keeps its boundary histories, the one input the next
+    iteration needs; earlier states hold histories=(). `workers` changes
+    nothing, as in wemp_iteration. The solve fills a load cache of its own,
+    so it costs the same whether or not ctx has solved before.
     """
     ctx = replace(ctx)
     t0 = time.perf_counter()
@@ -215,6 +213,7 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
         new = wemp_iteration(ctx, states[-1], workers=workers, phase_log=log)
         log["err"] = new.err
         timings.append(log)
+        states[-1] = replace(states[-1], histories=())
         states.append(new)
         if new.err <= delta:
             break
@@ -235,15 +234,6 @@ def hybrid_fixed_point(ctx: PropagatorContext) -> PararealState:
                                            U[n], U[n + 1]))
     return PararealState(iteration=-1, solutions=U, histories=tuple(phis),
                          jumps=None, err=np.inf)
-
-
-def replay_histories(ctx: PropagatorContext, solutions: np.ndarray) -> tuple:
-    """Rebuild the boundary histories from the stored solutions alone."""
-    phis = [ctx.fresh_history()]
-    for n in range(solutions.shape[0] - 1):
-        phis.append(propagate_history_with(phis[n], ctx.coarse_coeffs,
-                                           solutions[n], solutions[n + 1]))
-    return tuple(phis)
 
 
 def write_iteration_csv(path, rows) -> None:

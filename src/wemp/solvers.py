@@ -1,20 +1,21 @@
 """Sequential solvers for the time-fractional diffusion problem.
 
-Three end-to-end integrators share one implicit-step kernel:
+Three end-to-end integrators:
 
 * reference_l1_solve: fine-space Galerkin with the full-history L1 derivative
   (the reference solution for all error studies);
 * fine_soe_solve: fine-space Galerkin with the exponential-sum history;
 * multiscale_soe_solve: the exponential-sum scheme in multiscale coordinates.
 
-All run on uniform steps of size tau_f. Homogeneous Dirichlet data is
-eliminated: the fine loops work on free dofs and the trajectories embed
-zeros back at boundary nodes.
+All run on uniform steps of size tau_f. The two exponential-sum solvers and
+the parareal propagators march one loop, soe_march, over one implicit-step
+kernel, soe_implicit_step, so their arithmetic is identical. Homogeneous
+Dirichlet data is eliminated: the fine solvers work on free dofs and the
+trajectories embed zeros back at boundary nodes.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -67,6 +68,11 @@ class ProblemSpec:
     def n_fine_total(self) -> int:
         return self.n_coarse * self.m_sub
 
+    def nodal_u0(self, mesh) -> np.ndarray:
+        """u0 at every fine node of mesh."""
+        coords = mesh.fine_node_coords
+        return np.asarray(self.u0(coords[:, 0], coords[:, 1]), dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class Trajectory:
@@ -81,18 +87,14 @@ class Trajectory:
             raise ValueError("one state per time required")
 
 
-def _snapshot_steps(n_steps: int, stride: int, store: str) -> np.ndarray:
+def _store_stride(store: str, m_sub: int) -> int:
+    """Steps between stored states: every step ("all") or every slab
+    boundary ("coarse")."""
     if store == "all":
-        return np.arange(n_steps + 1)
+        return 1
     if store == "coarse":
-        return np.arange(0, n_steps + 1, stride)
+        return m_sub
     raise ValueError(f"store must be 'coarse' or 'all', got {store!r}")
-
-
-def _initial_free_vector(spec, mesh, ops):
-    coords = mesh.fine_node_coords
-    full = np.asarray(spec.u0(coords[:, 0], coords[:, 1]), dtype=np.float64)
-    return full[ops.free_dofs]
 
 
 def _load_free(spec, mesh, ops, t):
@@ -113,12 +115,31 @@ def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
 
     Solves (M / (tau^alpha c_alpha) + A) v_next = M @ known + F and advances
     the history recurrence. `solve` must be the factorization of that left
-    matrix; used verbatim by the sequential solver and the slab propagators
-    so their arithmetic is identical.
+    matrix.
     """
     known = soe_caputo_known_part(psi, soe, coeffs.tau, v_curr, v0, t_next)
     v_next = solve(mass @ known + load_vec)
     return v_next, propagate_history_with(psi, coeffs, v_curr, v_next)
+
+
+def soe_march(solve, mass, soe, coeffs, v, v0, psi: HistoryState, instants,
+              load: Callable, stride: int = 0):
+    """soe_implicit_step from state (v, psi) through each float of `instants`.
+
+    load(t) gives the load vector at instant t. Returns (v, psi, snapshots):
+    the final state and, for stride > 0, the start and every stride-th step
+    stacked in an array (None for stride 0). Only the snapshots are stored.
+    """
+    snapshots = None
+    if stride:
+        snapshots = np.empty((len(instants) // stride + 1, v.size))
+        snapshots[0] = v
+    for n, t in enumerate(instants, 1):
+        v, psi = soe_implicit_step(solve, mass, soe, coeffs, v, v0, t, psi,
+                                   load(t))
+        if stride and n % stride == 0:
+            snapshots[n // stride] = v
+    return v, psi, snapshots
 
 
 def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
@@ -126,6 +147,7 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
     """Fine Galerkin solution with the full-history L1 derivative."""
     tau = spec.tau_f
     n_steps = spec.n_fine_total
+    stride = _store_stride(store, spec.m_sub)
     free = ops.free_dofs
     n_free = free.size
     need = (n_steps + 1) * n_free * 8
@@ -139,51 +161,44 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
     solve = factorized_spd((M_ff / scale + ops.stiffness_free).tocsc())
 
     states = np.empty((n_steps + 1, n_free))
-    states[0] = _initial_free_vector(spec, mesh, ops)
+    states[0] = spec.nodal_u0(mesh)[free]
     for n in range(n_steps):
         w = l1_known_weights(coeffs, n)
         known = (w @ states[:n + 1]) / scale
         rhs = M_ff @ known + _load_free(spec, mesh, ops, (n + 1) * tau)
         states[n + 1] = solve(rhs)
 
-    snap = _snapshot_steps(n_steps, spec.m_sub, store)
-    return Trajectory(times=snap * tau,
-                      states=_embed(states[snap], ops.mass.shape[0], free),
+    return Trajectory(times=np.arange(0, n_steps + 1, stride) * tau,
+                      states=_embed(states[::stride], ops.mass.shape[0], free),
                       space_tag="fine")
+
+
+def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
+                    mass, stiffness, v0: np.ndarray, load: Callable):
+    """(times, states) of the exponential-sum march from v0 with zero
+    history, on the system with the given mass and stiffness."""
+    tau = spec.tau_f
+    n_steps = spec.n_fine_total
+    stride = _store_stride(store, spec.m_sub)
+    scale = tau ** spec.alpha * float(gamma(2.0 - spec.alpha))
+    solve = factorized_spd(mass / scale + stiffness)
+    _, _, states = soe_march(solve, mass, soe, step_coefficients(soe, tau),
+                             v0, v0, zero_history(soe.n_terms, v0.size),
+                             [(n + 1) * tau for n in range(n_steps)], load,
+                             stride)
+    return np.arange(0, n_steps + 1, stride) * tau, states
 
 
 def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
                    soe: SOEApproximation, store: str = "coarse") -> Trajectory:
     """Fine Galerkin solution with the exponential-sum history: O(N_exp)
     state vectors instead of the full history."""
-    tau = spec.tau_f
-    n_steps = spec.n_fine_total
     free = ops.free_dofs
-    coeffs = step_coefficients(soe, tau)
-    M_ff = ops.mass_free.tocsr()
-    scale = tau ** spec.alpha * float(gamma(2.0 - spec.alpha))
-    solve = factorized_spd((M_ff / scale + ops.stiffness_free).tocsc())
-
-    v0 = _initial_free_vector(spec, mesh, ops)
-    psi = zero_history(soe.n_terms, free.size)
-    v = v0.copy()
-    snap = _snapshot_steps(n_steps, spec.m_sub, store)
-    keep = np.zeros(n_steps + 1, dtype=bool)
-    keep[snap] = True
-    out = np.empty((snap.size, free.size))
-    pos = 0
-    if keep[0]:
-        out[pos] = v
-        pos += 1
-    for n in range(n_steps):
-        load = _load_free(spec, mesh, ops, (n + 1) * tau)
-        v, psi = soe_implicit_step(solve, M_ff, soe, coeffs, v, v0,
-                                   (n + 1) * tau, psi, load)
-        if keep[n + 1]:
-            out[pos] = v
-            pos += 1
-    return Trajectory(times=snap * tau,
-                      states=_embed(out, ops.mass.shape[0], free),
+    times, states = _soe_trajectory(
+        spec, soe, store, ops.mass_free.tocsr(), ops.stiffness_free,
+        spec.nodal_u0(mesh)[free], lambda t: _load_free(spec, mesh, ops, t))
+    return Trajectory(times=times,
+                      states=_embed(states, ops.mass.shape[0], free),
                       space_tag="fine")
 
 
@@ -196,40 +211,16 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
     error measurement. The initial state is the mass-orthogonal projection
     of u0.
     """
-    tau = spec.tau_f
-    n_steps = spec.n_fine_total
-    mesh = space.mesh
-    ops = space.fine_ops
-    coords = mesh.fine_node_coords
-    u0_full = np.asarray(spec.u0(coords[:, 0], coords[:, 1]), dtype=np.float64)
-    c0 = space.project(u0_full)
-
-    scale = tau ** spec.alpha * float(gamma(2.0 - spec.alpha))
-    solve = factorized_spd(space.ms_mass / scale + space.ms_stiffness)
-    coeffs = step_coefficients(soe, tau)
-
     def load(t):
         if spec.f is None:
             return 0.0
-        return space.basis.T @ assemble_load(mesh, ops, spec.f, t)
+        return space.basis.T @ assemble_load(space.mesh, space.fine_ops,
+                                             spec.f, t)
 
-    psi = zero_history(soe.n_terms, space.n_columns)
-    v = c0.copy()
-    snap = _snapshot_steps(n_steps, spec.m_sub, store)
-    keep = np.zeros(n_steps + 1, dtype=bool)
-    keep[snap] = True
-    out = np.empty((snap.size, space.n_columns))
-    pos = 0
-    if keep[0]:
-        out[pos] = v
-        pos += 1
-    for n in range(n_steps):
-        v, psi = soe_implicit_step(solve, space.ms_mass, soe, coeffs, v, c0,
-                                   (n + 1) * tau, psi, load((n + 1) * tau))
-        if keep[n + 1]:
-            out[pos] = v
-            pos += 1
-    return Trajectory(times=snap * tau, states=out, space_tag="multiscale")
+    times, states = _soe_trajectory(
+        spec, soe, store, space.ms_mass, space.ms_stiffness,
+        space.project(spec.nodal_u0(space.mesh)), load)
+    return Trajectory(times=times, states=states, space_tag="multiscale")
 
 
 class _PointMesh:
@@ -274,35 +265,3 @@ def write_error_csv(path, times, rel_l2, rel_energy) -> None:
         fh.write("t,relL2,relEnergy\n")
         for t, a, b in zip(times, rel_l2, rel_energy):
             fh.write(f"{t:.17g},{a:.17g},{b:.17g}\n")
-
-
-TRAJECTORY_MAGIC = b"WEMPTRJ\0"
-
-
-def dump_states(path, times, states) -> None:
-    """Binary dump: 16-byte header (8-byte magic, uint32 dof count, uint32
-    state count), then per state one float64 time followed by dof float64
-    values; everything little-endian."""
-    states = np.asarray(states, dtype="<f8")
-    times = np.asarray(times, dtype="<f8")
-    count, dof = states.shape
-    with open(path, "wb") as fh:
-        fh.write(TRAJECTORY_MAGIC)
-        fh.write(struct.pack("<II", dof, count))
-        for t, row in zip(times, states):
-            fh.write(struct.pack("<d", float(t)))
-            fh.write(row.tobytes())
-
-
-def load_states(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != TRAJECTORY_MAGIC:
-            raise ValueError(f"{path}: not a trajectory dump")
-        dof, count = struct.unpack("<II", fh.read(8))
-        times = np.empty(count)
-        states = np.empty((count, dof))
-        for i in range(count):
-            times[i] = struct.unpack("<d", fh.read(8))[0]
-            states[i] = np.frombuffer(fh.read(8 * dof), dtype="<f8")
-    return times, states

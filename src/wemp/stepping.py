@@ -8,7 +8,8 @@ Two discretizations of D^alpha_t at t_{n+1}:
   replaces the kernel on [0, t_n] by the sum of exponentials, carrying one
   scalar-per-term history integral psi_j that is updated by a cheap recurrence.
 
-Both are exposed as "known part" builders: the implicit step then solves
+Each yields the "known part" of the step (the L1 one as weights on the
+stored states): the implicit step then solves
 (M/(tau^alpha c_alpha) + A) v_next = M @ known + F.
 """
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gamma
 
-from .soe import SOEApproximation, StepCoefficients, step_coefficients
+from .soe import SOEApproximation, StepCoefficients
 
 
 @dataclass(frozen=True)
@@ -57,21 +58,6 @@ def l1_known_weights(coeffs: L1Coefficients, n: int) -> np.ndarray:
     return w
 
 
-def l1_apply(coeffs: L1Coefficients, history, tau: float) -> np.ndarray:
-    """Known part of the L1 derivative given states v^0..v^n.
-
-    Returns (1/(tau^alpha c_alpha)) sum_i w_i v^i; the solver moves the
-    v^{n+1} term to the left side.
-    """
-    states = np.atleast_2d(np.asarray(history, dtype=np.float64))
-    if states.shape[0] == 0:
-        raise ValueError("history must hold at least the initial state")
-    n = states.shape[0] - 1
-    w = l1_known_weights(coeffs, n)
-    scale = tau ** coeffs.alpha * coeffs.c_alpha
-    return (w @ states) / scale
-
-
 @dataclass(frozen=True)
 class HistoryState:
     """Per-exponential history integrals psi_j, anchored one step ahead.
@@ -94,6 +80,8 @@ def propagate_history_with(state: HistoryState, coeffs: StepCoefficients,
                            v_prev: np.ndarray, v_next: np.ndarray) -> HistoryState:
     """One recurrence update with precomputed per-step coefficients."""
     psi = state.components
+    if psi.shape[0] != coeffs.decay.size:
+        raise ValueError("history term count does not match the coefficients")
     if psi.shape[1] != np.shape(v_prev)[-1] or psi.shape[1] != np.shape(v_next)[-1]:
         raise ValueError("history components and vectors disagree in dof count")
     new = (coeffs.decay[:, None] * psi
@@ -101,13 +89,6 @@ def propagate_history_with(state: HistoryState, coeffs: StepCoefficients,
            + np.outer(coeffs.c2, v_next))
     return HistoryState(step_index=state.step_index + 1,
                         components=new, step_size=coeffs.tau)
-
-
-def propagate_history(state: HistoryState, soe: SOEApproximation, tau: float,
-                      v_prev: np.ndarray, v_next: np.ndarray) -> HistoryState:
-    if state.components.shape[0] != soe.n_terms:
-        raise ValueError("history term count does not match the SOE")
-    return propagate_history_with(state, step_coefficients(soe, tau), v_prev, v_next)
 
 
 def soe_caputo_known_part(state: HistoryState, soe: SOEApproximation, tau: float,
@@ -130,13 +111,6 @@ def soe_caputo_known_part(state: HistoryState, soe: SOEApproximation, tau: float
     return (alpha / (tau ** alpha * c_alpha) * np.asarray(v_curr, dtype=np.float64)
             + (np.asarray(v0, dtype=np.float64) / t_next ** alpha
                + alpha * weighted) / g1)
-
-
-def history_norm(state: HistoryState, soe: SOEApproximation, tau_c: float,
-                 mass) -> float:
-    """tau_c^alpha times the mass-weighted L2 norm of sum_j omega_j psi_j."""
-    s = soe.weights @ state.components
-    return float(tau_c ** soe.alpha * np.sqrt(max(s @ (mass @ s), 0.0)))
 
 
 def mittag_leffler_neg(alpha: float, t: float, n_terms: int = 200) -> float:

@@ -8,7 +8,6 @@ from wemp.fem import (
     assemble_operators,
     assemble_submesh_operators,
     factorized_spd,
-    l2_project,
     norms,
     read_kappa_raster,
     solve_spd,
@@ -110,17 +109,6 @@ def test_solve_singular_raises():
     singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RuntimeError):
         solve_spd(singular, np.array([1.0, 2.0]))
-
-
-def test_l2_project_identity_on_space(mesh44, ops44):
-    # a zero-boundary nodal function is reproduced exactly
-    x = mesh44.fine_node_coords[:, 0]
-    y = mesh44.fine_node_coords[:, 1]
-    v = np.sin(np.pi * x) * np.sin(np.pi * y)
-    v[mesh44.boundary_fine_nodes] = 0.0
-    p = l2_project(ops44, v)
-    assert np.max(np.abs(p - v)) < 1e-11
-    assert np.all(p[mesh44.boundary_fine_nodes] == 0.0)
 
 
 def test_submesh_assembly_matches_global():

@@ -4,19 +4,16 @@ import pytest
 from wemp.fem import CoefficientField, assemble_operators, norms
 from wemp.mesh import build_mesh, coarse_neighborhood
 from wemp.msfem import (
+    _LocalSolver,
     _pivoted_gram_filter,
     assemble_space,
     build_partition_of_unity,
     edge_projection,
     edge_wavelets,
     eta_indicator,
-    harmonic_lift,
     neighborhood_boundary_nodes,
-    neumann_corrector,
     segments_to_nodes,
-    trace_projection,
     weighted_coefficient,
-    write_basis_triplets,
 )
 
 from conftest import dense_p1_operators
@@ -158,10 +155,11 @@ def test_harmonic_lift_reproduces_harmonic_data():
     bnd = neighborhood_boundary_nodes(hood)
     x = mesh.fine_node_coords[:, 0]
 
-    ones = harmonic_lift(mesh, kappa, hood, np.ones(bnd.size))
+    solver = _LocalSolver(mesh, kappa, hood)
+    ones = solver.lift(np.ones(bnd.size))
     assert np.allclose(ones, 1.0, atol=1e-12)
 
-    lin = harmonic_lift(mesh, kappa, hood, x[bnd])
+    lin = solver.lift(x[bnd])
     assert np.allclose(lin, x[np.sort(hood.fine_nodes)], atol=1e-12)
 
 
@@ -174,7 +172,7 @@ def test_harmonic_lift_interior_residual():
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(1, 1))
     bnd = neighborhood_boundary_nodes(hood)
     trace = rng.standard_normal(bnd.size)
-    lift = harmonic_lift(mesh, kappa, hood, trace)
+    lift = _LocalSolver(mesh, kappa, hood).lift(trace)
 
     tri_idx = np.sort(np.concatenate([2 * hood.fine_cells, 2 * hood.fine_cells + 1]))
     tris = mesh.fine_triangles[tri_idx]
@@ -202,7 +200,7 @@ def test_harmonic_lift_antisymmetry():
     pos = {g: i for i, g in enumerate(bnd)}
     for node, val in zip(bottom, segments_to_nodes(w)):
         trace[pos[node]] += val
-    lift = harmonic_lift(mesh, kappa, hood, trace)
+    lift = _LocalSolver(mesh, kappa, hood).lift(trace)
 
     nodes = np.sort(hood.fine_nodes)
     coords = mesh.fine_node_coords[nodes]
@@ -217,7 +215,7 @@ def test_harmonic_lift_trace_length_check():
     kappa = CoefficientField.constant(mesh)
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(1, 1))
     with pytest.raises(ValueError):
-        harmonic_lift(mesh, kappa, hood, np.ones(3))
+        _LocalSolver(mesh, kappa, hood).lift(np.ones(3))
 
 
 def test_neumann_corrector_zero_mean_and_symmetry():
@@ -226,7 +224,7 @@ def test_neumann_corrector_zero_mean_and_symmetry():
     pou = build_partition_of_unity(mesh, kappa)
     kt = weighted_coefficient(mesh, kappa, pou)
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(2, 2))
-    corr = neumann_corrector(mesh, kappa, hood, kt)
+    corr = _LocalSolver(mesh, kappa, hood).corrector(kt)
 
     from wemp.fem import assemble_submesh_operators
     _, m_loc, _ = assemble_submesh_operators(mesh, kappa, hood.fine_cells)
@@ -250,7 +248,8 @@ def test_neumann_corrector_rejects_zero_mass():
     kappa = CoefficientField.constant(mesh)
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(1, 1))
     with pytest.raises(ValueError):
-        neumann_corrector(mesh, kappa, hood, np.zeros(mesh.n_fine_per_axis ** 2))
+        _LocalSolver(mesh, kappa, hood).corrector(
+            np.zeros(mesh.n_fine_per_axis ** 2))
 
 
 # ------------------------------------------- weighted coefficient, eta
@@ -341,6 +340,27 @@ def test_gram_filter_drops_duplicates_and_zeros():
     assert kept2.tolist() == [0, 2]
     with pytest.raises(RuntimeError):
         _pivoted_gram_filter(np.diag([1.0, -1.0]), 1e-10)
+    # an exactly dependent third column b1 + b2: two of the three stay
+    rng = np.random.default_rng(3)
+    B = rng.standard_normal((6, 3))
+    B[:, 2] = B[:, 0] + B[:, 1]
+    assert _pivoted_gram_filter(B.T @ B, 1e-10).size == 2
+    # independent columns scaled from 1e-8 to 1e-4 all stay, though most
+    # squared norms lie below tol: the stopping rule is relative to each
+    # column's own norm (a 1e-6 to 1e6 spread would put the smallest under
+    # the zero-column floor, tol times the largest squared norm)
+    Bs = rng.standard_normal((8, 5)) * np.logspace(-8, -4, 5)
+    assert _pivoted_gram_filter(Bs.T @ Bs, 1e-10).tolist() == [0, 1, 2, 3, 4]
+
+
+def test_space_is_the_same_at_one_and_two_workers(mesh44, kappa44, pou44):
+    one = assemble_space(mesh44, kappa44, pou44, 1, workers=1)
+    two = assemble_space(mesh44, kappa44, pou44, 1, workers=2)
+    assert np.array_equal(one.basis.data, two.basis.data)
+    assert np.array_equal(one.basis.indices, two.basis.indices)
+    assert np.array_equal(one.ms_mass, two.ms_mass)
+    assert np.array_equal(one.ms_stiffness, two.ms_stiffness)
+    assert one.column_info == two.column_info
 
 
 def test_space_degenerate_refinement_limit():
@@ -388,27 +408,3 @@ def test_projection_error_decreases_with_level():
         errs.append(e / v_norm)
     assert errs[0] == pytest.approx(0.16, abs=0.02)
     assert errs[0] > errs[1] > errs[2]
-
-
-def test_trace_projection_reproduces_constant(mesh44, space44):
-    # deep inside the domain every contributing vertex is interior, so the
-    # per-edge reconstruction of the constant 1 sums back to 1
-    v = np.ones(mesh44.n_nodes)
-    out = trace_projection(space44, v)
-    r = mesh44.refinements_per_coarse
-    ix = np.arange(r + 1, 3 * r)       # nodes inside the central 2x2 cells
-    inner = mesh44.node_index(*np.meshgrid(ix, ix)).ravel()
-    assert np.allclose(out[inner], 1.0, atol=1e-10)
-
-
-def test_write_basis_triplets(tmp_path, space44):
-    path = tmp_path / "basis.txt"
-    write_basis_triplets(space44, path)
-    lines = path.read_text().strip().split("\n")
-    head = lines[0].split()
-    coo = space44.basis.tocoo()
-    assert head == ["#", str(coo.shape[0]), str(coo.shape[1]), str(coo.nnz)]
-    assert len(lines) == coo.nnz + 1
-    r, c, v = lines[1].split()
-    dense = space44.basis.toarray()
-    assert dense[int(r), int(c)] == pytest.approx(float(v), rel=1e-15)

@@ -18,13 +18,13 @@ from wemp.parareal import (
     hybrid_fixed_point,
     initial_coarse_sweep,
     jump,
-    replay_histories,
     wemp_iteration,
     wemp_solve,
     write_iteration_csv,
 )
 from wemp.soe import build_soe
 from wemp.solvers import ProblemSpec, multiscale_soe_solve, single_dof_setup
+from wemp.stepping import propagate_history_with
 
 
 def make_spec(**kw):
@@ -163,7 +163,6 @@ def test_iteration_matches_manual_formula(ctx44):
     for n in range(1, ctx44.n_slabs + 1):
         g_val, _ = coarse_propagate(ctx44, n - 1, u, phis[n - 1])
         u_next = jumps[n - 1] + g_val
-        from wemp.stepping import propagate_history_with
         phis.append(propagate_history_with(phis[n - 1], ctx44.coarse_coeffs,
                                            u, u_next))
         assert np.array_equal(new.solutions[n], u_next)
@@ -204,8 +203,13 @@ def test_hybrid_fixed_point_is_invariant(ctx44):
 
 
 def test_replay_histories(ctx44):
+    # the boundary histories are the tau_c recurrence over the solutions
     state = wemp_iteration(ctx44, initial_coarse_sweep(ctx44))
-    replayed = replay_histories(ctx44, state.solutions)
+    replayed = [ctx44.fresh_history()]
+    for n in range(ctx44.n_slabs):
+        replayed.append(propagate_history_with(
+            replayed[n], ctx44.coarse_coeffs, state.solutions[n],
+            state.solutions[n + 1]))
     assert len(replayed) == len(state.histories)
     for a, b in zip(replayed, state.histories):
         assert np.array_equal(a.components, b.components)
@@ -237,6 +241,19 @@ def test_wemp_solve_stopping_and_timings(ctx44):
 
     states2, _ = wemp_solve(ctx44, delta=0.0, k_max=2)
     assert len(states2) == 3          # k_max caps the loop
+
+
+def test_wemp_solve_keeps_only_the_last_histories(ctx44):
+    states, _ = wemp_solve(ctx44, delta=0.0, k_max=3)
+    by_hand = [initial_coarse_sweep(ctx44)]
+    for _ in range(3):
+        by_hand.append(wemp_iteration(ctx44, by_hand[-1]))
+    assert all(st.histories == () for st in states[:-1])
+    assert len(states[-1].histories) == ctx44.n_slabs + 1
+    for a, b in zip(states[-1].histories, by_hand[-1].histories):
+        assert np.array_equal(a.components, b.components)
+    for a, b in zip(states, by_hand):
+        assert np.array_equal(a.solutions, b.solutions)
 
 
 def counting_context(ctx):

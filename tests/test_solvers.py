@@ -9,9 +9,7 @@ from wemp.soe import build_soe, build_soe_for_terms
 from wemp.solvers import (
     ProblemSpec,
     Trajectory,
-    dump_states,
     fine_soe_solve,
-    load_states,
     multiscale_soe_solve,
     reference_l1_solve,
     relative_errors_percent,
@@ -261,21 +259,3 @@ def test_write_error_csv(tmp_path):
     assert lines[0] == "t,relL2,relEnergy"
     assert [float(v) for v in lines[1].split(",")] == [0.1, 1.0, 3.0]
     assert len(lines) == 3
-
-
-def test_state_dump_roundtrip(tmp_path):
-    rng = np.random.default_rng(8)
-    times = np.linspace(0.0, 1.0, 5)
-    states = rng.standard_normal((5, 7))
-    path = tmp_path / "traj.bin"
-    dump_states(path, times, states)
-    t2, s2 = load_states(path)
-    assert np.array_equal(t2, times)
-    assert np.array_equal(s2, states)
-
-
-def test_state_dump_rejects_bad_magic(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOTATRAJ" + b"\x00" * 16)
-    with pytest.raises(ValueError, match="trajectory"):
-        load_states(path)

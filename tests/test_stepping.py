@@ -4,12 +4,9 @@ from scipy.special import erfc, gamma
 
 from wemp.soe import build_soe, step_coefficients
 from wemp.stepping import (
-    l1_apply,
     l1_coefficients,
     l1_known_weights,
-    history_norm,
     mittag_leffler_neg,
-    propagate_history,
     propagate_history_with,
     soe_caputo_known_part,
     zero_history,
@@ -49,7 +46,7 @@ def test_known_weights_sum_to_one():
         l1_known_weights(coeffs, 51)
 
 
-def test_l1_apply_matches_telescoped_form():
+def test_l1_weights_match_telescoped_form():
     # the weight form must equal the textbook sum of b_j differences
     alpha, tau, n = 0.4, 0.1, 3
     coeffs = l1_coefficients(alpha, n)
@@ -58,10 +55,8 @@ def test_l1_apply_matches_telescoped_form():
     scale = tau ** alpha * coeffs.c_alpha
     derivative = sum(coeffs.b[j] * (states[n + 1 - j] - states[n - j])
                      for j in range(n + 1)) / scale
-    known = l1_apply(coeffs, states[:n + 1], tau)
+    known = (l1_known_weights(coeffs, n) @ states[:n + 1]) / scale
     assert np.allclose(states[n + 1] / scale - known, derivative, atol=1e-13)
-    with pytest.raises(ValueError):
-        l1_apply(coeffs, np.empty((0, 5)), tau)
 
 
 def test_first_step_equals_l1():
@@ -82,8 +77,9 @@ def test_history_exact_for_constant_state():
     c = 2.5
     v = np.array([c])
     state = zero_history(soe.n_terms, 1)
+    coeffs = step_coefficients(soe, tau)
     for _ in range(6):
-        state = propagate_history(state, soe, tau, v, v)
+        state = propagate_history_with(state, coeffs, v, v)
     lam = soe.rates
     t_np1 = (state.step_index + 1) * tau
     exact = c * (np.exp(-lam * tau) - np.exp(-lam * t_np1)) / lam
@@ -110,25 +106,15 @@ def test_history_linearity():
 
 def test_history_shape_validation():
     soe = build_soe(0.5, 1e-3, 1e-1)
+    coeffs = step_coefficients(soe, 1e-3)
     state = zero_history(soe.n_terms, 2)
-    with pytest.raises(ValueError):
-        propagate_history(state, soe, 1e-3, np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="dof count"):
+        propagate_history_with(state, coeffs, np.ones(3), np.ones(3))
     bad = zero_history(soe.n_terms + 2, 2)
-    with pytest.raises(ValueError):
-        propagate_history(bad, soe, 1e-3, np.ones(2), np.ones(2))
+    with pytest.raises(ValueError, match="term count"):
+        propagate_history_with(bad, coeffs, np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
         soe_caputo_known_part(bad, soe, 1e-3, np.ones(2), np.ones(2), 1e-3)
-
-
-def test_history_norm_by_hand():
-    soe = build_soe(0.5, 1e-3, 1e-1)
-    state = zero_history(soe.n_terms, 2)
-    state = propagate_history(state, soe, 1e-3, np.array([1.0, 0.0]),
-                              np.array([0.0, 1.0]))
-    mass = np.eye(2)
-    s = soe.weights @ state.components
-    expected = 0.1 ** 0.5 * np.sqrt(s @ s)
-    assert history_norm(state, soe, 0.1, mass) == pytest.approx(expected, rel=1e-14)
 
 
 def test_mittag_leffler_values():
