@@ -59,7 +59,7 @@ def main():
           f"{'build s':>8}")
     for level in (0, 1, 2, 3):
         t0 = time.perf_counter()
-        space = assemble_space(mesh, kappa, pou, level, workers=4)
+        space = assemble_space(mesh, kappa, pou, level)
         dt = time.perf_counter() - t0
         coeff = np.linalg.solve(space.ms_stiffness,
                                 np.asarray(space.basis.T @ load).ravel())

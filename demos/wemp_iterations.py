@@ -29,7 +29,6 @@ def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--alpha", type=float, default=0.5)
     ap.add_argument("--iterations", type=int, default=3)
-    ap.add_argument("--workers", type=int, default=4)
     ap.add_argument("--out", default="demo_out")
     args = ap.parse_args()
     out = Path(args.out)
@@ -42,7 +41,7 @@ def main():
                            mesh, seed=7)
     ops = assemble_operators(mesh, kappa)
     pou = build_partition_of_unity(mesh, kappa)
-    space = assemble_space(mesh, kappa, pou, 2, workers=args.workers)
+    space = assemble_space(mesh, kappa, pou, 2)
     print(f"space built: {space.n_columns} columns over "
           f"{ops.free_dofs.size} fine unknowns "
           f"({time.perf_counter() - t0:.1f}s)")

@@ -1,10 +1,11 @@
 """Command line front end.
 
-    wemp run <config> [--assert] [--workers N] [--out DIR]
+    wemp run <config> [--assert] [--out DIR]
     wemp soe-table <alpha> <tau_f> <epsilon>
 
-Exit codes: 0 success, 1 config error, 2 acceptance breach (only with
---assert), 3 numerical failure.
+Exit codes: 0 success, 1 config error (an epsilon above its feasibility
+ceiling is one), 2 acceptance breach (only with --assert), 3 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import replace
 
 from .experiments import ConfigError, parse_config, run_experiment
 from .soe import build_soe, dump_soe_table
@@ -38,10 +38,8 @@ def _build_parser() -> _Parser:
     run.add_argument("config", help="path to the config file")
     run.add_argument("--assert", dest="assert_mode", action="store_true",
                      help="exit 2 when the experiment misses its tolerance")
-    run.add_argument("--workers", type=int, default=None,
-                     help="override the [run] worker count")
     run.add_argument("--out", default=None,
-                     help="override the [run] output directory")
+                     help="write here instead of the [run] output directory")
 
     table = sub.add_parser("soe-table",
                            help="print the exponential-sum table as CSV")
@@ -63,10 +61,6 @@ def main(argv=None) -> int:
     if args.command == "run":
         try:
             cfg = parse_config(args.config)
-            if args.workers is not None:
-                if args.workers < 1:
-                    raise ConfigError("--workers must be >= 1")
-                cfg = replace(cfg, workers=args.workers)
             return run_experiment(cfg, assert_mode=args.assert_mode,
                                   out_dir=args.out)
         except ConfigError as exc:

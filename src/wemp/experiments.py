@@ -67,7 +67,6 @@ class ExperimentConfig:
     kappa_params: dict
     experiment: str
     output: str
-    workers: int
     delta: float
     k_max: int
     seed: int
@@ -131,7 +130,6 @@ def parse_config(path) -> ExperimentConfig:
                           "unit-oracles"):
         raise ConfigError(f"[run] experiment {experiment!r} not recognized")
     output = _get(cp, "run", "output", str, default="out")
-    workers = _get(cp, "run", "workers", int, default=1)
     delta = _get(cp, "run", "delta", float, default=1e-8)
     k_max = _get(cp, "run", "k_max", int, default=10)
     seed = _get(cp, "run", "seed", int, default=0)
@@ -144,8 +142,8 @@ def parse_config(path) -> ExperimentConfig:
                            source=source, coarse_divisions=coarse,
                            refinements=refine, kappa_kind=kind,
                            kappa_params=params, experiment=experiment,
-                           output=output, workers=workers, delta=delta,
-                           k_max=k_max, seed=seed, reference=reference)
+                           output=output, delta=delta, k_max=k_max,
+                           seed=seed, reference=reference)
     _validate(cfg)
     return cfg
 
@@ -160,8 +158,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(str(exc)) from exc
     if cfg.coarse_divisions < 1 or cfg.refinements < 1:
         raise ConfigError("[mesh] divisions and refinements must be >= 1")
-    if cfg.workers < 1:
-        raise ConfigError("[run] workers must be >= 1")
 
 
 def generate_kappa(kind: str, params: dict, mesh, seed: int) -> CoefficientField:
@@ -243,8 +239,7 @@ def run_experiment(cfg: ExperimentConfig, assert_mode: bool = False,
         spec = _problem(cfg, kappa)
         soe = _build_soe_for(cfg)
         if cfg.epsilon is not None:
-            validate_epsilon(cfg.alpha, cfg.epsilon, cfg.T,
-                             spec.n_fine_total, override=True)
+            validate_epsilon(cfg.alpha, cfg.epsilon, cfg.T, spec.n_fine_total)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -285,7 +280,7 @@ def _run_soe_accuracy(cfg, spec, mesh, kappa, soe, out, assert_mode) -> int:
 def _run_wemp(cfg, spec, mesh, kappa, soe, out, assert_mode) -> int:
     ops = assemble_operators(mesh, kappa)
     pou = build_partition_of_unity(mesh, kappa)
-    space = assemble_space(mesh, kappa, pou, cfg.level, workers=cfg.workers)
+    space = assemble_space(mesh, kappa, pou, cfg.level)
     ctx = build_context(spec, space, soe)
     ref = _reference(cfg, spec, mesh, ops, soe)
     states, timings = wemp_solve(ctx, delta=cfg.delta, k_max=cfg.k_max)

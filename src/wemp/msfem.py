@@ -19,7 +19,6 @@ vanishes on the domain boundary.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -346,15 +345,18 @@ def _pivoted_gram_filter(gram: np.ndarray, tol: float) -> np.ndarray:
 
     The Gram matrix is scaled to unit diagonal, so the factorization stops
     when the best remaining residual diagonal, relative to the column's own
-    squared norm, drops to tol. Returns kept indices, sorted.
+    squared norm, drops to tol. A column is dropped for its length alone
+    only when its squared norm is zero, however short it is against the
+    others. Returns kept indices, sorted.
     """
     d0 = gram.diagonal()
-    floor = tol * d0.max()
-    if np.any(d0 < -floor):
+    if np.any(d0 < -tol * d0.max()):
         raise RuntimeError("Gram matrix has a negative diagonal entry")
     # identically vanishing products chi_i * v (possible in degenerate
-    # refinement limits) simply drop out of the candidate set
-    s = 1.0 / np.sqrt(np.maximum(d0, floor))
+    # refinement limits) get a zero row and column, so they are never pivots
+    positive = d0 > 0.0
+    s = np.zeros_like(d0)
+    s[positive] = 1.0 / np.sqrt(d0[positive])
     scaled = np.outer(s, s)
     scaled *= gram
     # exactly symmetric, so its transpose is the Fortran-ordered array that
@@ -368,21 +370,19 @@ def _pivoted_gram_filter(gram: np.ndarray, tol: float) -> np.ndarray:
 def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
                    pou: PartitionOfUnity, level: int,
                    workers: int = 1) -> MultiscaleSpace:
-    """Global multiscale space over the interior coarse vertices."""
+    """Global multiscale space over the interior coarse vertices.
+
+    The local solves run one after another. `workers` is ignored: two
+    threads made the set-up slower than one, and the keyword stays only
+    because perfbench/workloads.py passes it.
+    """
     ops = assemble_operators(mesh, kappa)
     kappa_tilde = weighted_coefficient(mesh, kappa, pou)
     vertices = np.where(mesh.coarse_vertex_interior)[0]
     if vertices.size == 0:
         raise ValueError("mesh has no interior coarse vertices")
-
-    def task(vertex):
-        return _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, vertices))
-    else:
-        results = [task(v) for v in vertices]
+    results = [_vertex_columns(mesh, kappa, pou, level, v, kappa_tilde)
+               for v in vertices]
 
     interior_mask = np.zeros(mesh.n_nodes, dtype=bool)
     interior_mask[ops.free_dofs] = True

@@ -11,17 +11,19 @@ then sweeps sequentially:
     Phi_k^n rebuilt from (Phi_k^{n-1}, U_k^{n-1}, U_k^n) with the tau_c
     recurrence.
 
-Iterate 0 is the sequential coarse sweep. The kernel's t^(-alpha) initial-data
-term always uses the global clock and the global initial vector; slabs never
-restart it.
+A history Phi is a plain (n_terms, ms_dof) array of the exponential-sum
+integrals (see stepping.propagate_history_with). Iterate 0 is the sequential
+coarse sweep. The kernel's t^(-alpha) initial-data term always uses the global
+clock and the global initial vector; slabs never restart it.
 
 The slab propagations of one iteration are independent, but they run one
-after another in the calling thread: the per-step cost is dense triangular
-solves and the history recurrence, which already use the BLAS threads, and
-slab threads on top of them oversubscribe the cores and slow the iteration
-down. The context caches each projected load by its instant, so the k-th
-iteration re-evaluates no load an earlier one has seen; wemp_solve gives
-each solve a fresh cache, which holds at most LOAD_CACHE_BUDGET_BYTES.
+after another in the calling thread, and there is no worker option: the
+per-step cost is dense triangular solves and the history recurrence, which
+already use the BLAS threads, and slab threads on top of them oversubscribe
+the cores and slow the iteration down. The context caches each projected
+load by its instant, so the k-th iteration re-evaluates no load an earlier
+one has seen; wemp_solve gives each solve a fresh cache, which holds at most
+LOAD_CACHE_BUDGET_BYTES.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .fem import factorized_spd
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .solvers import ProblemSpec, soe_implicit_step, soe_march
-from .stepping import HistoryState, propagate_history_with, zero_history
+from .stepping import propagate_history_with
 
 # one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
 # them; past this many bytes loads are recomputed instead of cached
@@ -82,8 +84,9 @@ class PropagatorContext:
                 self._loads[t] = vec
         return vec
 
-    def fresh_history(self) -> HistoryState:
-        return zero_history(self.soe.n_terms, self.u0.size)
+    def fresh_history(self) -> np.ndarray:
+        """The zero history, (n_terms, ms_dof)."""
+        return np.zeros((self.soe.n_terms, self.u0.size))
 
 
 def build_context(spec: ProblemSpec, space: MultiscaleSpace,
@@ -106,7 +109,7 @@ def build_context(spec: ProblemSpec, space: MultiscaleSpace,
 
 
 def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
-                     Phi: HistoryState):
+                     Phi: np.ndarray):
     """One tau_c step from T^n; returns (solution, history at T^{n+1})."""
     t_next = (n + 1) * ctx.tau_c
     return soe_implicit_step(ctx.solve_coarse, ctx.space.ms_mass, ctx.soe,
@@ -115,7 +118,7 @@ def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
 
 
 def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
-                   Phi: HistoryState):
+                   Phi: np.ndarray):
     """m_sub tau_f steps through slab n; global clock for the kernel terms."""
     t_start = n * ctx.tau_c
     v, psi, _ = soe_march(ctx.solve_fine, ctx.space.ms_mass, ctx.soe,
@@ -126,7 +129,7 @@ def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
 
 
 def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
-         Phi: HistoryState) -> np.ndarray:
+         Phi: np.ndarray) -> np.ndarray:
     """Correction S = (fine - coarse) solution over one slab."""
     fine_v, _ = fine_propagate(ctx, n, U, Phi)
     coarse_v, _ = coarse_propagate(ctx, n, U, Phi)
@@ -137,7 +140,7 @@ def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
 class PararealState:
     iteration: int
     solutions: np.ndarray          # (n_slabs + 1, ms_dof)
-    histories: tuple               # HistoryState per slab boundary
+    histories: tuple               # (n_terms, ms_dof) history per boundary
     jumps: Optional[np.ndarray]    # (n_slabs, ms_dof); None for iterate 0
     err: float                     # mean l2 jump from the previous iterate
 
@@ -156,12 +159,10 @@ def initial_coarse_sweep(ctx: PropagatorContext) -> PararealState:
 
 
 def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
-                   workers: int = 1, phase_log: Optional[dict] = None
-                   ) -> PararealState:
+                   phase_log: Optional[dict] = None) -> PararealState:
     """One parareal update from the previous iterate.
 
-    The slab jumps are computed one after another in the calling thread.
-    `workers` is accepted for compatibility and changes nothing. If
+    The slab jumps are computed one after another in the calling thread. If
     phase_log is a dict it receives the wall times of the slab phase (under
     the key "parallel_s") and of the sequential sweep.
     """
@@ -200,9 +201,10 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     (states[0] is the coarse sweep); timings is a list of dicts with the
     slab-phase ("parallel_s") and sweep wall times per iteration. Only the
     last state keeps its boundary histories, the one input the next
-    iteration needs; earlier states hold histories=(). `workers` changes
-    nothing, as in wemp_iteration. The solve fills a load cache of its own,
-    so it costs the same whether or not ctx has solved before.
+    iteration needs; earlier states hold histories=(). The solve fills a
+    load cache of its own, so it costs the same whether or not ctx has
+    solved before. `workers` is ignored: the slabs run serially, and the
+    keyword stays only because perfbench/workloads.py passes it.
     """
     ctx = replace(ctx)
     t0 = time.perf_counter()
@@ -210,7 +212,7 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     timings = [{"k": 0, "parallel_s": 0.0, "sweep_s": time.perf_counter() - t0}]
     for k in range(1, k_max + 1):
         log = {"k": k}
-        new = wemp_iteration(ctx, states[-1], workers=workers, phase_log=log)
+        new = wemp_iteration(ctx, states[-1], phase_log=log)
         log["err"] = new.err
         timings.append(log)
         states[-1] = replace(states[-1], histories=())

@@ -188,26 +188,21 @@ def step_coefficients(soe: SOEApproximation, tau: float) -> StepCoefficients:
 
 
 def validate_epsilon(alpha: float, epsilon: float, t_final: float,
-                     n_fine_steps: int, eta: float = 1.0,
-                     override: bool = False) -> float:
+                     n_fine_steps: int, eta: float = 1.0) -> float:
     """Feasibility ceiling for epsilon at horizon T: the kernel perturbation
     must stay below the scheme's own discretization error.
 
     n_fine_steps is the total fine step count M_f = T / tau_f. Returns the
-    ceiling min(alpha * M_f^alpha * eta, 1/2) / T^(1+alpha). Raises if
-    epsilon exceeds it, unless override (then only logs).
+    ceiling min(alpha * M_f^alpha * eta, 1/2) / T^(1+alpha). Raises
+    ValueError if epsilon exceeds it.
     """
     m_f = float(n_fine_steps)
     ceiling = min(alpha * m_f ** alpha * eta / t_final ** (1.0 + alpha),
                   0.5 / t_final ** (1.0 + alpha))
     if epsilon > ceiling:
-        if override:
-            log.warning("epsilon = %.3e exceeds the feasibility ceiling %.3e "
-                        "for T = %g; proceeding on request", epsilon, ceiling, t_final)
-        else:
-            raise ValueError(
-                f"epsilon = {epsilon:.3e} exceeds the feasibility ceiling "
-                f"{ceiling:.6e} for T = {t_final}; tighten epsilon or override")
+        raise ValueError(
+            f"epsilon = {epsilon:.3e} exceeds the feasibility ceiling "
+            f"{ceiling:.6e} for T = {t_final}; tighten epsilon")
     return ceiling
 
 

@@ -25,9 +25,8 @@ from scipy.special import gamma
 
 from .fem import CoefficientField, OperatorPair, assemble_load, factorized_spd
 from .soe import SOEApproximation, step_coefficients
-from .stepping import (HistoryState, l1_coefficients, l1_known_weights,
-                       propagate_history_with, soe_caputo_known_part,
-                       zero_history)
+from .stepping import (l1_coefficients, l1_known_weights,
+                       propagate_history_with, soe_caputo_known_part)
 from .msfem import MultiscaleSpace
 
 L1_STATE_BUDGET_BYTES = 2_000_000_000
@@ -110,7 +109,7 @@ def _embed(free_values: np.ndarray, n_nodes: int, free: np.ndarray) -> np.ndarra
 
 
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
-                      psi: HistoryState, load_vec):
+                      psi: np.ndarray, load_vec):
     """One implicit step of the exponential-sum scheme.
 
     Solves (M / (tau^alpha c_alpha) + A) v_next = M @ known + F and advances
@@ -122,7 +121,7 @@ def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
     return v_next, propagate_history_with(psi, coeffs, v_curr, v_next)
 
 
-def soe_march(solve, mass, soe, coeffs, v, v0, psi: HistoryState, instants,
+def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
               load: Callable, stride: int = 0):
     """soe_implicit_step from state (v, psi) through each float of `instants`.
 
@@ -183,7 +182,7 @@ def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
     scale = tau ** spec.alpha * float(gamma(2.0 - spec.alpha))
     solve = factorized_spd(mass / scale + stiffness)
     _, _, states = soe_march(solve, mass, soe, step_coefficients(soe, tau),
-                             v0, v0, zero_history(soe.n_terms, v0.size),
+                             v0, v0, np.zeros((soe.n_terms, v0.size)),
                              [(n + 1) * tau for n in range(n_steps)], load,
                              stride)
     return np.arange(0, n_steps + 1, stride) * tau, states

@@ -58,40 +58,24 @@ def l1_known_weights(coeffs: L1Coefficients, n: int) -> np.ndarray:
     return w
 
 
-@dataclass(frozen=True)
-class HistoryState:
-    """Per-exponential history integrals psi_j, anchored one step ahead.
+def propagate_history_with(psi: np.ndarray, coeffs: StepCoefficients,
+                           v_prev: np.ndarray, v_next: np.ndarray) -> np.ndarray:
+    """One recurrence update of the history integrals psi, (n_terms, dof).
 
-    components[j] approximates int_0^{t_n} e^(-lambda_j (t_{n+1} - s)) u(s) ds.
+    Row j approximates int_0^{t_n} e^(-lambda_j (t_{n+1} - s)) u(s) ds, so a
+    history is anchored one step ahead; the update uses the precomputed
+    per-step coefficients.
     """
-
-    step_index: int
-    components: np.ndarray     # (n_terms, dof)
-    step_size: float           # tau of the last propagation (0.0 while fresh)
-
-
-def zero_history(n_terms: int, dof: int) -> HistoryState:
-    return HistoryState(step_index=0,
-                        components=np.zeros((n_terms, dof)),
-                        step_size=0.0)
-
-
-def propagate_history_with(state: HistoryState, coeffs: StepCoefficients,
-                           v_prev: np.ndarray, v_next: np.ndarray) -> HistoryState:
-    """One recurrence update with precomputed per-step coefficients."""
-    psi = state.components
     if psi.shape[0] != coeffs.decay.size:
         raise ValueError("history term count does not match the coefficients")
     if psi.shape[1] != np.shape(v_prev)[-1] or psi.shape[1] != np.shape(v_next)[-1]:
-        raise ValueError("history components and vectors disagree in dof count")
-    new = (coeffs.decay[:, None] * psi
-           + np.outer(coeffs.c1, v_prev)
-           + np.outer(coeffs.c2, v_next))
-    return HistoryState(step_index=state.step_index + 1,
-                        components=new, step_size=coeffs.tau)
+        raise ValueError("history and vectors disagree in dof count")
+    return (coeffs.decay[:, None] * psi
+            + np.outer(coeffs.c1, v_prev)
+            + np.outer(coeffs.c2, v_next))
 
 
-def soe_caputo_known_part(state: HistoryState, soe: SOEApproximation, tau: float,
+def soe_caputo_known_part(psi: np.ndarray, soe: SOEApproximation, tau: float,
                           v_curr: np.ndarray, v0: np.ndarray,
                           t_next: float) -> np.ndarray:
     """Known part of the compressed derivative for the step to t_next.
@@ -102,12 +86,12 @@ def soe_caputo_known_part(state: HistoryState, soe: SOEApproximation, tau: float
     At n = 0 (zero history, t_next = tau) this collapses to
     v_curr / (tau^alpha c_alpha), the L1 first step.
     """
-    if state.components.shape[0] != soe.n_terms:
+    if psi.shape[0] != soe.n_terms:
         raise ValueError("history term count does not match the SOE")
     alpha = soe.alpha
     c_alpha = gamma(2.0 - alpha)
     g1 = gamma(1.0 - alpha)
-    weighted = soe.weights @ state.components
+    weighted = soe.weights @ psi
     return (alpha / (tau ** alpha * c_alpha) * np.asarray(v_curr, dtype=np.float64)
             + (np.asarray(v0, dtype=np.float64) / t_next ** alpha
                + alpha * weighted) / g1)

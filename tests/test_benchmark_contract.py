@@ -36,4 +36,6 @@ def test_workload_entry_points_exist():
     assert callable(msfem._vertex_columns)
     assert callable(msfem.coarse_neighborhood)
     assert callable(msfem.edge_wavelets)
+    # perfbench/workloads.py passes workers= to both; each ignores it
     assert "workers" in inspect.signature(parareal.wemp_solve).parameters
+    assert "workers" in inspect.signature(msfem.assemble_space).parameters

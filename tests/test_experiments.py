@@ -69,7 +69,6 @@ def test_parse_config_defaults(tmp_path):
     assert cfg.experiment == "soe-accuracy"
     # unset [run] keys take their documented defaults
     assert cfg.output == "out"
-    assert cfg.workers == 1
     assert cfg.delta == 1e-8
     assert cfg.k_max == 10
     assert cfg.seed == 0
@@ -87,14 +86,14 @@ def test_parse_config_full_run_section(tmp_path):
         "kappa": {"kind": "contrast-inclusions", "contrast": "1e4",
                   "count": "3"},
         "run": {"experiment": "wemp-convergence", "output": "results",
-                "workers": "4", "delta": "1e-6", "k_max": "5", "seed": "11",
+                "delta": "1e-6", "k_max": "5", "seed": "11",
                 "reference": "soe"},
     })
     cfg = parse_config(path)
     assert cfg.epsilon is None and cfg.n_exp == 31
     assert cfg.source == "rough"
     assert cfg.kappa_params == {"contrast": 1e4, "count": 3, "size": 2}
-    assert (cfg.output, cfg.workers, cfg.delta) == ("results", 4, 1e-6)
+    assert (cfg.output, cfg.delta) == ("results", 1e-6)
     assert (cfg.k_max, cfg.seed, cfg.reference) == (5, 11, "soe")
 
 
@@ -115,7 +114,7 @@ def test_parse_config_missing_file(tmp_path):
     ({"kappa": {"kind": "raster-file"}}, "missing key 'path'"),
     ({"run": {"experiment": "make-coffee"}}, "not recognized"),
     ({"run": {"reference": "exact"}}, "reference"),
-    ({"run": {"workers": "0"}}, "workers"),
+    ({"run": {"delta": "tiny"}}, r"\[run\] delta"),
     ({"mesh": {"coarse_divisions": "0"}}, ">= 1"),
     ({"problem": {"alpha": "1.5"}}, "alpha must lie"),
     ({"problem": {"tau_c": "0.03"}}, "divide T"),
@@ -325,16 +324,14 @@ def test_soe_accuracy_rerun_identical(tmp_path):
         (second / "summary.txt").read_bytes()
 
 
-def test_wemp_worker_count_invariance(tmp_path):
-    serial = parse_config(write_config(tmp_path / "s.ini", wemp_overrides()))
-    threaded = parse_config(
-        write_config(tmp_path / "t.ini", wemp_overrides(workers="2")))
-    out_s, out_t = tmp_path / "serial", tmp_path / "threaded"
-    assert run_experiment(serial, out_dir=str(out_s)) == 0
-    assert run_experiment(threaded, out_dir=str(out_t)) == 0
+def test_wemp_convergence_rerun_identical(tmp_path):
+    path = write_config(tmp_path / "a.ini", wemp_overrides())
+    first, second = tmp_path / "one", tmp_path / "two"
+    assert run_experiment(parse_config(path), out_dir=str(first)) == 0
+    assert run_experiment(parse_config(path), out_dir=str(second)) == 0
     # iterate errors are bitwise identical; only the timings file may differ
-    assert (out_s / "iterations.csv").read_bytes() == \
-        (out_t / "iterations.csv").read_bytes()
+    assert (first / "iterations.csv").read_bytes() == \
+        (second / "iterations.csv").read_bytes()
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -342,6 +339,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1
+    capsys.readouterr()
+    # there is no worker option: the local solves and slabs run serially
+    assert main(["run", str(tmp_path / "a.ini"), "--workers", "2"]) == 1
+    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_cli_missing_config(tmp_path, capsys):
@@ -349,10 +350,17 @@ def test_cli_missing_config(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
-def test_cli_bad_workers_override(tmp_path, capsys):
-    path = write_config(tmp_path / "a.ini")
-    assert main(["run", path, "--workers", "0"]) == 1
-    assert "config error" in capsys.readouterr().err
+def test_cli_epsilon_above_feasibility_ceiling(tmp_path, capsys):
+    # at T = 10 and tau_f = 0.1 the ceiling is 0.5 / 10^1.5 = 0.0158
+    problem = {"T": "10", "tau_c": "0.5", "tau_f": "0.1", "epsilon": "0.05"}
+    path = write_config(tmp_path / "a.ini", {"problem": problem})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "feasibility ceiling" in err
+    # just under the ceiling the same run goes through
+    problem["epsilon"] = "0.015"
+    path = write_config(tmp_path / "b.ini", {"problem": problem})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_run_unit_oracles(tmp_path, capsys):

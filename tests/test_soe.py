@@ -190,8 +190,6 @@ def test_validate_epsilon_ceilings():
     assert ceiling == pytest.approx(0.015811, rel=1e-4)
     with pytest.raises(ValueError):
         validate_epsilon(0.5, 0.6, 1.0, 1000)
-    # override downgrades the failure to a warning and still returns the ceiling
-    assert validate_epsilon(0.5, 0.6, 1.0, 1000, override=True) == pytest.approx(0.5)
 
 
 def test_dump_soe_table_roundtrip():

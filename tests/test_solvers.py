@@ -220,7 +220,7 @@ def test_multiscale_level_sweep_error_floor():
     ref = fine_soe_solve(spec, mesh, ops, soe)
     errs = {}
     for level in (1, 2, 3):
-        space = assemble_space(mesh, kappa, pou, level, workers=4)
+        space = assemble_space(mesh, kappa, pou, level)
         ms = multiscale_soe_solve(spec, space, soe)
         lift = space.lift(ms.states.T).T
         rl2, _ = relative_errors_percent(lift[1:], ref.states[1:], ops)

@@ -9,7 +9,6 @@ from wemp.stepping import (
     mittag_leffler_neg,
     propagate_history_with,
     soe_caputo_known_part,
-    zero_history,
 )
 
 
@@ -63,8 +62,8 @@ def test_first_step_equals_l1():
     # with empty history the compressed known part is v / (tau^alpha c_alpha)
     soe = build_soe(0.5, 1e-3, 1e-2)
     v = np.array([1.0, -2.0, 0.5])
-    state = zero_history(soe.n_terms, 3)
-    known = soe_caputo_known_part(state, soe, 1e-3, v, v, 1e-3)
+    psi = np.zeros((soe.n_terms, 3))
+    known = soe_caputo_known_part(psi, soe, 1e-3, v, v, 1e-3)
     expected = v / (1e-3 ** 0.5 * gamma(1.5))
     assert np.allclose(known, expected, rtol=1e-14)
 
@@ -76,16 +75,15 @@ def test_history_exact_for_constant_state():
     tau = 0.05
     c = 2.5
     v = np.array([c])
-    state = zero_history(soe.n_terms, 1)
+    psi = np.zeros((soe.n_terms, 1))
     coeffs = step_coefficients(soe, tau)
-    for _ in range(6):
-        state = propagate_history_with(state, coeffs, v, v)
+    n = 6
+    for _ in range(n):
+        psi = propagate_history_with(psi, coeffs, v, v)
     lam = soe.rates
-    t_np1 = (state.step_index + 1) * tau
+    t_np1 = (n + 1) * tau
     exact = c * (np.exp(-lam * tau) - np.exp(-lam * t_np1)) / lam
-    assert np.allclose(state.components[:, 0], exact, rtol=1e-12, atol=1e-300)
-    assert state.step_index == 6
-    assert state.step_size == tau
+    assert np.allclose(psi[:, 0], exact, rtol=1e-12, atol=1e-300)
 
 
 def test_history_linearity():
@@ -94,23 +92,22 @@ def test_history_linearity():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((4, 2))
     b = rng.standard_normal((4, 2))
-    sa = sb = sab = zero_history(soe.n_terms, 2)
+    sa = sb = sab = np.zeros((soe.n_terms, 2))
     for k in range(3):
         sa = propagate_history_with(sa, sc, a[k], a[k + 1])
         sb = propagate_history_with(sb, sc, b[k], b[k + 1])
         sab = propagate_history_with(sab, sc, 2 * a[k] - b[k],
                                      2 * a[k + 1] - b[k + 1])
-    assert np.allclose(sab.components, 2 * sa.components - sb.components,
-                       atol=1e-14)
+    assert np.allclose(sab, 2 * sa - sb, atol=1e-14)
 
 
 def test_history_shape_validation():
     soe = build_soe(0.5, 1e-3, 1e-1)
     coeffs = step_coefficients(soe, 1e-3)
-    state = zero_history(soe.n_terms, 2)
+    psi = np.zeros((soe.n_terms, 2))
     with pytest.raises(ValueError, match="dof count"):
-        propagate_history_with(state, coeffs, np.ones(3), np.ones(3))
-    bad = zero_history(soe.n_terms + 2, 2)
+        propagate_history_with(psi, coeffs, np.ones(3), np.ones(3))
+    bad = np.zeros((soe.n_terms + 2, 2))
     with pytest.raises(ValueError, match="term count"):
         propagate_history_with(bad, coeffs, np.ones(2), np.ones(2))
     with pytest.raises(ValueError):
