@@ -339,15 +339,20 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["frobnicate"]) == 1
     assert main(["run"]) == 1
-    capsys.readouterr()
-    # there is no worker option: the local solves and slabs run serially
-    assert main(["run", str(tmp_path / "a.ini"), "--workers", "2"]) == 1
-    assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_cli_missing_config(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.ini")]) == 1
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_bad_workers_override(tmp_path, capsys):
+    # there is no worker option: the local solves and slabs run serially,
+    # so any --workers value is a usage error
+    path = write_config(tmp_path / "a.ini")
+    for value in ("0", "2"):
+        assert main(["run", path, "--workers", value]) == 1
+        assert "unrecognized arguments: --workers" in capsys.readouterr().err
 
 
 def test_cli_epsilon_above_feasibility_ceiling(tmp_path, capsys):
