@@ -1,11 +1,12 @@
 """Experiment orchestration behind the command line.
 
 Config files are flat key = value text under [section] headers (readable by
-configparser and by anything else). Four experiments:
+configparser and by anything else); a section or key the parser does not
+read is a config error. Three experiments:
 
 * soe-accuracy: fine-space exponential-sum scheme against the L1 reference;
-* wemp-convergence: parareal iterates against the fine reference;
-* long-time: the same study on a long horizon (reference selectable);
+* wemp-convergence: parareal iterates against the fine reference (L1 or
+  exponential-sum, selected by [run] reference);
 * unit-oracles: the analytic self-checks, printed as pass/fail lines.
 
 All errors are reported as (|u - u_hat| / |u|) * 100, i.e. in percent.
@@ -73,20 +74,6 @@ class ExperimentConfig:
     reference: str = "l1"
 
 
-def _get(cp, section, key, cast, default=None, required=False):
-    if not cp.has_section(section):
-        raise ConfigError(f"missing [{section}] section")
-    if not cp.has_option(section, key):
-        if required:
-            raise ConfigError(f"missing key '{key}' in [{section}]")
-        return default
-    raw = cp.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
 def parse_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser()
     try:
@@ -95,47 +82,69 @@ def parse_config(path) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigError(f"cannot read config file {path}")
+    known = set()                   # (section, key) pairs looked up below
 
-    alpha = _get(cp, "problem", "alpha", float, required=True)
-    T = _get(cp, "problem", "T", float, required=True)
-    tau_c = _get(cp, "problem", "tau_c", float, required=True)
-    tau_f = _get(cp, "problem", "tau_f", float, required=True)
-    level = _get(cp, "problem", "level", int, default=2)
-    epsilon = _get(cp, "problem", "epsilon", float)
-    n_exp = _get(cp, "problem", "n_exp", int)
-    source = _get(cp, "problem", "source", str, default="smooth")
+    def get(section, key, cast, default=None, required=False):
+        known.add((section, cp.optionxform(key)))
+        if not cp.has_section(section):
+            raise ConfigError(f"missing [{section}] section")
+        if not cp.has_option(section, key):
+            if required:
+                raise ConfigError(f"missing key '{key}' in [{section}]")
+            return default
+        raw = cp.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+    alpha = get("problem", "alpha", float, required=True)
+    T = get("problem", "T", float, required=True)
+    tau_c = get("problem", "tau_c", float, required=True)
+    tau_f = get("problem", "tau_f", float, required=True)
+    level = get("problem", "level", int, default=2)
+    epsilon = get("problem", "epsilon", float)
+    n_exp = get("problem", "n_exp", int)
+    source = get("problem", "source", str, default="smooth")
     if (epsilon is None) == (n_exp is None):
         raise ConfigError("[problem] must set exactly one of epsilon / n_exp")
     if source not in SOURCES:
         raise ConfigError(f"[problem] source must be one of {sorted(SOURCES)}")
 
-    coarse = _get(cp, "mesh", "coarse_divisions", int, required=True)
-    refine = _get(cp, "mesh", "refinements", int, required=True)
+    coarse = get("mesh", "coarse_divisions", int, required=True)
+    refine = get("mesh", "refinements", int, required=True)
 
-    kind = _get(cp, "kappa", "kind", str, required=True)
+    kind = get("kappa", "kind", str, required=True)
     params = {}
     if kind == "constant":
-        params["value"] = _get(cp, "kappa", "value", float, default=1.0)
+        params["value"] = get("kappa", "value", float, default=1.0)
     elif kind == "contrast-inclusions":
-        params["contrast"] = _get(cp, "kappa", "contrast", float, required=True)
-        params["count"] = _get(cp, "kappa", "count", int, required=True)
-        params["size"] = _get(cp, "kappa", "size", int, default=2)
+        params["contrast"] = get("kappa", "contrast", float, required=True)
+        params["count"] = get("kappa", "count", int, required=True)
+        params["size"] = get("kappa", "size", int, default=2)
     elif kind == "raster-file":
-        params["path"] = _get(cp, "kappa", "path", str, required=True)
+        params["path"] = get("kappa", "path", str, required=True)
     else:
         raise ConfigError(f"[kappa] kind {kind!r} not recognized")
 
-    experiment = _get(cp, "run", "experiment", str, required=True)
-    if experiment not in ("soe-accuracy", "wemp-convergence", "long-time",
-                          "unit-oracles"):
+    experiment = get("run", "experiment", str, required=True)
+    if experiment not in ("soe-accuracy", "wemp-convergence", "unit-oracles"):
         raise ConfigError(f"[run] experiment {experiment!r} not recognized")
-    output = _get(cp, "run", "output", str, default="out")
-    delta = _get(cp, "run", "delta", float, default=1e-8)
-    k_max = _get(cp, "run", "k_max", int, default=10)
-    seed = _get(cp, "run", "seed", int, default=0)
-    reference = _get(cp, "run", "reference", str, default="l1")
+    output = get("run", "output", str, default="out")
+    delta = get("run", "delta", float, default=1e-8)
+    k_max = get("run", "k_max", int, default=10)
+    seed = get("run", "seed", int, default=0)
+    reference = get("run", "reference", str, default="l1")
     if reference not in ("l1", "soe"):
         raise ConfigError("[run] reference must be 'l1' or 'soe'")
+
+    # a misspelled or retired key would otherwise silently take its default
+    for section in cp.sections():
+        if section not in {name for name, _ in known}:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in cp.options(section):
+            if (section, key) not in known:
+                raise ConfigError(f"unknown key '{key}' in [{section}]")
 
     cfg = ExperimentConfig(alpha=alpha, T=T, tau_c=tau_c, tau_f=tau_f,
                            level=level, epsilon=epsilon, n_exp=n_exp,
@@ -152,8 +161,7 @@ def _validate(cfg: ExperimentConfig) -> None:
     try:
         ProblemSpec(alpha=cfg.alpha, T=cfg.T, tau_f=cfg.tau_f, tau_c=cfg.tau_c,
                     u0=u0_standard, f=None, kappa=None, level=cfg.level,
-                    epsilon=cfg.epsilon if cfg.epsilon is not None else 1.0,
-                    n_exp=cfg.n_exp)
+                    epsilon=cfg.epsilon if cfg.epsilon is not None else 1.0)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.coarse_divisions < 1 or cfg.refinements < 1:
@@ -213,8 +221,7 @@ def _problem(cfg: ExperimentConfig, kappa) -> ProblemSpec:
     return ProblemSpec(alpha=cfg.alpha, T=cfg.T, tau_f=cfg.tau_f,
                        tau_c=cfg.tau_c, u0=u0_standard, f=SOURCES[cfg.source],
                        kappa=kappa, level=cfg.level,
-                       epsilon=cfg.epsilon if cfg.epsilon is not None else 1.0,
-                       n_exp=cfg.n_exp)
+                       epsilon=cfg.epsilon if cfg.epsilon is not None else 1.0)
 
 
 def _reference(cfg, spec, mesh, ops, soe):
@@ -227,12 +234,13 @@ def run_experiment(cfg: ExperimentConfig, assert_mode: bool = False,
                    out_dir: Optional[str] = None) -> int:
     """Dispatch one experiment; returns the process exit code."""
     out = Path(out_dir if out_dir is not None else cfg.output)
-    out.mkdir(parents=True, exist_ok=True)
     if cfg.experiment == "unit-oracles":
+        out.mkdir(parents=True, exist_ok=True)
         failures = run_unit_oracles(out)
         return 2 if (failures and assert_mode) else 0
 
-    # everything in this block validates user-supplied parameters
+    # everything in this block validates user-supplied parameters, so a
+    # rejected run leaves no output directory behind
     try:
         mesh = build_mesh(cfg.coarse_divisions, cfg.refinements)
         kappa = generate_kappa(cfg.kappa_kind, cfg.kappa_params, mesh, cfg.seed)
@@ -242,6 +250,7 @@ def run_experiment(cfg: ExperimentConfig, assert_mode: bool = False,
             validate_epsilon(cfg.alpha, cfg.epsilon, cfg.T, spec.n_fine_total)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    out.mkdir(parents=True, exist_ok=True)
 
     try:
         if cfg.experiment == "soe-accuracy":

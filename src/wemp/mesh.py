@@ -56,20 +56,27 @@ class TwoLevelMesh:
 
 
 @dataclass(frozen=True)
-class CoarseNeighborhood:
-    """Union of the coarse cells touching one coarse vertex.
+class NodeRectangle:
+    """The fine cells between integer node bounds.
 
-    The neighborhood is always a rectangle (1, 2, or 4 cells); its boundary is
-    carried as the four sides of that rectangle, counterclockwise starting
-    from the bottom side, each an ordered list of fine-node indices.
+    The boundary is carried as the four sides of the rectangle,
+    counterclockwise starting from the bottom side, each an ordered array of
+    fine-node indices.
     """
+
+    fine_nodes: np.ndarray       # sorted fine-node indices covering the closure
+    fine_cells: np.ndarray       # sorted fine-cell indices inside
+    boundary_edges: tuple        # four arrays of fine-node indices (ordered along each side)
+    node_range: tuple            # ((ix0, ix1), (iy0, iy1)) inclusive integer node bounds
+
+
+@dataclass(frozen=True)
+class CoarseNeighborhood(NodeRectangle):
+    """Union of the coarse cells touching one coarse vertex: always a
+    rectangle of 1, 2, or 4 cells."""
 
     center_vertex: int
     cells: np.ndarray            # coarse-cell indices (cy * C + cx)
-    fine_nodes: np.ndarray       # sorted fine-node indices covering closure of omega_i
-    fine_cells: np.ndarray       # fine-cell indices inside omega_i
-    boundary_edges: tuple        # four arrays of fine-node indices (ordered along each side)
-    node_range: tuple            # ((ix0, ix1), (iy0, iy1)) inclusive integer node bounds
 
 
 def build_mesh(coarse_divisions: int, refinements_per_coarse: int) -> TwoLevelMesh:
@@ -127,35 +134,31 @@ def coarse_neighborhood(mesh: TwoLevelMesh, vertex: int) -> CoarseNeighborhood:
     sides of the (rectangular) neighborhood ordered counterclockwise."""
     C = mesh.coarse_divisions
     R = mesh.refinements_per_coarse
-    n = mesh.n_fine_per_axis
     if not (0 <= vertex < (C + 1) ** 2):
         raise IndexError(f"coarse vertex {vertex} out of range")
     gx = vertex % (C + 1)
     gy = vertex // (C + 1)
 
-    cells = []
-    for dy in (-1, 0):
-        for dx in (-1, 0):
-            cx, cy = gx + dx, gy + dy
-            if 0 <= cx < C and 0 <= cy < C:
-                cells.append(cy * C + cx)
-    cells = np.array(sorted(cells), dtype=np.int64)
+    # the coarse cells touching the vertex span [cx0, cx1) x [cy0, cy1)
+    cx0, cx1 = max(gx - 1, 0), min(gx + 1, C)
+    cy0, cy1 = max(gy - 1, 0), min(gy + 1, C)
+    cells = np.array([cy * C + cx for cy in range(cy0, cy1)
+                      for cx in range(cx0, cx1)], dtype=np.int64)
+    rect = node_rectangle(mesh, (cx0 * R, cx1 * R), (cy0 * R, cy1 * R))
+    return CoarseNeighborhood(**vars(rect), center_vertex=vertex, cells=cells)
 
-    # rectangle of coarse cells -> integer node bounds
-    x0 = max(gx - 1, 0) * R
-    x1 = min(gx + 1, C) * R
-    y0 = max(gy - 1, 0) * R
-    y1 = min(gy + 1, C) * R
 
+def node_rectangle(mesh: TwoLevelMesh, x_range: tuple,
+                   y_range: tuple) -> NodeRectangle:
+    """Fine nodes, fine cells and the four counterclockwise sides of the
+    rectangle between inclusive integer node bounds x_range and y_range."""
+    (x0, x1), (y0, y1) = x_range, y_range
     xs = np.arange(x0, x1 + 1)
     ys = np.arange(y0, y1 + 1)
     IX, IY = np.meshgrid(xs, ys, indexing="xy")
-    fine_nodes = mesh.node_index(IX.ravel(), IY.ravel())
-    fine_nodes = np.sort(fine_nodes)
+    fine_nodes = np.sort(mesh.node_index(IX.ravel(), IY.ravel()))
 
-    cxs = np.arange(x0, x1)
-    cys = np.arange(y0, y1)
-    CX, CY = np.meshgrid(cxs, cys, indexing="xy")
+    CX, CY = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="xy")
     fine_cells = np.sort(mesh.cell_index(CX.ravel(), CY.ravel()))
 
     # four sides, CCW from the bottom: bottom, right, top, left
@@ -164,11 +167,6 @@ def coarse_neighborhood(mesh: TwoLevelMesh, vertex: int) -> CoarseNeighborhood:
     top = mesh.node_index(xs[::-1], np.full_like(xs, y1))
     left = mesh.node_index(np.full_like(ys, x0), ys[::-1])
 
-    return CoarseNeighborhood(
-        center_vertex=vertex,
-        cells=cells,
-        fine_nodes=fine_nodes,
-        fine_cells=fine_cells,
-        boundary_edges=(bottom, right, top, left),
-        node_range=((x0, x1), (y0, y1)),
-    )
+    return NodeRectangle(fine_nodes=fine_nodes, fine_cells=fine_cells,
+                         boundary_edges=(bottom, right, top, left),
+                         node_range=((x0, x1), (y0, y1)))

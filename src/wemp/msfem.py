@@ -10,8 +10,11 @@ Construction stages:
    neighborhood driven by the weighted coefficient kappa_tilde;
 4. global space: columns chi_i * (local function), boundary dofs zeroed,
    near-dependent columns dropped by LAPACK's pivoted Cholesky (dpstrf) of
-   the Gram matrix scaled to unit diagonal, then the projected mass and
-   stiffness matrices.
+   the Gram matrix scaled to unit diagonal; the kept block of the Gram
+   matrix is the projected mass matrix, and the stiffness is projected.
+
+Stages 1 and 3 share one Dirichlet solver, _LocalSolver, on a rectangle of
+fine cells: a coarse cell for stage 1, a vertex neighborhood for stage 3.
 
 Only interior coarse vertices generate columns, so every basis function
 vanishes on the domain boundary.
@@ -26,7 +29,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .mesh import TwoLevelMesh, CoarseNeighborhood, coarse_neighborhood
+from .mesh import (TwoLevelMesh, NodeRectangle, coarse_neighborhood,
+                   node_rectangle)
 from .fem import (CoefficientField, OperatorPair, assemble_operators,
                   assemble_submesh_operators, triangle_geometry, solve_spd,
                   factorized_spd)
@@ -50,8 +54,9 @@ def build_partition_of_unity(mesh: TwoLevelMesh,
 
     On each coarse cell the four corner functions take value 1 at one corner,
     0 at the others, vary linearly along the cell edges, and extend
-    kappa-harmonically inside. Their sum has boundary data 1, so it extends
-    to the constant 1: the chi_i form a partition of unity.
+    kappa-harmonically inside (_LocalSolver.lift on the one-cell rectangle).
+    Their sum has boundary data 1, so it extends to the constant 1: the chi_i
+    form a partition of unity.
     """
     C = mesh.coarse_divisions
     R = mesh.refinements_per_coarse
@@ -61,40 +66,22 @@ def build_partition_of_unity(mesh: TwoLevelMesh,
 
     for cy in range(C):
         for cx in range(C):
-            gx = np.arange(cx * R, (cx + 1) * R)
-            gy = np.arange(cy * R, (cy + 1) * R)
-            fine_cells = mesh.cell_index(*np.meshgrid(gx, gy)).ravel()
-            local_nodes, _, A = assemble_submesh_operators(
-                mesh, kappa, np.sort(fine_cells))
-            coords = mesh.fine_node_coords[local_nodes]
-            x0, y0 = cx * mesh.H, cy * mesh.H
-            xi = (coords[:, 0] - x0) / mesh.H
-            eta = (coords[:, 1] - y0) / mesh.H
-            on_bnd = ((np.abs(xi) < 1e-12) | (np.abs(xi - 1) < 1e-12)
-                      | (np.abs(eta) < 1e-12) | (np.abs(eta - 1) < 1e-12))
-            interior = np.where(~on_bnd)[0]
-            boundary = np.where(on_bnd)[0]
-            A_ii = A[interior][:, interior].tocsc()
-            A_ib = A[interior][:, boundary]
-            solve = factorized_spd(A_ii) if interior.size else None
-
-            corner_vertices = (mesh.coarse_vertex_index(cx, cy),
-                               mesh.coarse_vertex_index(cx + 1, cy),
-                               mesh.coarse_vertex_index(cx, cy + 1),
-                               mesh.coarse_vertex_index(cx + 1, cy + 1))
+            cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
+                                  (cy * R, (cy + 1) * R))
+            solver = _LocalSolver(mesh, kappa, cell)
+            coords = mesh.fine_node_coords[neighborhood_boundary_nodes(cell)]
+            xi = (coords[:, 0] - cx * mesh.H) / mesh.H
+            eta = (coords[:, 1] - cy * mesh.H) / mesh.H
+            corner_vertices = [mesh.coarse_vertex_index(cx + i, cy + j)
+                               for j in (0, 1) for i in (0, 1)]
             corner_data = ((1 - xi) * (1 - eta), xi * (1 - eta),
                            (1 - xi) * eta, xi * eta)
             for vert, data in zip(corner_vertices, corner_data):
-                values = data.copy()
-                if interior.size:
-                    values[interior] = solve(-(A_ib @ data[boundary]))
-                per_vertex_nodes[vert].append(local_nodes)
-                per_vertex_vals[vert].append(values)
+                per_vertex_nodes[vert].append(solver.local_nodes)
+                per_vertex_vals[vert].append(solver.lift(data))
 
     rows, cols, vals = [], [], []
-    for vert in range(n_cv):
-        if not per_vertex_nodes[vert]:
-            continue
+    for vert in range(n_cv):           # every coarse vertex touches a cell
         nodes = np.concatenate(per_vertex_nodes[vert])
         values = np.concatenate(per_vertex_vals[vert])
         # cells sharing an edge contribute identical values there; keep one
@@ -153,16 +140,18 @@ def segments_to_nodes(seg_values: np.ndarray) -> np.ndarray:
     return 0.5 * (padded[:-1] + padded[1:])
 
 
-def neighborhood_boundary_nodes(hood: CoarseNeighborhood) -> np.ndarray:
-    """Sorted global node indices of the neighborhood's outer boundary."""
+def neighborhood_boundary_nodes(hood: NodeRectangle) -> np.ndarray:
+    """Sorted global node indices of a rectangle's outer boundary."""
     return np.unique(np.concatenate(hood.boundary_edges))
 
 
 class _LocalSolver:
-    """Shared assembly and factorization for one neighborhood's local solves."""
+    """Shared assembly and factorization for the local solves on one
+    rectangle: a vertex neighborhood or, for the partition of unity, a
+    coarse cell."""
 
     def __init__(self, mesh: TwoLevelMesh, kappa: CoefficientField,
-                 hood: CoarseNeighborhood):
+                 hood: NodeRectangle):
         self.mesh = mesh
         self.hood = hood
         self.local_nodes, self.M, self.A = assemble_submesh_operators(
@@ -175,11 +164,13 @@ class _LocalSolver:
         self.int_local = np.where(mask)[0]
         self._A_ii = self.A[self.int_local][:, self.int_local].tocsc()
         self._A_ib = self.A[self.int_local][:, self.bnd_local]
-        self._dirichlet = factorized_spd(self._A_ii)
+        # a one-cell rectangle at one refinement has no interior node
+        self._dirichlet = (factorized_spd(self._A_ii) if self.int_local.size
+                           else None)
         self._neumann = None
 
     def lift(self, trace: np.ndarray) -> np.ndarray:
-        """Harmonic extension of nodal boundary data into the neighborhood.
+        """Harmonic extension of nodal boundary data into the rectangle.
 
         trace is aligned with neighborhood_boundary_nodes; the result is
         aligned with the sorted local node list.
@@ -412,9 +403,9 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
             f"rank filter kept only {kept.size} of {col_id} columns; "
             "the local problems look degenerate")
     basis = raw[:, kept].tocsr()
-    ms_mass = (basis.T @ (ops.mass @ basis)).toarray()
+    # the Gram matrix already holds basis.T @ M @ basis, entry for entry
+    ms_mass = gram[np.ix_(kept, kept)]
     ms_stiff = (basis.T @ (ops.stiffness @ basis)).toarray()
-    ms_mass = 0.5 * (ms_mass + ms_mass.T)
     ms_stiff = 0.5 * (ms_stiff + ms_stiff.T)
     return MultiscaleSpace(level=level, basis=basis, ms_mass=ms_mass,
                            ms_stiffness=ms_stiff,

@@ -2,9 +2,9 @@
 
 The time axis splits into M_c slabs of width tau_c. The coarse propagator G
 is one implicit tau_c step; the fine propagator F runs m_sub implicit tau_f
-steps through a slab. Each iteration recomputes, slab by slab, the fine and
-coarse propagations of the previous iterate, forms the jumps S = F_1 - G_1,
-then sweeps sequentially:
+steps through a slab. Both are soe_march calls. Each iteration recomputes,
+slab by slab, the fine and coarse propagations of the previous iterate,
+forms the jumps S = F_1 - G_1, then sweeps sequentially:
 
     U_k^n = S(T^{n-1}, U_{k-1}^{n-1}; Phi_{k-1}^{n-1})
           + G(T^{n-1}, U_k^{n-1}; Phi_k^{n-1})_1,
@@ -12,9 +12,10 @@ then sweeps sequentially:
     recurrence.
 
 A history Phi is a plain (n_terms, ms_dof) array of the exponential-sum
-integrals (see stepping.propagate_history_with). Iterate 0 is the sequential
-coarse sweep. The kernel's t^(-alpha) initial-data term always uses the global
-clock and the global initial vector; slabs never restart it.
+integrals (see stepping.propagate_history_with). Iterate 0 (G), every update
+(S + G) and the hybrid fixed point (F) are one sweep, _sweep, with its own
+step. The kernel's t^(-alpha) initial-data term always uses the global clock
+and the global initial vector; slabs never restart it.
 
 The slab propagations of one iteration are independent, but they run one
 after another in the calling thread, and there is no worker option: the
@@ -39,7 +40,7 @@ from . import fem
 from .fem import factorized_spd
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import ProblemSpec, soe_implicit_step, soe_march
+from .solvers import ProblemSpec, soe_march
 from .stepping import propagate_history_with
 
 # one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
@@ -111,10 +112,10 @@ def build_context(spec: ProblemSpec, space: MultiscaleSpace,
 def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
                      Phi: np.ndarray):
     """One tau_c step from T^n; returns (solution, history at T^{n+1})."""
-    t_next = (n + 1) * ctx.tau_c
-    return soe_implicit_step(ctx.solve_coarse, ctx.space.ms_mass, ctx.soe,
-                             ctx.coarse_coeffs, U, ctx.u0, t_next, Phi,
-                             ctx.load(t_next))
+    v, psi, _ = soe_march(ctx.solve_coarse, ctx.space.ms_mass, ctx.soe,
+                          ctx.coarse_coeffs, U, ctx.u0, Phi,
+                          [(n + 1) * ctx.tau_c], ctx.load)
+    return v, psi
 
 
 def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
@@ -141,21 +142,32 @@ class PararealState:
     iteration: int
     solutions: np.ndarray          # (n_slabs + 1, ms_dof)
     histories: tuple               # (n_terms, ms_dof) history per boundary
-    jumps: Optional[np.ndarray]    # (n_slabs, ms_dof); None for iterate 0
     err: float                     # mean l2 jump from the previous iterate
+
+
+def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable):
+    """(solutions, histories) of U^{n+1} = advance(n, U^n, Phi^n) from u0
+    and the zero history, each Phi^{n+1} rebuilt from (Phi^n, U^n, U^{n+1})
+    with the tau_c recurrence; raises if a boundary value is not finite."""
+    U = np.empty((ctx.n_slabs + 1, ctx.u0.size))
+    U[0] = ctx.u0
+    phis = [ctx.fresh_history()]
+    for n in range(ctx.n_slabs):
+        U[n + 1] = advance(n, U[n], phis[n])
+        phis.append(propagate_history_with(phis[n], ctx.coarse_coeffs,
+                                           U[n], U[n + 1]))
+    if not np.all(np.isfinite(U)):
+        bad = int(np.where(~np.isfinite(U).all(axis=1))[0][0])
+        raise RuntimeError(f"non-finite solution at iteration {iteration}, "
+                           f"slab boundary {bad}")
+    return U, tuple(phis)
 
 
 def initial_coarse_sweep(ctx: PropagatorContext) -> PararealState:
     """Iterate 0: the sequential coarse propagation."""
-    dof = ctx.u0.size
-    U = np.empty((ctx.n_slabs + 1, dof))
-    U[0] = ctx.u0
-    phis = [ctx.fresh_history()]
-    for n in range(ctx.n_slabs):
-        U[n + 1], phi = coarse_propagate(ctx, n, U[n], phis[n])
-        phis.append(phi)
-    return PararealState(iteration=0, solutions=U, histories=tuple(phis),
-                         jumps=None, err=np.inf)
+    U, phis = _sweep(
+        ctx, 0, lambda n, u, phi: coarse_propagate(ctx, n, u, phi)[0])
+    return PararealState(iteration=0, solutions=U, histories=phis, err=np.inf)
 
 
 def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
@@ -166,31 +178,18 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
     phase_log is a dict it receives the wall times of the slab phase (under
     the key "parallel_s") and of the sequential sweep.
     """
-    n_slabs = ctx.n_slabs
     t0 = time.perf_counter()
-    jumps = np.array([jump(ctx, n, prev.solutions[n], prev.histories[n])
-                      for n in range(n_slabs)])
+    jumps = [jump(ctx, n, prev.solutions[n], prev.histories[n])
+             for n in range(ctx.n_slabs)]
     t1 = time.perf_counter()
-
-    U = np.empty_like(prev.solutions)
-    U[0] = ctx.u0
-    phis = [ctx.fresh_history()]
-    for n in range(1, n_slabs + 1):
-        g_val, _ = coarse_propagate(ctx, n - 1, U[n - 1], phis[n - 1])
-        U[n] = jumps[n - 1] + g_val
-        phis.append(propagate_history_with(phis[n - 1], ctx.coarse_coeffs,
-                                           U[n - 1], U[n]))
-    if not np.all(np.isfinite(U)):
-        bad = int(np.where(~np.isfinite(U).all(axis=1))[0][0])
-        raise RuntimeError(
-            f"non-finite solution at iteration {prev.iteration + 1}, "
-            f"slab boundary {bad}")
+    k = prev.iteration + 1
+    U, phis = _sweep(ctx, k, lambda n, u, phi:
+                     jumps[n] + coarse_propagate(ctx, n, u, phi)[0])
     err = float(np.mean(np.linalg.norm(U[1:] - prev.solutions[1:], axis=1)))
     if phase_log is not None:
         phase_log["parallel_s"] = t1 - t0
         phase_log["sweep_s"] = time.perf_counter() - t1
-    return PararealState(iteration=prev.iteration + 1, solutions=U,
-                         histories=tuple(phis), jumps=jumps, err=err)
+    return PararealState(iteration=k, solutions=U, histories=phis, err=err)
 
 
 def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
@@ -226,16 +225,9 @@ def hybrid_fixed_point(ctx: PropagatorContext) -> PararealState:
     """The exact fixed point of the iteration: fine propagation inside each
     slab with the tau_c history rebuild at slab boundaries. Feeding this
     state through wemp_iteration reproduces it."""
-    dof = ctx.u0.size
-    U = np.empty((ctx.n_slabs + 1, dof))
-    U[0] = ctx.u0
-    phis = [ctx.fresh_history()]
-    for n in range(ctx.n_slabs):
-        U[n + 1], _ = fine_propagate(ctx, n, U[n], phis[n])
-        phis.append(propagate_history_with(phis[n], ctx.coarse_coeffs,
-                                           U[n], U[n + 1]))
-    return PararealState(iteration=-1, solutions=U, histories=tuple(phis),
-                         jumps=None, err=np.inf)
+    U, phis = _sweep(
+        ctx, -1, lambda n, u, phi: fine_propagate(ctx, n, u, phi)[0])
+    return PararealState(iteration=-1, solutions=U, histories=phis, err=np.inf)
 
 
 def write_iteration_csv(path, rows) -> None:

@@ -30,6 +30,7 @@ from scipy.special import gamma
 log = logging.getLogger(__name__)
 
 MAX_TERMS = 20000
+RESIDUAL_POINTS = 10000
 
 
 def _log1p_exp(s):
@@ -135,11 +136,12 @@ def build_soe_for_terms(alpha: float, tau_f: float, n_terms: int) -> SOEApproxim
     return soe
 
 
-def soe_residual(soe: SOEApproximation, t_max: float, n_points: int = 10000) -> float:
-    """Max kernel error on a log-spaced grid over [tau_f, t_max]."""
+def soe_residual(soe: SOEApproximation, t_max: float) -> float:
+    """Max kernel error on a grid of RESIDUAL_POINTS log-spaced points over
+    [tau_f, t_max]."""
     if t_max <= soe.tau_f:
         raise ValueError("t_max must exceed tau_f")
-    grid = np.geomspace(soe.tau_f, t_max, n_points)
+    grid = np.geomspace(soe.tau_f, t_max, RESIDUAL_POINTS)
     return float(soe.kernel_error(grid).max())
 
 
@@ -188,16 +190,16 @@ def step_coefficients(soe: SOEApproximation, tau: float) -> StepCoefficients:
 
 
 def validate_epsilon(alpha: float, epsilon: float, t_final: float,
-                     n_fine_steps: int, eta: float = 1.0) -> float:
+                     n_fine_steps: int) -> float:
     """Feasibility ceiling for epsilon at horizon T: the kernel perturbation
     must stay below the scheme's own discretization error.
 
     n_fine_steps is the total fine step count M_f = T / tau_f. Returns the
-    ceiling min(alpha * M_f^alpha * eta, 1/2) / T^(1+alpha). Raises
+    ceiling min(alpha * M_f^alpha, 1/2) / T^(1+alpha). Raises
     ValueError if epsilon exceeds it.
     """
     m_f = float(n_fine_steps)
-    ceiling = min(alpha * m_f ** alpha * eta / t_final ** (1.0 + alpha),
+    ceiling = min(alpha * m_f ** alpha / t_final ** (1.0 + alpha),
                   0.5 / t_final ** (1.0 + alpha))
     if epsilon > ceiling:
         raise ValueError(

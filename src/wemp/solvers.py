@@ -43,7 +43,6 @@ class ProblemSpec:
     kappa: Optional[CoefficientField]
     level: int
     epsilon: float
-    n_exp: Optional[int] = None
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -77,7 +76,6 @@ class ProblemSpec:
 class Trajectory:
     times: np.ndarray
     states: np.ndarray        # (n_times, dof)
-    space_tag: str            # "fine" | "multiscale"
 
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
@@ -168,8 +166,7 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
         states[n + 1] = solve(rhs)
 
     return Trajectory(times=np.arange(0, n_steps + 1, stride) * tau,
-                      states=_embed(states[::stride], ops.mass.shape[0], free),
-                      space_tag="fine")
+                      states=_embed(states[::stride], ops.mass.shape[0], free))
 
 
 def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
@@ -197,8 +194,7 @@ def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
         spec, soe, store, ops.mass_free.tocsr(), ops.stiffness_free,
         spec.nodal_u0(mesh)[free], lambda t: _load_free(spec, mesh, ops, t))
     return Trajectory(times=times,
-                      states=_embed(states, ops.mass.shape[0], free),
-                      space_tag="fine")
+                      states=_embed(states, ops.mass.shape[0], free))
 
 
 def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
@@ -219,7 +215,7 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
     times, states = _soe_trajectory(
         spec, soe, store, space.ms_mass, space.ms_stiffness,
         space.project(spec.nodal_u0(space.mesh)), load)
-    return Trajectory(times=times, states=states, space_tag="multiscale")
+    return Trajectory(times=times, states=states)
 
 
 class _PointMesh:

@@ -22,6 +22,8 @@ from scipy.special import gamma
 
 from .soe import SOEApproximation, StepCoefficients
 
+MITTAG_LEFFLER_TERMS = 200
+
 
 @dataclass(frozen=True)
 class L1Coefficients:
@@ -97,10 +99,10 @@ def soe_caputo_known_part(psi: np.ndarray, soe: SOEApproximation, tau: float,
                + alpha * weighted) / g1)
 
 
-def mittag_leffler_neg(alpha: float, t: float, n_terms: int = 200) -> float:
-    """E_alpha(-t^alpha) by direct series; the exact solution of
-    D^alpha u = -u, u(0) = 1. Adequate for t <= 1 where the series converges
-    fast; used as the scalar oracle."""
-    k = np.arange(n_terms, dtype=np.float64)
+def mittag_leffler_neg(alpha: float, t: float) -> float:
+    """E_alpha(-t^alpha) by its first MITTAG_LEFFLER_TERMS series terms; the
+    exact solution of D^alpha u = -u, u(0) = 1. Adequate for t <= 1 where
+    the series converges fast; used as the scalar oracle."""
+    k = np.arange(MITTAG_LEFFLER_TERMS, dtype=np.float64)
     terms = (-(t ** alpha)) ** k / gamma(alpha * k + 1.0)
     return float(terms.sum())

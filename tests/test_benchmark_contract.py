@@ -5,13 +5,14 @@ calls into wemp by attribute, so a renamed or deleted function breaks the
 benchmark only when it runs. This checks the names here instead.
 """
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
 import sys
 from pathlib import Path
 
-from wemp import msfem, parareal
+from wemp import experiments, msfem, parareal, solvers
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -39,3 +40,17 @@ def test_workload_entry_points_exist():
     # perfbench/workloads.py passes workers= to both; each ignores it
     assert "workers" in inspect.signature(parareal.wemp_solve).parameters
     assert "workers" in inspect.signature(msfem.assemble_space).parameters
+
+
+def test_workload_keywords_and_attributes():
+    # perfbench/workloads.py builds its problem with exactly these keywords
+    spec = solvers.ProblemSpec(alpha=0.5, T=1.0, tau_f=1e-3, tau_c=0.1,
+                               u0=experiments.u0_standard,
+                               f=experiments.source_smooth, kappa=None,
+                               level=2, epsilon=1e-2)
+    assert (spec.n_coarse, spec.n_fine_total) == (10, 1000)
+    # and reads these fields of the parareal states and trajectories
+    fields = {f.name for f in dataclasses.fields(parareal.PararealState)}
+    assert {"solutions", "err"} <= fields
+    fields = {f.name for f in dataclasses.fields(solvers.Trajectory)}
+    assert {"times", "states"} <= fields

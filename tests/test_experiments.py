@@ -119,6 +119,12 @@ def test_parse_config_missing_file(tmp_path):
     ({"problem": {"alpha": "1.5"}}, "alpha must lie"),
     ({"problem": {"tau_c": "0.03"}}, "divide T"),
     ({"problem": {"tau_f": "0.004"}}, "divide tau_c"),
+    ({"run": {"k_mx": "1"}}, r"unknown key 'k_mx' in \[run\]"),
+    ({"run": {"workers": "4"}}, r"unknown key 'workers' in \[run\]"),
+    # [kappa] keys depend on the kind
+    ({"kappa": {"contrast": "1e4"}}, r"unknown key 'contrast' in \[kappa\]"),
+    ({"output": {"dir": "x"}}, r"unknown section \[output\]"),
+    ({"run": {"experiment": "long-time"}}, "not recognized"),
 ])
 def test_parse_config_errors(tmp_path, overrides, match):
     path = write_config(tmp_path / "bad.ini", overrides)
@@ -303,14 +309,12 @@ def test_run_wemp_convergence_outputs(tmp_path):
     assert "iterations run" in summary
 
 
-def test_run_long_time_soe_reference(tmp_path):
-    overrides = wemp_overrides()
-    overrides["run"]["experiment"] = "long-time"
-    overrides["run"]["reference"] = "soe"
-    cfg = parse_config(write_config(tmp_path / "a.ini", overrides))
+def test_run_wemp_convergence_soe_reference(tmp_path):
+    cfg = parse_config(write_config(tmp_path / "a.ini",
+                                    wemp_overrides(reference="soe")))
     out = tmp_path / "out"
     assert run_experiment(cfg, out_dir=str(out)) == 0
-    assert "experiment = long-time" in (out / "summary.txt").read_text()
+    assert "experiment = wemp-convergence" in (out / "summary.txt").read_text()
 
 
 def test_soe_accuracy_rerun_identical(tmp_path):
@@ -362,6 +366,8 @@ def test_cli_epsilon_above_feasibility_ceiling(tmp_path, capsys):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "config error" in err and "feasibility ceiling" in err
+    # the rejected run leaves no output directory behind
+    assert not (tmp_path / "out").exists()
     # just under the ceiling the same run goes through
     problem["epsilon"] = "0.015"
     path = write_config(tmp_path / "b.ini", {"problem": problem})

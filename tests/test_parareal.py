@@ -86,7 +86,6 @@ def test_equal_steps_make_zero_jumps(space44):
     ctx = build_context(spec, space44, soe)
     state0 = initial_coarse_sweep(ctx)
     state1 = wemp_iteration(ctx, state0)
-    assert np.array_equal(state1.jumps, np.zeros_like(state1.jumps))
     assert np.array_equal(state1.solutions, state0.solutions)
     assert state1.err == 0.0
 
@@ -148,7 +147,6 @@ def test_initial_sweep_matches_manual_loop(ctx44):
         u, phi = coarse_propagate(ctx44, n, u, phi)
         assert np.array_equal(state.solutions[n + 1], u)
     assert state.iteration == 0
-    assert state.jumps is None
 
 
 def test_iteration_matches_manual_formula(ctx44):
@@ -157,7 +155,6 @@ def test_iteration_matches_manual_formula(ctx44):
     new = wemp_iteration(ctx44, prev)
     jumps = np.array([jump(ctx44, n, prev.solutions[n], prev.histories[n])
                       for n in range(ctx44.n_slabs)])
-    assert np.array_equal(new.jumps, jumps)
     u = ctx44.u0.copy()
     phis = [ctx44.fresh_history()]
     for n in range(1, ctx44.n_slabs + 1):
@@ -322,6 +319,14 @@ def test_nonfinite_solution_raises(ctx44):
         ctx44, solve_coarse=lambda rhs: np.full_like(rhs, np.nan))
     with pytest.raises(RuntimeError, match="slab"):
         wemp_iteration(broken, initial_coarse_sweep(ctx44))
+
+
+def test_nonfinite_coarse_sweep_raises(ctx44):
+    # iterate 0 runs through the same sweep, so it is checked too
+    broken = dataclasses.replace(
+        ctx44, solve_coarse=lambda rhs: np.full_like(rhs, np.nan))
+    with pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
+        initial_coarse_sweep(broken)
 
 
 def test_write_iteration_csv(tmp_path):

@@ -54,11 +54,9 @@ def test_problem_spec_validation():
 
 def test_trajectory_validation():
     with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 0.5, 0.5]),
-                   states=np.zeros((3, 2)), space_tag="fine")
+        Trajectory(times=np.array([0.0, 0.5, 0.5]), states=np.zeros((3, 2)))
     with pytest.raises(ValueError):
-        Trajectory(times=np.array([0.0, 0.5]),
-                   states=np.zeros((3, 2)), space_tag="fine")
+        Trajectory(times=np.array([0.0, 0.5]), states=np.zeros((3, 2)))
 
 
 def test_store_flag_semantics():
@@ -201,7 +199,6 @@ def test_multiscale_initial_state_is_projection(mesh44, kappa44, space44):
     coords = mesh44.fine_node_coords
     u0 = u0_standard(coords[:, 0], coords[:, 1])
     assert np.array_equal(traj.states[0], space44.project(u0))
-    assert traj.space_tag == "multiscale"
     assert traj.states.shape[1] == space44.n_columns
 
 
