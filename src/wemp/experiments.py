@@ -287,9 +287,9 @@ def _run_soe_accuracy(cfg, spec, mesh, kappa, soe, out, assert_mode) -> int:
 
 
 def _run_wemp(cfg, spec, mesh, kappa, soe, out, assert_mode) -> int:
-    ops = assemble_operators(mesh, kappa)
     pou = build_partition_of_unity(mesh, kappa)
     space = assemble_space(mesh, kappa, pou, cfg.level)
+    ops = space.fine_ops
     ctx = build_context(spec, space, soe)
     ref = _reference(cfg, spec, mesh, ops, soe)
     states, timings = wemp_solve(ctx, delta=cfg.delta, k_max=cfg.k_max)

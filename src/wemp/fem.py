@@ -196,17 +196,19 @@ def factorized_spd(matrix):
 
 
 def _check_residual(matrix, anorm, x, rhs):
-    # normwise backward error |Ax-b| / (|A| |x| + |b|), robust to the
-    # scale spread that high-contrast coefficients put into A
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return
-    res = np.linalg.norm(matrix @ x - rhs)
-    denom = anorm * np.linalg.norm(x) + rhs_norm
-    if not np.isfinite(res) or res > SOLVE_RTOL * denom:
+    # normwise backward error |Ax-b| / (|A| |x| + |b|) of each right-hand
+    # side column, robust to the scale spread that high-contrast
+    # coefficients put into A; a zero right-hand side is solved exactly
+    res = np.atleast_1d(np.linalg.norm(matrix @ x - rhs, axis=0))
+    rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
+    denom = anorm * np.atleast_1d(np.linalg.norm(x, axis=0)) + rhs_norm
+    failed = np.flatnonzero((rhs_norm != 0.0)
+                            & ~(res <= SOLVE_RTOL * denom))
+    if failed.size:
+        j = failed[0]
         raise RuntimeError(
-            f"SPD solve failed the residual check: |Ax-b| = {res:.3e}, "
-            f"|A||x|+|b| = {denom:.3e}, rtol = {SOLVE_RTOL:.1e}")
+            f"SPD solve failed the residual check: |Ax-b| = {res[j]:.3e}, "
+            f"|A||x|+|b| = {denom[j]:.3e}, rtol = {SOLVE_RTOL:.1e}")
 
 
 def norms(op: OperatorPair, v: np.ndarray) -> tuple:

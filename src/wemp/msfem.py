@@ -3,13 +3,16 @@
 Construction stages:
 
 1. partition of unity: per coarse cell, diffusivity-harmonic extensions of the
-   affine corner data, assembled into global hat-like functions chi_i;
+   four affine corner data in one block solve, assembled into global
+   hat-like functions chi_i;
 2. Haar functions on the four edges of each vertex neighborhood omega_i,
    orthonormal in L2 of the edge;
-3. harmonic lifts of the edge data into omega_i and one Neumann corrector per
-   neighborhood driven by the weighted coefficient kappa_tilde;
-4. global space: columns chi_i * (local function), boundary dofs zeroed,
-   near-dependent columns dropped by LAPACK's pivoted Cholesky (dpstrf) of
+3. harmonic lifts of the edge data into omega_i, one block solve per
+   neighborhood, and one Neumann corrector per neighborhood driven by the
+   weighted coefficient kappa_tilde;
+4. global space: the columns chi_i * (local function) of each neighborhood
+   form one block, scattered with its boundary dofs zeroed;
+   near-dependent columns are dropped by LAPACK's pivoted Cholesky (dpstrf) of
    the Gram matrix scaled to unit diagonal; the kept block of the Gram
    matrix is the projected mass matrix, and the stiffness is projected.
 
@@ -60,38 +63,29 @@ def build_partition_of_unity(mesh: TwoLevelMesh,
     """
     C = mesh.coarse_divisions
     R = mesh.refinements_per_coarse
-    n_cv = (C + 1) ** 2
-    per_vertex_nodes = [[] for _ in range(n_cv)]
-    per_vertex_vals = [[] for _ in range(n_cv)]
-
+    keys, vals = [], []                  # key: vertex * n_nodes + node
     for cy in range(C):
         for cx in range(C):
             cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
                                   (cy * R, (cy + 1) * R))
             solver = _LocalSolver(mesh, kappa, cell)
-            coords = mesh.fine_node_coords[neighborhood_boundary_nodes(cell)]
+            coords = mesh.fine_node_coords[solver.bnd_nodes]
             xi = (coords[:, 0] - cx * mesh.H) / mesh.H
             eta = (coords[:, 1] - cy * mesh.H) / mesh.H
-            corner_vertices = [mesh.coarse_vertex_index(cx + i, cy + j)
-                               for j in (0, 1) for i in (0, 1)]
-            corner_data = ((1 - xi) * (1 - eta), xi * (1 - eta),
-                           (1 - xi) * eta, xi * eta)
-            for vert, data in zip(corner_vertices, corner_data):
-                per_vertex_nodes[vert].append(solver.local_nodes)
-                per_vertex_vals[vert].append(solver.lift(data))
+            corners = mesh.coarse_vertex_index(cx + np.array([0, 1, 0, 1]),
+                                               cy + np.array([0, 0, 1, 1]))
+            data = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
+                                    (1 - xi) * eta, xi * eta])
+            keys.append((corners * mesh.n_nodes
+                         + solver.local_nodes[:, None]).ravel())
+            vals.append(solver.lift(data).ravel())
 
-    rows, cols, vals = [], [], []
-    for vert in range(n_cv):           # every coarse vertex touches a cell
-        nodes = np.concatenate(per_vertex_nodes[vert])
-        values = np.concatenate(per_vertex_vals[vert])
-        # cells sharing an edge contribute identical values there; keep one
-        uniq, first = np.unique(nodes, return_index=True)
-        rows.append(np.full(uniq.size, vert))
-        cols.append(uniq)
-        vals.append(values[first])
-    chi = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_cv, mesh.n_nodes)).tocsr()
+    # cells sharing an edge contribute identical values there; keep the
+    # first in cell order
+    uniq, first = np.unique(np.concatenate(keys), return_index=True)
+    vertex, node = np.divmod(uniq, mesh.n_nodes)
+    chi = sp.coo_matrix((np.concatenate(vals)[first], (vertex, node)),
+                        shape=((C + 1) ** 2, mesh.n_nodes)).tocsr()
     return PartitionOfUnity(chi=chi)
 
 
@@ -133,11 +127,12 @@ def edge_wavelets(level: int, edge_coords: np.ndarray) -> np.ndarray:
 
 
 def segments_to_nodes(seg_values: np.ndarray) -> np.ndarray:
-    """Nodal trace data from per-segment values: adjacent-segment averages,
-    with an implicit zero outside the edge (so endpoints get half values)."""
-    padded = np.concatenate(([0.0], np.asarray(seg_values, dtype=np.float64),
-                             [0.0]))
-    return 0.5 * (padded[:-1] + padded[1:])
+    """Nodal trace data from per-segment values along the last axis:
+    adjacent-segment averages, with an implicit zero outside the edge (so
+    endpoints get half values)."""
+    seg = np.asarray(seg_values, dtype=np.float64)
+    padded = np.pad(seg, [(0, 0)] * (seg.ndim - 1) + [(1, 1)])
+    return 0.5 * (padded[..., :-1] + padded[..., 1:])
 
 
 def neighborhood_boundary_nodes(hood: NodeRectangle) -> np.ndarray:
@@ -148,7 +143,8 @@ def neighborhood_boundary_nodes(hood: NodeRectangle) -> np.ndarray:
 class _LocalSolver:
     """Shared assembly and factorization for the local solves on one
     rectangle: a vertex neighborhood or, for the partition of unity, a
-    coarse cell."""
+    coarse cell. Local node numbers are positions in the sorted
+    local_nodes."""
 
     def __init__(self, mesh: TwoLevelMesh, kappa: CoefficientField,
                  hood: NodeRectangle):
@@ -156,9 +152,8 @@ class _LocalSolver:
         self.hood = hood
         self.local_nodes, self.M, self.A = assemble_submesh_operators(
             mesh, kappa, hood.fine_cells)
-        remap = {g: i for i, g in enumerate(self.local_nodes)}
-        bnd_global = neighborhood_boundary_nodes(hood)
-        self.bnd_local = np.array([remap[g] for g in bnd_global])
+        self.bnd_nodes = neighborhood_boundary_nodes(hood)
+        self.bnd_local = np.searchsorted(self.local_nodes, self.bnd_nodes)
         mask = np.ones(self.local_nodes.size, dtype=bool)
         mask[self.bnd_local] = False
         self.int_local = np.where(mask)[0]
@@ -167,18 +162,19 @@ class _LocalSolver:
         # a one-cell rectangle at one refinement has no interior node
         self._dirichlet = (factorized_spd(self._A_ii) if self.int_local.size
                            else None)
-        self._neumann = None
 
     def lift(self, trace: np.ndarray) -> np.ndarray:
         """Harmonic extension of nodal boundary data into the rectangle.
 
-        trace is aligned with neighborhood_boundary_nodes; the result is
-        aligned with the sorted local node list.
+        trace is aligned with bnd_nodes along its first axis; a 2-D trace
+        holds one column per boundary function, and one factorized solve
+        serves them all. The result is aligned with local_nodes, with the
+        same columns.
         """
         trace = np.asarray(trace, dtype=np.float64)
-        if trace.size != self.bnd_local.size:
+        if trace.shape[0] != self.bnd_local.size:
             raise ValueError("trace length does not match the boundary nodes")
-        v = np.zeros(self.local_nodes.size)
+        v = np.zeros((self.local_nodes.size,) + trace.shape[1:])
         v[self.bnd_local] = trace
         if self.int_local.size:
             v[self.int_local] = self._dirichlet(-(self._A_ib @ trace))
@@ -198,13 +194,11 @@ class _LocalSolver:
 
         # bulk load: per-triangle constant source, exact P1 integration
         tri_idx = np.sort(np.concatenate([2 * cells, 2 * cells + 1]))
-        tris = mesh.fine_triangles[tri_idx]
-        remap = np.full(mesh.n_nodes, -1, dtype=np.int64)
-        remap[self.local_nodes] = np.arange(self.local_nodes.size)
-        tris_local = remap[tris]
+        tris_local = np.searchsorted(self.local_nodes,
+                                     mesh.fine_triangles[tri_idx])
         g_tri = np.repeat(kt / total, 2)
         area = h * h / 2.0
-        rhs = np.zeros(self.local_nodes.size)
+        rhs = np.zeros(self.local_nodes.size + 1)    # bordered: gauge row
         np.add.at(rhs, tris_local.ravel(),
                   np.repeat(g_tri * area / 3.0, 3))
 
@@ -213,7 +207,7 @@ class _LocalSolver:
         perimeter = 2.0 * ((x1 - x0) + (y1 - y0)) * h
         q = 1.0 / perimeter
         for side in self.hood.boundary_edges:
-            side_local = remap[side]
+            side_local = np.searchsorted(self.local_nodes, side)
             np.add.at(rhs, side_local[:-1], -q * h / 2.0)
             np.add.at(rhs, side_local[1:], -q * h / 2.0)
 
@@ -225,12 +219,9 @@ class _LocalSolver:
         # zero-mean gauge through a bordered system
         m = np.asarray(self.M @ np.ones(self.local_nodes.size))
         K = sp.bmat([[self.A, m[:, None]], [m[None, :], None]]).tocsc()
-        if self._neumann is None:
-            self._neumann = spla.splu(K)
-        sol = self._neumann.solve(np.concatenate([rhs, [0.0]]))
-        full_rhs = np.concatenate([rhs, [0.0]])
-        res = np.linalg.norm(K @ sol - full_rhs)
-        if res > 1e-10 * max(np.linalg.norm(full_rhs), 1.0):
+        sol = spla.splu(K).solve(rhs)
+        res = np.linalg.norm(K @ sol - rhs)
+        if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
             raise RuntimeError(f"Neumann solve residual {res:.3e} too large")
         return sol[:-1]
 
@@ -242,20 +233,19 @@ def weighted_coefficient(mesh: TwoLevelMesh, kappa: CoefficientField,
     Gradients of the P1 chi_i are per-triangle constants; the two triangle
     values of each cell are averaged.
     """
-    areas, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
-    n_tri = mesh.fine_triangles.shape[0]
-    sum_sq = np.zeros(n_tri)
+    _, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
+    tri = mesh.fine_triangles
     chi = pou.chi.tocsr()
-    for vert in range(chi.shape[0]):
-        row = chi.getrow(vert)
-        if row.nnz == 0:
-            continue
-        support = np.zeros(mesh.n_nodes)
-        support[row.indices] = row.data
-        nodal = support[mesh.fine_triangles]          # (n_tri, 3)
-        active = np.any(nodal != 0.0, axis=1)
-        vec = np.einsum("ti,tik->tk", nodal[active], grads[active])
-        sum_sq[active] += vec[:, 0] ** 2 + vec[:, 1] ** 2
+
+    def derivative(j):
+        # d chi_i / d x_j per (vertex, triangle), corner terms added in order
+        terms = [chi[:, tri[:, k]].multiply(grads[:, k, j]) for k in range(3)]
+        return terms[0] + terms[1] + terms[2]
+
+    gx, gy = derivative(0), derivative(1)
+    sq = (gx.multiply(gx) + gy.multiply(gy)).tocsr()
+    # CSR data runs vertex by vertex, so each triangle sums in vertex order
+    sum_sq = np.bincount(sq.indices, weights=sq.data, minlength=tri.shape[0])
     kappa_tri = np.repeat(kappa.values, 2)
     val_tri = mesh.H ** 2 * kappa_tri * sum_sq
     return 0.5 * (val_tri[0::2] + val_tri[1::2])
@@ -306,29 +296,29 @@ class MultiscaleSpace:
 
 
 def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
-    """All basis columns of one neighborhood: 4 * 2^level lifts + corrector."""
+    """All basis columns of one neighborhood: 4 * 2^level lifts + corrector.
+
+    Returns (local_nodes, block, info): block has one row per column, over
+    local_nodes, and info one entry per column.
+    """
     hood = coarse_neighborhood(mesh, vertex)
     solver = _LocalSolver(mesh, kappa, hood)
-    bnd_nodes = neighborhood_boundary_nodes(hood)
-    bnd_pos = {g: i for i, g in enumerate(bnd_nodes)}
     chi_local = pou.vertex_function(vertex)[solver.local_nodes]
 
-    cols = []
+    n_wav = 2 ** level
+    traces = np.zeros((solver.bnd_nodes.size, 4 * n_wav))
     info = []
     for side_idx, side in enumerate(hood.boundary_edges):
-        coords = mesh.fine_node_coords[side]
-        for w_idx, w in enumerate(edge_wavelets(level, coords)):
-            trace = np.zeros(bnd_nodes.size)
-            nodal = segments_to_nodes(w)
-            for node, value in zip(side, nodal):
-                trace[bnd_pos[node]] += value
-            lift = solver.lift(trace)
-            cols.append(chi_local * lift)
-            info.append((vertex, "edge", side_idx, w_idx))
-    corr = solver.corrector(kappa_tilde)
-    cols.append(chi_local * corr)
+        nodal = segments_to_nodes(
+            edge_wavelets(level, mesh.fine_node_coords[side]))
+        rows = np.searchsorted(solver.bnd_nodes, side)
+        traces[rows, side_idx * n_wav:(side_idx + 1) * n_wav] = nodal.T
+        info.extend((vertex, "edge", side_idx, w_idx)
+                    for w_idx in range(n_wav))
     info.append((vertex, "corrector", -1, 0))
-    return solver.local_nodes, cols, info
+    block = chi_local * np.vstack([solver.lift(traces).T,
+                                   solver.corrector(kappa_tilde)])
+    return solver.local_nodes, block, info
 
 
 def _pivoted_gram_filter(gram: np.ndarray, tol: float) -> np.ndarray:
@@ -379,28 +369,25 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
     interior_mask[ops.free_dofs] = True
     rows, cols, vals = [], [], []
     info = []
-    col_id = 0
-    for local_nodes, col_list, info_list in results:
+    for local_nodes, block, block_info in results:
         keep = interior_mask[local_nodes]
-        kept_rows = local_nodes[keep]
-        for col_vals, meta in zip(col_list, info_list):
-            data = col_vals[keep]
-            nz = data != 0.0
-            rows.append(kept_rows[nz])
-            cols.append(np.full(int(nz.sum()), col_id))
-            vals.append(data[nz])
-            info.append(meta)
-            col_id += 1
+        kept = block[:, keep]
+        # row-major nonzeros: column by column, nodes ascending within each
+        col, node = np.nonzero(kept)
+        rows.append(local_nodes[keep][node])
+        cols.append(len(info) + col)
+        vals.append(kept[col, node])
+        info.extend(block_info)
     raw = sp.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_nodes, col_id)).tocsr()
+        shape=(mesh.n_nodes, len(info))).tocsr()
 
     gram = (raw.T @ (ops.mass @ raw)).toarray()
     gram = 0.5 * (gram + gram.T)
     kept = _pivoted_gram_filter(gram, RANK_FILTER_TOL)
-    if kept.size < 0.5 * col_id:
+    if kept.size < 0.5 * len(info):
         raise RuntimeError(
-            f"rank filter kept only {kept.size} of {col_id} columns; "
+            f"rank filter kept only {kept.size} of {len(info)} columns; "
             "the local problems look degenerate")
     basis = raw[:, kept].tocsr()
     # the Gram matrix already holds basis.T @ M @ basis, entry for entry

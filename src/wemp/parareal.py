@@ -34,13 +34,11 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import gamma
 
 from . import fem
-from .fem import factorized_spd
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import ProblemSpec, soe_march
+from .solvers import ProblemSpec, factorized_step, soe_march
 from .stepping import propagate_history_with
 
 # one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
@@ -95,11 +93,10 @@ def build_context(spec: ProblemSpec, space: MultiscaleSpace,
     if spec.m_sub < 1:
         raise ValueError("tau_c must be at least tau_f")
     u0 = space.project(spec.nodal_u0(space.mesh))
-    c_gamma = float(gamma(2.0 - spec.alpha))
-    solve_c = factorized_spd(space.ms_mass / (spec.tau_c ** spec.alpha * c_gamma)
-                             + space.ms_stiffness)
-    solve_f = factorized_spd(space.ms_mass / (spec.tau_f ** spec.alpha * c_gamma)
-                             + space.ms_stiffness)
+    solve_c = factorized_step(space.ms_mass, space.ms_stiffness, spec.tau_c,
+                              spec.alpha)
+    solve_f = factorized_step(space.ms_mass, space.ms_stiffness, spec.tau_f,
+                              spec.alpha)
     return PropagatorContext(space=space, soe=soe,
                              coarse_coeffs=step_coefficients(soe, spec.tau_c),
                              fine_coeffs=step_coefficients(soe, spec.tau_f),

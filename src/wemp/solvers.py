@@ -106,6 +106,13 @@ def _embed(free_values: np.ndarray, n_nodes: int, free: np.ndarray) -> np.ndarra
     return out
 
 
+def factorized_step(mass, stiffness, tau: float, alpha: float):
+    """Solver for the implicit-step matrix M / (tau^alpha Gamma(2 - alpha))
+    + A of the exponential-sum scheme."""
+    return factorized_spd(mass / (tau ** alpha * float(gamma(2 - alpha)))
+                          + stiffness)
+
+
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
                       psi: np.ndarray, load_vec):
     """One implicit step of the exponential-sum scheme.
@@ -176,8 +183,7 @@ def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
     tau = spec.tau_f
     n_steps = spec.n_fine_total
     stride = _store_stride(store, spec.m_sub)
-    scale = tau ** spec.alpha * float(gamma(2.0 - spec.alpha))
-    solve = factorized_spd(mass / scale + stiffness)
+    solve = factorized_step(mass, stiffness, tau, spec.alpha)
     _, _, states = soe_march(solve, mass, soe, step_coefficients(soe, tau),
                              v0, v0, np.zeros((soe.n_terms, v0.size)),
                              [(n + 1) * tau for n in range(n_steps)], load,

@@ -4,6 +4,7 @@ import scipy.sparse as sp
 
 from wemp.fem import (
     CoefficientField,
+    _check_residual,
     assemble_load,
     assemble_operators,
     assemble_submesh_operators,
@@ -92,6 +93,29 @@ def test_solve_spd_dense_and_sparse():
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0])
     xs = solve_spd(sp.csc_matrix(a), np.array([1.0, 1.0]))
     assert np.allclose(xs, [1.0 / 3.0, 1.0 / 3.0])
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_block_solve_equals_column_solves(sparse):
+    rng = np.random.default_rng(6)
+    b = rng.standard_normal((30, 30))
+    a = b @ b.T + 30.0 * np.eye(30)
+    solve = factorized_spd(sp.csc_matrix(a) if sparse else a)
+    rhs = rng.standard_normal((30, 5)) * np.logspace(-3, 3, 5)
+    block = solve(rhs)
+    for j in range(5):
+        assert np.array_equal(block[:, j], solve(rhs[:, j]))
+
+
+def test_residual_check_is_per_column():
+    # column 0 is off by 1e-6 relative; column 1, 1e6 times larger, would
+    # hide that error in one norm over the whole block
+    rhs = np.array([[1.0, 1e6], [1.0, 1e6]])
+    x = rhs.copy()
+    x[:, 0] *= 1.0 + 1e-6
+    with pytest.raises(RuntimeError, match="residual check"):
+        _check_residual(np.eye(2), 1.0, x, rhs)
+    _check_residual(np.eye(2), 1.0, rhs.copy(), rhs)
 
 
 @pytest.mark.parametrize("sparse", [False, True])

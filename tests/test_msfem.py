@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from wemp.fem import CoefficientField, assemble_operators, norms
-from wemp.mesh import build_mesh, coarse_neighborhood
+from wemp.fem import (CoefficientField, assemble_operators,
+                      assemble_submesh_operators, triangle_geometry, norms)
+from wemp.mesh import build_mesh, coarse_neighborhood, node_rectangle
 from wemp.msfem import (
     _LocalSolver,
     _pivoted_gram_filter,
+    _vertex_columns,
     assemble_space,
     build_partition_of_unity,
     edge_projection,
@@ -27,6 +31,147 @@ def contrast_field(mesh, contrast, seed=2):
     picks = rng.choice(n * n, size=max(n * n // 8, 1), replace=False)
     vals[picks] = contrast
     return CoefficientField(vals)
+
+
+# ------------------------------------ column-at-a-time reference builds
+#
+# The multiscale space is built one block per rectangle. These oracles
+# build it as it was built one column, one node and one vertex at a time,
+# with dict remaps; the block code must reproduce them bit for bit.
+
+
+def lift_per_column(mesh, kappa, rect, traces):
+    """Harmonic extension of each trace column by its own solve."""
+    local_nodes, _, A = assemble_submesh_operators(mesh, kappa,
+                                                   rect.fine_cells)
+    remap = {g: i for i, g in enumerate(local_nodes)}
+    bnd = np.array([remap[g] for g in neighborhood_boundary_nodes(rect)])
+    inner = np.setdiff1d(np.arange(local_nodes.size), bnd)
+    lu = spla.splu(A[inner][:, inner].tocsc()) if inner.size else None
+    out = np.zeros((local_nodes.size, traces.shape[1]))
+    for j in range(traces.shape[1]):
+        out[bnd, j] = traces[:, j]
+        if inner.size:
+            out[inner, j] = lu.solve(-(A[inner][:, bnd] @ traces[:, j]))
+    return out
+
+
+def pou_per_vertex(mesh, kappa):
+    """chi from per-corner lifts gathered per vertex, one np.unique each."""
+    C, R, H = mesh.coarse_divisions, mesh.refinements_per_coarse, mesh.H
+    per_nodes = [[] for _ in range((C + 1) ** 2)]
+    per_vals = [[] for _ in range((C + 1) ** 2)]
+    for cy in range(C):
+        for cx in range(C):
+            cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
+                                  (cy * R, (cy + 1) * R))
+            coords = mesh.fine_node_coords[neighborhood_boundary_nodes(cell)]
+            xi = (coords[:, 0] - cx * H) / H
+            eta = (coords[:, 1] - cy * H) / H
+            corners = [mesh.coarse_vertex_index(cx + i, cy + j)
+                       for j in (0, 1) for i in (0, 1)]
+            data = ((1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta,
+                    xi * eta)
+            for vert, d in zip(corners, data):
+                per_nodes[vert].append(cell.fine_nodes)
+                per_vals[vert].append(
+                    lift_per_column(mesh, kappa, cell, d[:, None])[:, 0])
+    rows, cols, vals = [], [], []
+    for vert in range((C + 1) ** 2):
+        uniq, first = np.unique(np.concatenate(per_nodes[vert]),
+                                return_index=True)
+        rows.append(np.full(uniq.size, vert))
+        cols.append(uniq)
+        vals.append(np.concatenate(per_vals[vert])[first])
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=((C + 1) ** 2, mesh.n_nodes)).tocsr()
+
+
+def edge_columns_per_column(mesh, kappa, pou, level, vertex):
+    """The 4 * 2^level edge columns of one neighborhood, trace by trace."""
+    hood = coarse_neighborhood(mesh, vertex)
+    bnd = neighborhood_boundary_nodes(hood)
+    bnd_pos = {g: i for i, g in enumerate(bnd)}
+    chi_local = pou.vertex_function(vertex)[hood.fine_nodes]
+    cols = []
+    for side in hood.boundary_edges:
+        for w in edge_wavelets(level, mesh.fine_node_coords[side]):
+            trace = np.zeros(bnd.size)
+            for node, value in zip(side, segments_to_nodes(w)):
+                trace[bnd_pos[node]] += value
+            lift = lift_per_column(mesh, kappa, hood, trace[:, None])[:, 0]
+            cols.append(chi_local * lift)
+    return np.array(cols)
+
+
+def weighted_coefficient_per_vertex(mesh, kappa, pou):
+    """kappa_tilde from one dense nodal vector per coarse vertex."""
+    _, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
+    sum_sq = np.zeros(mesh.fine_triangles.shape[0])
+    for vert in range(pou.chi.shape[0]):
+        nodal = pou.vertex_function(vert)[mesh.fine_triangles]
+        active = np.any(nodal != 0.0, axis=1)
+        vec = np.einsum("ti,tik->tk", nodal[active], grads[active])
+        sum_sq[active] += vec[:, 0] ** 2 + vec[:, 1] ** 2
+    val_tri = mesh.H ** 2 * np.repeat(kappa.values, 2) * sum_sq
+    return 0.5 * (val_tri[0::2] + val_tri[1::2])
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and \
+        a.tobytes() == b.tobytes()
+
+
+# a high-contrast field, and R = 1, where a coarse cell has no interior node
+BLOCK_CASES = {"contrast-4x4": (4, 4, 2), "one-refinement-3x1": (3, 1, 1)}
+
+
+@pytest.fixture(scope="module", params=sorted(BLOCK_CASES))
+def block_case(request):
+    C, R, level = BLOCK_CASES[request.param]
+    mesh = build_mesh(C, R)
+    kappa = contrast_field(mesh, 1e4)
+    return mesh, kappa, build_partition_of_unity(mesh, kappa), level
+
+
+def test_pou_matches_per_vertex_assembly(block_case):
+    mesh, kappa, pou, _ = block_case
+    ref = pou_per_vertex(mesh, kappa)
+    for name in ("data", "indices", "indptr"):
+        assert same_bits(getattr(pou.chi, name), getattr(ref, name))
+
+
+def test_weighted_coefficient_matches_per_vertex_loop(block_case):
+    mesh, kappa, pou, _ = block_case
+    assert same_bits(weighted_coefficient(mesh, kappa, pou),
+                     weighted_coefficient_per_vertex(mesh, kappa, pou))
+
+
+def test_vertex_columns_match_per_column_lifts(block_case):
+    mesh, kappa, pou, level = block_case
+    kt = weighted_coefficient(mesh, kappa, pou)
+    for vertex in np.flatnonzero(mesh.coarse_vertex_interior):
+        hood = coarse_neighborhood(mesh, vertex)
+        local_nodes, block, info = _vertex_columns(mesh, kappa, pou, level,
+                                                   vertex, kt)
+        n_edge = 4 * 2 ** level
+        assert len(block) == len(info) == n_edge + 1
+        assert same_bits(local_nodes, hood.fine_nodes)
+        assert same_bits(block[:n_edge], edge_columns_per_column(
+            mesh, kappa, pou, level, vertex))
+        assert info[-1] == (vertex, "corrector", -1, 0)
+
+
+def test_block_lift_matches_per_column_lifts(block_case):
+    mesh, kappa, _, _ = block_case
+    rng = np.random.default_rng(4)
+    hood = coarse_neighborhood(mesh, int(np.flatnonzero(
+        mesh.coarse_vertex_interior)[0]))
+    traces = rng.standard_normal((neighborhood_boundary_nodes(hood).size, 17))
+    assert same_bits(_LocalSolver(mesh, kappa, hood).lift(traces),
+                     lift_per_column(mesh, kappa, hood, traces))
 
 
 # ---------------------------------------------------------------- pou
