@@ -50,6 +50,19 @@ class PartitionOfUnity:
     def vertex_function(self, vertex: int) -> np.ndarray:
         return self.chi[vertex].toarray().ravel()
 
+    def vertex_values(self, vertex: int, nodes: np.ndarray) -> np.ndarray:
+        """vertex_function(vertex)[nodes] for sorted nodes, read from the
+        stored entries of the row without densifying it."""
+        lo, hi = self.chi.indptr[vertex], self.chi.indptr[vertex + 1]
+        cols = self.chi.indices[lo:hi]
+        pos = np.searchsorted(nodes, cols)
+        hit = pos < nodes.size
+        hit[hit] = nodes[pos[hit]] == cols[hit]
+        out = np.zeros(nodes.size)
+        # added to zero, as toarray does, so a stored -0.0 reads as 0.0
+        out[pos[hit]] += self.chi.data[lo:hi][hit]
+        return out
+
 
 def build_partition_of_unity(mesh: TwoLevelMesh,
                              kappa: CoefficientField) -> PartitionOfUnity:
@@ -303,7 +316,7 @@ def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
     """
     hood = coarse_neighborhood(mesh, vertex)
     solver = _LocalSolver(mesh, kappa, hood)
-    chi_local = pou.vertex_function(vertex)[solver.local_nodes]
+    chi_local = pou.vertex_values(vertex, solver.local_nodes)
 
     n_wav = 2 ** level
     traces = np.zeros((solver.bnd_nodes.size, 4 * n_wav))

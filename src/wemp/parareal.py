@@ -11,19 +11,29 @@ forms the jumps S = F_1 - G_1, then sweeps sequentially:
     Phi_k^n rebuilt from (Phi_k^{n-1}, U_k^{n-1}, U_k^n) with the tau_c
     recurrence.
 
-A history Phi is a plain (n_terms, ms_dof) array of the exponential-sum
+A history Phi is a plain (n_terms, dof) array of the exponential-sum
 integrals (see stepping.propagate_history_with). Iterate 0 (G), every update
 (S + G) and the hybrid fixed point (F) are one sweep, _sweep, with its own
 step. The kernel's t^(-alpha) initial-data term always uses the global clock
 and the global initial vector; slabs never restart it.
 
+The propagators step in the coordinates that solvers.use_modes picks for
+all n_slabs * m_sub fine steps: ms coordinates with the two factorizations
+of build_context, or the modal coordinates of solvers.ms_modes, whose one
+eigendecomposition per context (so per wemp_solve) is made at the first
+step. The boundary values and histories the next iteration reads stay in
+these step coordinates: an ms round trip would move the fixed point, since
+V^T M V - I reaches 8e-8 on the desk space. Each iterate's solutions are
+lifted to ms coordinates once, and fine_propagate and coarse_propagate
+take and return ms coordinates.
+
 The slab propagations of one iteration are independent, but they run one
 after another in the calling thread, and there is no worker option: the
-per-step cost is dense triangular solves and the history recurrence, which
-already use the BLAS threads, and slab threads on top of them oversubscribe
-the cores and slow the iteration down. The context caches each projected
-load by its instant, so the k-th iteration re-evaluates no load an earlier
-one has seen; wemp_solve gives each solve a fresh cache, which holds at most
+per-step cost is the history recurrence and the solve, which already use
+the BLAS threads, and slab threads on top of them oversubscribe the cores
+and slow the iteration down. The context caches each projected load by its
+instant, so the k-th iteration re-evaluates no load an earlier one has
+seen; wemp_solve gives each solve a fresh cache, which holds at most
 LOAD_CACHE_BUDGET_BYTES.
 """
 
@@ -31,6 +41,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,7 +49,8 @@ import numpy as np
 from . import fem
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import ProblemSpec, factorized_step, soe_march
+from .solvers import (Modes, ProblemSpec, factorized_step, ms_modes,
+                      soe_march, use_modes)
 from .stepping import propagate_history_with
 
 # one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
@@ -58,19 +70,50 @@ class PropagatorContext:
     tau_f: float
     m_sub: int
     n_slabs: int
-    solve_coarse: Callable
-    solve_fine: Callable
+    solve_coarse: Optional[Callable]   # None on the modal path
+    solve_fine: Optional[Callable]
     # projected loads by instant; not an init field, so replace() starts empty
     _loads: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
-    def load(self, t: float):
-        """basis.T @ assemble_load(..., t), computed once per float t.
+    @cached_property
+    def _modes(self) -> Optional[Modes]:
+        """The modes of the space on the modal path, None on the Cholesky
+        path. Computed on first use and kept by this context only, so
+        replace() starts without them, as it starts without loads."""
+        if not use_modes(self.n_slabs * self.m_sub, self.space.n_columns):
+            return None
+        return ms_modes(self.space)
 
-        The key is the float itself: the coarse (n+1)*tau_c and the fine
-        n*tau_c + m_sub*tau_f name the same instant but may differ in the
-        last bit, and each must get its own load. The cache keeps loads
-        while they fit in LOAD_CACHE_BUDGET_BYTES and recomputes the rest.
+    def _step(self, tau: float, solve: Optional[Callable]) -> tuple:
+        """(solve, mass) of the step of size tau in step coordinates; solve
+        is that step's factorization on the Cholesky path."""
+        if self._modes is None:
+            return solve, self.space.ms_mass
+        return self._modes.step_solve(tau, self.soe.alpha), None
+
+    @cached_property
+    def _u0_step(self) -> np.ndarray:
+        return self.to_step(self.u0)
+
+    def to_step(self, x: np.ndarray) -> np.ndarray:
+        """Step coordinates of an ms vector, history or stack of vectors."""
+        return x if self._modes is None else self._modes.to_modal(x)
+
+    def to_ms(self, c: np.ndarray) -> np.ndarray:
+        """ms coordinates of step coordinates, the inverse of to_step."""
+        return c if self._modes is None else self._modes.to_ms(c)
+
+    def load(self, t: float):
+        """basis.T @ assemble_load(..., t) in step coordinates, computed once
+        per float t.
+
+        On the modal path that is V^T basis.T @ assemble_load(..., t), so
+        the cache holds modal loads. The key is the float itself: the coarse
+        (n+1)*tau_c and the fine n*tau_c + m_sub*tau_f name the same instant
+        but may differ in the last bit, and each must get its own load. The
+        cache keeps loads while they fit in LOAD_CACHE_BUDGET_BYTES and
+        recomputes the rest.
         """
         if self.f is None:
             return 0.0
@@ -78,6 +121,8 @@ class PropagatorContext:
         if vec is None:
             vec = self.space.basis.T @ fem.assemble_load(
                 self.space.mesh, self.space.fine_ops, self.f, t)
+            if self._modes is not None:
+                vec = self._modes.project_load(vec)
             vec.flags.writeable = False
             if (len(self._loads) + 1) * vec.nbytes <= LOAD_CACHE_BUDGET_BYTES:
                 self._loads[t] = vec
@@ -90,13 +135,18 @@ class PropagatorContext:
 
 def build_context(spec: ProblemSpec, space: MultiscaleSpace,
                   soe: SOEApproximation) -> PropagatorContext:
+    """The propagators of spec on space. On the Cholesky path this
+    factorizes the coarse and the fine step; the modal path defers its
+    eigendecomposition to the first step."""
     if spec.m_sub < 1:
         raise ValueError("tau_c must be at least tau_f")
     u0 = space.project(spec.nodal_u0(space.mesh))
-    solve_c = factorized_step(space.ms_mass, space.ms_stiffness, spec.tau_c,
-                              spec.alpha)
-    solve_f = factorized_step(space.ms_mass, space.ms_stiffness, spec.tau_f,
-                              spec.alpha)
+    solve_c = solve_f = None
+    if not use_modes(spec.n_fine_total, space.n_columns):
+        solve_c = factorized_step(space.ms_mass, space.ms_stiffness,
+                                  spec.tau_c, spec.alpha)
+        solve_f = factorized_step(space.ms_mass, space.ms_stiffness,
+                                  spec.tau_f, spec.alpha)
     return PropagatorContext(space=space, soe=soe,
                              coarse_coeffs=step_coefficients(soe, spec.tau_c),
                              fine_coeffs=step_coefficients(soe, spec.tau_f),
@@ -106,31 +156,50 @@ def build_context(spec: ProblemSpec, space: MultiscaleSpace,
                              solve_coarse=solve_c, solve_fine=solve_f)
 
 
-def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
-                     Phi: np.ndarray):
-    """One tau_c step from T^n; returns (solution, history at T^{n+1})."""
-    v, psi, _ = soe_march(ctx.solve_coarse, ctx.space.ms_mass, ctx.soe,
-                          ctx.coarse_coeffs, U, ctx.u0, Phi,
-                          [(n + 1) * ctx.tau_c], ctx.load)
+def _coarse(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
+    """coarse_propagate in step coordinates."""
+    solve, mass = ctx._step(ctx.tau_c, ctx.solve_coarse)
+    v, psi, _ = soe_march(solve, mass, ctx.soe, ctx.coarse_coeffs, U,
+                          ctx._u0_step, Phi, [(n + 1) * ctx.tau_c], ctx.load)
     return v, psi
 
 
-def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
-                   Phi: np.ndarray):
-    """m_sub tau_f steps through slab n; global clock for the kernel terms."""
+def _fine(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
+    """fine_propagate in step coordinates."""
+    solve, mass = ctx._step(ctx.tau_f, ctx.solve_fine)
     t_start = n * ctx.tau_c
-    v, psi, _ = soe_march(ctx.solve_fine, ctx.space.ms_mass, ctx.soe,
-                          ctx.fine_coeffs, U, ctx.u0, Phi,
+    v, psi, _ = soe_march(solve, mass, ctx.soe, ctx.fine_coeffs, U,
+                          ctx._u0_step, Phi,
                           [t_start + (j + 1) * ctx.tau_f
                            for j in range(ctx.m_sub)], ctx.load)
     return v, psi
 
 
+def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
+                     Phi: np.ndarray):
+    """One tau_c step from T^n; returns (solution, history at T^{n+1}).
+    Arguments and results are in ms coordinates."""
+    v, psi = _coarse(ctx, n, ctx.to_step(U), ctx.to_step(Phi))
+    return ctx.to_ms(v), ctx.to_ms(psi)
+
+
+def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
+                   Phi: np.ndarray):
+    """m_sub tau_f steps through slab n; global clock for the kernel terms.
+    Arguments and results are in ms coordinates."""
+    v, psi = _fine(ctx, n, ctx.to_step(U), ctx.to_step(Phi))
+    return ctx.to_ms(v), ctx.to_ms(psi)
+
+
 def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
          Phi: np.ndarray) -> np.ndarray:
-    """Correction S = (fine - coarse) solution over one slab."""
-    fine_v, _ = fine_propagate(ctx, n, U, Phi)
-    coarse_v, _ = coarse_propagate(ctx, n, U, Phi)
+    """Correction S = (fine - coarse) solution over one slab.
+
+    The iteration's slab step, so U, Phi and S are in step coordinates
+    (ms coordinates on the Cholesky path); PararealState holds its inputs.
+    """
+    fine_v, _ = _fine(ctx, n, U, Phi)
+    coarse_v, _ = _coarse(ctx, n, U, Phi)
     return fine_v - coarse_v
 
 
@@ -138,16 +207,20 @@ def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
 class PararealState:
     iteration: int
     solutions: np.ndarray          # (n_slabs + 1, ms_dof)
-    histories: tuple               # (n_terms, ms_dof) history per boundary
+    histories: tuple               # (n_terms, dof) per boundary, step coords
     err: float                     # mean l2 jump from the previous iterate
+    step_solutions: np.ndarray     # solutions in step coordinates (the same
+                                   # array on the Cholesky path)
 
 
-def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable):
-    """(solutions, histories) of U^{n+1} = advance(n, U^n, Phi^n) from u0
-    and the zero history, each Phi^{n+1} rebuilt from (Phi^n, U^n, U^{n+1})
-    with the tau_c recurrence; raises if a boundary value is not finite."""
+def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable,
+           prev: Optional[PararealState] = None) -> PararealState:
+    """The state of U^{n+1} = advance(n, U^n, Phi^n) from u0 and the zero
+    history, in step coordinates, each Phi^{n+1} rebuilt from
+    (Phi^n, U^n, U^{n+1}) with the tau_c recurrence; raises if a boundary
+    value is not finite. err is measured against prev."""
     U = np.empty((ctx.n_slabs + 1, ctx.u0.size))
-    U[0] = ctx.u0
+    U[0] = ctx._u0_step
     phis = [ctx.fresh_history()]
     for n in range(ctx.n_slabs):
         U[n + 1] = advance(n, U[n], phis[n])
@@ -157,14 +230,17 @@ def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable):
         bad = int(np.where(~np.isfinite(U).all(axis=1))[0][0])
         raise RuntimeError(f"non-finite solution at iteration {iteration}, "
                            f"slab boundary {bad}")
-    return U, tuple(phis)
+    solutions = ctx.to_ms(U)
+    solutions[0] = ctx.u0
+    err = np.inf if prev is None else float(np.mean(
+        np.linalg.norm(solutions[1:] - prev.solutions[1:], axis=1)))
+    return PararealState(iteration=iteration, solutions=solutions,
+                         histories=tuple(phis), err=err, step_solutions=U)
 
 
 def initial_coarse_sweep(ctx: PropagatorContext) -> PararealState:
     """Iterate 0: the sequential coarse propagation."""
-    U, phis = _sweep(
-        ctx, 0, lambda n, u, phi: coarse_propagate(ctx, n, u, phi)[0])
-    return PararealState(iteration=0, solutions=U, histories=phis, err=np.inf)
+    return _sweep(ctx, 0, lambda n, u, phi: _coarse(ctx, n, u, phi)[0])
 
 
 def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
@@ -176,17 +252,15 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
     the key "parallel_s") and of the sequential sweep.
     """
     t0 = time.perf_counter()
-    jumps = [jump(ctx, n, prev.solutions[n], prev.histories[n])
+    jumps = [jump(ctx, n, prev.step_solutions[n], prev.histories[n])
              for n in range(ctx.n_slabs)]
     t1 = time.perf_counter()
-    k = prev.iteration + 1
-    U, phis = _sweep(ctx, k, lambda n, u, phi:
-                     jumps[n] + coarse_propagate(ctx, n, u, phi)[0])
-    err = float(np.mean(np.linalg.norm(U[1:] - prev.solutions[1:], axis=1)))
+    state = _sweep(ctx, prev.iteration + 1, lambda n, u, phi:
+                   jumps[n] + _coarse(ctx, n, u, phi)[0], prev)
     if phase_log is not None:
         phase_log["parallel_s"] = t1 - t0
         phase_log["sweep_s"] = time.perf_counter() - t1
-    return PararealState(iteration=k, solutions=U, histories=phis, err=err)
+    return state
 
 
 def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
@@ -198,9 +272,10 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     slab-phase ("parallel_s") and sweep wall times per iteration. Only the
     last state keeps its boundary histories, the one input the next
     iteration needs; earlier states hold histories=(). The solve fills a
-    load cache of its own, so it costs the same whether or not ctx has
-    solved before. `workers` is ignored: the slabs run serially, and the
-    keyword stays only because perfbench/workloads.py passes it.
+    load cache of its own and, on the modal path, computes its own modes,
+    so it costs the same whether or not ctx has solved before. `workers`
+    is ignored: the slabs run serially, and the keyword stays only because
+    perfbench/workloads.py passes it.
     """
     ctx = replace(ctx)
     t0 = time.perf_counter()
@@ -222,9 +297,7 @@ def hybrid_fixed_point(ctx: PropagatorContext) -> PararealState:
     """The exact fixed point of the iteration: fine propagation inside each
     slab with the tau_c history rebuild at slab boundaries. Feeding this
     state through wemp_iteration reproduces it."""
-    U, phis = _sweep(
-        ctx, -1, lambda n, u, phi: fine_propagate(ctx, n, u, phi)[0])
-    return PararealState(iteration=-1, solutions=U, histories=phis, err=np.inf)
+    return _sweep(ctx, -1, lambda n, u, phi: _fine(ctx, n, u, phi)[0])
 
 
 def write_iteration_csv(path, rows) -> None:

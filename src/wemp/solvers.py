@@ -12,22 +12,36 @@ the parareal propagators march one loop, soe_march, over one implicit-step
 kernel, soe_implicit_step, so their arithmetic is identical. Homogeneous
 Dirichlet data is eliminated: the fine solvers work on free dofs and the
 trajectories embed zeros back at boundary nodes.
+
+The multiscale march runs in modal coordinates when it takes at least as
+many steps as the space has columns (use_modes), else on a dense Cholesky
+factorization. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
+solve and checks it once; in c = V^T M u each step divides by
+1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the mass and
+V^T b for a load, and a solution leaves modal coordinates once, as V c. The
+decomposition costs about 130 dense steps at 833 columns and 290 at 3825
+(2 cores, OpenBLAS), so the rule keeps it well under the march it replaces.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import gamma
 
-from .fem import CoefficientField, OperatorPair, assemble_load, factorized_spd
+from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
+                  factorized_spd)
 from .soe import SOEApproximation, step_coefficients
 from .stepping import (l1_coefficients, l1_known_weights,
                        propagate_history_with, soe_caputo_known_part)
 from .msfem import MultiscaleSpace
+
+log = logging.getLogger(__name__)
 
 L1_STATE_BUDGET_BYTES = 2_000_000_000
 
@@ -113,16 +127,73 @@ def factorized_step(mass, stiffness, tau: float, alpha: float):
                           + stiffness)
 
 
+def use_modes(n_steps: int, n_columns: int) -> bool:
+    """Whether a multiscale march of n_steps steps over n_columns columns
+    runs in modal coordinates: when it takes at least n_columns steps."""
+    return n_steps >= n_columns
+
+
+@dataclass(frozen=True)
+class Modes:
+    """Generalized eigenpairs K V = M V diag(rates) of a multiscale space,
+    with V^T M V = I. An ms vector u has modal coordinates c = V^T M u and
+    u = V c; a load b becomes V^T b."""
+
+    rates: np.ndarray           # mu_i, ascending
+    vectors: np.ndarray         # V, one mode per column
+    mass: np.ndarray            # M
+
+    def to_modal(self, u: np.ndarray) -> np.ndarray:
+        """Modal coordinates of an ms vector, or of each row of a stack."""
+        return (u @ self.mass) @ self.vectors
+
+    def to_ms(self, c: np.ndarray) -> np.ndarray:
+        """ms coordinates of a modal vector, or of each row of a stack."""
+        return c @ self.vectors.T
+
+    def project_load(self, b: np.ndarray) -> np.ndarray:
+        return b @ self.vectors
+
+    def step_solve(self, tau: float, alpha: float):
+        """The solve of factorized_step in modal coordinates: a division by
+        the diagonal 1/(tau^alpha Gamma(2 - alpha)) + mu_i."""
+        diagonal = 1.0 / (tau ** alpha * float(gamma(2 - alpha))) + self.rates
+        return lambda rhs: rhs / diagonal
+
+
+def ms_modes(space: MultiscaleSpace) -> Modes:
+    """Modes of (space.ms_stiffness, space.ms_mass), checked once.
+
+    Raises if the backward error |K v - mu M v| / ((|K| + |mu| |M|) |v|) of
+    any eigenpair exceeds SOLVE_RTOL, the bound every factorized solve
+    meets.
+    """
+    K, M = space.ms_stiffness, space.ms_mass
+    mu, V = scipy.linalg.eigh(K, M)
+    res = np.linalg.norm(K @ V - (M @ V) * mu, axis=0)
+    k_norm = float(np.abs(K).sum(axis=1).max())
+    m_norm = float(np.abs(M).sum(axis=1).max())
+    worst = float(np.max(res / ((k_norm + np.abs(mu) * m_norm)
+                                * np.linalg.norm(V, axis=0))))
+    if not worst <= SOLVE_RTOL:
+        raise RuntimeError(
+            f"generalized eigendecomposition failed its check: backward "
+            f"error {worst:.3e}, rtol = {SOLVE_RTOL:.1e}")
+    log.debug("modal march over %d columns: mu in [%.4g, %.4g], largest "
+              "eigenpair backward error %.2e", mu.size, mu[0], mu[-1], worst)
+    return Modes(rates=mu, vectors=V, mass=M)
+
+
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
                       psi: np.ndarray, load_vec):
     """One implicit step of the exponential-sum scheme.
 
     Solves (M / (tau^alpha c_alpha) + A) v_next = M @ known + F and advances
     the history recurrence. `solve` must be the factorization of that left
-    matrix.
+    matrix; mass None stands for the identity of modal coordinates.
     """
     known = soe_caputo_known_part(psi, soe, coeffs.tau, v_curr, v0, t_next)
-    v_next = solve(mass @ known + load_vec)
+    v_next = solve((known if mass is None else mass @ known) + load_vec)
     return v_next, propagate_history_with(psi, coeffs, v_curr, v_next)
 
 
@@ -177,13 +248,12 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
 
 
 def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
-                    mass, stiffness, v0: np.ndarray, load: Callable):
+                    solve: Callable, mass, v0: np.ndarray, load: Callable):
     """(times, states) of the exponential-sum march from v0 with zero
-    history, on the system with the given mass and stiffness."""
+    history, on the tau_f step that `solve` and `mass` define."""
     tau = spec.tau_f
     n_steps = spec.n_fine_total
     stride = _store_stride(store, spec.m_sub)
-    solve = factorized_step(mass, stiffness, tau, spec.alpha)
     _, _, states = soe_march(solve, mass, soe, step_coefficients(soe, tau),
                              v0, v0, np.zeros((soe.n_terms, v0.size)),
                              [(n + 1) * tau for n in range(n_steps)], load,
@@ -196,9 +266,12 @@ def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
     """Fine Galerkin solution with the exponential-sum history: O(N_exp)
     state vectors instead of the full history."""
     free = ops.free_dofs
+    mass = ops.mass_free.tocsr()
     times, states = _soe_trajectory(
-        spec, soe, store, ops.mass_free.tocsr(), ops.stiffness_free,
-        spec.nodal_u0(mesh)[free], lambda t: _load_free(spec, mesh, ops, t))
+        spec, soe, store,
+        factorized_step(mass, ops.stiffness_free, spec.tau_f, spec.alpha),
+        mass, spec.nodal_u0(mesh)[free],
+        lambda t: _load_free(spec, mesh, ops, t))
     return Trajectory(times=times,
                       states=_embed(states, ops.mass.shape[0], free))
 
@@ -210,17 +283,35 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
 
     States are ms-coefficient vectors; lift with space.lift for fine-space
     error measurement. The initial state is the mass-orthogonal projection
-    of u0.
+    of u0. The march runs in modal coordinates when use_modes says so, and
+    raises if a stored state is not finite.
     """
+    v0 = space.project(spec.nodal_u0(space.mesh))
+    modes = (ms_modes(space) if use_modes(spec.n_fine_total, space.n_columns)
+             else None)
+
     def load(t):
         if spec.f is None:
             return 0.0
-        return space.basis.T @ assemble_load(space.mesh, space.fine_ops,
-                                             spec.f, t)
+        vec = space.basis.T @ assemble_load(space.mesh, space.fine_ops,
+                                            spec.f, t)
+        return vec if modes is None else modes.project_load(vec)
 
-    times, states = _soe_trajectory(
-        spec, soe, store, space.ms_mass, space.ms_stiffness,
-        space.project(spec.nodal_u0(space.mesh)), load)
+    if modes is None:
+        times, states = _soe_trajectory(
+            spec, soe, store,
+            factorized_step(space.ms_mass, space.ms_stiffness, spec.tau_f,
+                            spec.alpha), space.ms_mass, v0, load)
+    else:
+        times, states = _soe_trajectory(
+            spec, soe, store, modes.step_solve(spec.tau_f, spec.alpha), None,
+            modes.to_modal(v0), load)
+        states = modes.to_ms(states)
+        states[0] = v0
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise RuntimeError("non-finite multiscale state at t = "
+                           f"{times[np.argmin(finite)]:.6g}")
     return Trajectory(times=times, states=states)
 
 

@@ -219,6 +219,19 @@ def test_pou_support_is_neighborhood(mesh44, pou44):
     assert np.all(chi[outside] == 0.0)
 
 
+def test_vertex_values_match_the_dense_row(block_case):
+    # node sets holding a whole support, part of one, or none of it; the
+    # one-refinement case stores -0.0 entries, which the dense row reads as 0.0
+    mesh, _, pou, _ = block_case
+    rng = np.random.default_rng(3)
+    every = np.arange(mesh.n_nodes)
+    for vert in range(pou.chi.shape[0]):
+        row = pou.vertex_function(vert)
+        for nodes in (every, np.sort(rng.choice(every, 10, replace=False)),
+                      every[:0]):
+            assert same_bits(pou.vertex_values(vert, nodes), row[nodes])
+
+
 def test_pou_is_cellwise_harmonic():
     # the stiffness residual of each chi vanishes at nodes strictly inside
     # any coarse cell (it is nonzero only on the skeleton)

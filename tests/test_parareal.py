@@ -1,4 +1,5 @@
 import dataclasses
+import logging
 from collections import Counter
 
 import numpy as np
@@ -327,6 +328,72 @@ def test_nonfinite_coarse_sweep_raises(ctx44):
         ctx44, solve_coarse=lambda rhs: np.full_like(rhs, np.nan))
     with pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
         initial_coarse_sweep(broken)
+
+
+def modal_context(space44, **kw):
+    # 128 fine steps over the 81 columns of space44: the modal path
+    spec = make_spec(kappa=space44.kappa, tau_f=1.0 / 128.0, **kw)
+    return spec, build_context(spec, space44,
+                               build_soe(spec.alpha, spec.tau_f, 1e-2))
+
+
+def test_modal_context_defers_its_modes(space44, caplog):
+    # set-up neither factorizes nor decomposes; each solve decomposes once
+    _, ctx = modal_context(space44)
+    assert ctx.solve_coarse is None and ctx.solve_fine is None
+    assert "_modes" not in vars(ctx)
+    with caplog.at_level(logging.DEBUG, logger="wemp.solvers"):
+        first, _ = wemp_solve(ctx, delta=0.0, k_max=2)
+        again, _ = wemp_solve(ctx, delta=0.0, k_max=2)
+    assert len([r for r in caplog.records if r.name == "wemp.solvers"]) == 2
+    assert "_modes" not in vars(ctx)
+    for a, b in zip(first, again):
+        assert np.array_equal(a.solutions, b.solutions)
+
+
+def test_modal_chaining_and_fixed_point(space44):
+    # criterion 6 on the modal path
+    spec, ctx = modal_context(space44)
+    assert ctx._modes is not None
+    seq = multiscale_soe_solve(spec, space44, ctx.soe, store="coarse")
+    u = ctx.u0.copy()
+    phi = ctx.fresh_history()
+    chained = [u.copy()]
+    for n in range(ctx.n_slabs):
+        u, phi = fine_propagate(ctx, n, u, phi)
+        chained.append(u.copy())
+    scale = np.abs(seq.states).max()
+    assert np.abs(np.array(chained) - seq.states).max() <= 1e-12 * scale
+
+    fixed = hybrid_fixed_point(ctx)
+    once = wemp_iteration(ctx, fixed)
+    scale = np.abs(fixed.solutions).max()
+    assert np.abs(once.solutions - fixed.solutions).max() <= 1e-10 * scale
+
+
+def test_modal_states_keep_ms_solutions(space44):
+    # solutions and err in ms coordinates, step values in modal ones, and
+    # the first slab equal to the public fine propagation
+    _, ctx = modal_context(space44)
+    prev = initial_coarse_sweep(ctx)
+    state = wemp_iteration(ctx, prev)
+    modes = ctx._modes
+    assert np.array_equal(state.solutions[0], ctx.u0)
+    assert np.array_equal(state.solutions[1:],
+                          modes.to_ms(state.step_solutions)[1:])
+    assert state.err == np.mean(np.linalg.norm(
+        state.solutions[1:] - prev.solutions[1:], axis=1))
+    fine_v, _ = fine_propagate(ctx, 0, ctx.u0, ctx.fresh_history())
+    assert np.abs(state.solutions[1] - fine_v).max() <= 1e-12
+
+
+def test_modal_nonfinite_load_raises(space44):
+    def source(x, y, t):
+        return np.full_like(x, np.nan)
+    _, ctx = modal_context(space44, f=source)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
+        initial_coarse_sweep(ctx)
 
 
 def test_write_iteration_csv(tmp_path):

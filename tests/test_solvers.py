@@ -1,11 +1,14 @@
+import logging
+
 import numpy as np
 import pytest
 
+from wemp import solvers
 from wemp.experiments import generate_kappa, source_rough, source_smooth, u0_standard
-from wemp.fem import CoefficientField, assemble_operators
+from wemp.fem import CoefficientField, assemble_load, assemble_operators
 from wemp.mesh import build_mesh
 from wemp.msfem import assemble_space, build_partition_of_unity
-from wemp.soe import build_soe, build_soe_for_terms
+from wemp.soe import build_soe, build_soe_for_terms, step_coefficients
 from wemp.solvers import (
     ProblemSpec,
     Trajectory,
@@ -225,6 +228,64 @@ def test_multiscale_level_sweep_error_floor():
     assert errs[2] <= 10.0
     assert errs[1] > errs[2] > errs[3]
     assert errs[3] >= 0.2 * errs[2]
+
+
+def modal_spec(kappa, **kw):
+    # 128 steps over the 81 columns of space44: the modal path
+    return make_spec(kappa=kappa, tau_f=1.0 / 128.0, tau_c=0.125, **kw)
+
+
+def test_modal_rule():
+    assert solvers.use_modes(1000, 833)          # the desk problem
+    assert not solvers.use_modes(50, 3825)       # the scale set-up
+    assert not solvers.use_modes(64, 81)         # criterion 6 on space44
+
+
+def test_modal_march_matches_cholesky_march(space44):
+    spec = modal_spec(space44.kappa)
+    assert solvers.use_modes(spec.n_fine_total, space44.n_columns)
+    soe = build_soe(0.5, spec.tau_f, 1e-2)
+    modal = multiscale_soe_solve(spec, space44, soe)
+
+    def load(t):
+        return space44.basis.T @ assemble_load(space44.mesh, space44.fine_ops,
+                                               spec.f, t)
+    v0 = space44.project(spec.nodal_u0(space44.mesh))
+    solve = solvers.factorized_step(space44.ms_mass, space44.ms_stiffness,
+                                    spec.tau_f, spec.alpha)
+    _, _, dense = solvers.soe_march(
+        solve, space44.ms_mass, soe, step_coefficients(soe, spec.tau_f), v0,
+        v0, np.zeros((soe.n_terms, v0.size)),
+        [(n + 1) * spec.tau_f for n in range(spec.n_fine_total)], load,
+        spec.m_sub)
+    assert np.array_equal(modal.states[0], dense[0])
+    assert np.abs(modal.states - dense).max() <= 1e-6 * np.abs(dense).max()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_modal_march_rejects_nonfinite_load(space44, bad):
+    # the modal step has no residual check to refuse a non-finite
+    # right-hand side, so the stored states are checked instead
+    def source(x, y, t):
+        return np.full_like(x, bad) if t > 0.5 else source_smooth(x, y, t)
+    spec = modal_spec(space44.kappa, f=source)
+    assert solvers.use_modes(spec.n_fine_total, space44.n_columns)
+    soe = build_soe(0.5, spec.tau_f, 1e-2)
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(RuntimeError, match="non-finite"):
+        multiscale_soe_solve(spec, space44, soe)
+
+
+def test_modal_march_logs_its_modes_once(space44, caplog):
+    soe = build_soe(0.5, 1.0 / 128.0, 1e-2)
+    with caplog.at_level(logging.DEBUG, logger="wemp.solvers"):
+        multiscale_soe_solve(modal_spec(space44.kappa), space44, soe)
+        multiscale_soe_solve(make_spec(kappa=space44.kappa, tau_f=1.0 / 64.0,
+                                       tau_c=0.125), space44, soe)
+    modal = [r.getMessage() for r in caplog.records
+             if r.name == "wemp.solvers"]
+    assert len(modal) == 1
+    assert "backward error" in modal[0]
 
 
 # ------------------------------------------------------ error output
