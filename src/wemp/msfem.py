@@ -25,7 +25,7 @@ vanishes on the domain boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -293,8 +293,6 @@ class MultiscaleSpace:
     fine_ops: OperatorPair
     mesh: TwoLevelMesh
     kappa: CoefficientField
-    pou: PartitionOfUnity
-    kappa_tilde: np.ndarray = field(repr=False, default=None)
 
     @property
     def n_columns(self) -> int:
@@ -410,8 +408,7 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
     return MultiscaleSpace(level=level, basis=basis, ms_mass=ms_mass,
                            ms_stiffness=ms_stiff,
                            column_info=tuple(info[i] for i in kept),
-                           fine_ops=ops, mesh=mesh, kappa=kappa, pou=pou,
-                           kappa_tilde=kappa_tilde)
+                           fine_ops=ops, mesh=mesh, kappa=kappa)
 
 
 def edge_projection(space: MultiscaleSpace, v: np.ndarray) -> np.ndarray:

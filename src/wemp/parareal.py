@@ -17,15 +17,12 @@ integrals (see stepping.propagate_history_with). Iterate 0 (G), every update
 step. The kernel's t^(-alpha) initial-data term always uses the global clock
 and the global initial vector; slabs never restart it.
 
-The propagators step in the coordinates that solvers.use_modes picks for
-all n_slabs * m_sub fine steps: ms coordinates with the two factorizations
-of build_context, or the modal coordinates of solvers.ms_modes, whose one
-eigendecomposition per context (so per wemp_solve) is made at the first
-step. The boundary values and histories the next iteration reads stay in
-these step coordinates: an ms round trip would move the fixed point, since
-V^T M V - I reaches 8e-8 on the desk space. Each iterate's solutions are
-lifted to ms coordinates once, and fine_propagate and coarse_propagate
-take and return ms coordinates.
+The propagators step through the context's solvers.MultiscaleSteps, built
+for all n_slabs * m_sub fine steps; the solvers module docstring explains
+its two paths. The boundary values and histories the next iteration reads
+stay in its step coordinates; each iterate's solutions are lifted to ms
+coordinates once, and fine_propagate and coarse_propagate take and return
+ms coordinates.
 
 The slab propagations of one iteration are independent, but they run one
 after another in the calling thread, and there is no worker option: the
@@ -46,11 +43,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import fem
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import (Modes, ProblemSpec, factorized_step, ms_modes,
-                      soe_march, use_modes)
+from .solvers import MultiscaleSteps, ProblemSpec, multiscale_steps, soe_march
 from .stepping import propagate_history_with
 
 # one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
@@ -70,59 +65,28 @@ class PropagatorContext:
     tau_f: float
     m_sub: int
     n_slabs: int
-    solve_coarse: Optional[Callable]   # None on the modal path
-    solve_fine: Optional[Callable]
+    steps: MultiscaleSteps         # the tau_c and tau_f steps
     # projected loads by instant; not an init field, so replace() starts empty
     _loads: dict = field(default_factory=dict, init=False, repr=False,
                          compare=False)
 
     @cached_property
-    def _modes(self) -> Optional[Modes]:
-        """The modes of the space on the modal path, None on the Cholesky
-        path. Computed on first use and kept by this context only, so
-        replace() starts without them, as it starts without loads."""
-        if not use_modes(self.n_slabs * self.m_sub, self.space.n_columns):
-            return None
-        return ms_modes(self.space)
-
-    def _step(self, tau: float, solve: Optional[Callable]) -> tuple:
-        """(solve, mass) of the step of size tau in step coordinates; solve
-        is that step's factorization on the Cholesky path."""
-        if self._modes is None:
-            return solve, self.space.ms_mass
-        return self._modes.step_solve(tau, self.soe.alpha), None
-
-    @cached_property
     def _u0_step(self) -> np.ndarray:
-        return self.to_step(self.u0)
-
-    def to_step(self, x: np.ndarray) -> np.ndarray:
-        """Step coordinates of an ms vector, history or stack of vectors."""
-        return x if self._modes is None else self._modes.to_modal(x)
-
-    def to_ms(self, c: np.ndarray) -> np.ndarray:
-        """ms coordinates of step coordinates, the inverse of to_step."""
-        return c if self._modes is None else self._modes.to_ms(c)
+        return self.steps.to_step(self.u0)
 
     def load(self, t: float):
-        """basis.T @ assemble_load(..., t) in step coordinates, computed once
-        per float t.
+        """steps.load(f, t), computed once per float t.
 
-        On the modal path that is V^T basis.T @ assemble_load(..., t), so
-        the cache holds modal loads. The key is the float itself: the coarse
-        (n+1)*tau_c and the fine n*tau_c + m_sub*tau_f name the same instant
-        but may differ in the last bit, and each must get its own load. The
-        cache keeps loads while they fit in LOAD_CACHE_BUDGET_BYTES and
-        recomputes the rest.
+        The key is the float itself: the coarse (n+1)*tau_c and the fine
+        n*tau_c + m_sub*tau_f name the same instant but may differ in the
+        last bit, and each must get its own load. The cache keeps loads
+        while they fit in LOAD_CACHE_BUDGET_BYTES and recomputes the rest.
         """
         if self.f is None:
             return 0.0
         vec = self._loads.get(t)
         if vec is None:
-            vec = self.space.basis.T @ fem.assemble_load(
-                self.space.mesh, self.space.fine_ops, self.f, t)
-            if self._modes is not None:
-                vec = self._modes.project_load(vec)
+            vec = self.steps.load(self.f, t)
             vec.flags.writeable = False
             if (len(self._loads) + 1) * vec.nbytes <= LOAD_CACHE_BUDGET_BYTES:
                 self._loads[t] = vec
@@ -135,41 +99,35 @@ class PropagatorContext:
 
 def build_context(spec: ProblemSpec, space: MultiscaleSpace,
                   soe: SOEApproximation) -> PropagatorContext:
-    """The propagators of spec on space. On the Cholesky path this
-    factorizes the coarse and the fine step; the modal path defers its
-    eigendecomposition to the first step."""
+    """The propagators of spec on space, with the steps of
+    solvers.multiscale_steps: on the Cholesky path this factorizes each
+    distinct step size once."""
     if spec.m_sub < 1:
         raise ValueError("tau_c must be at least tau_f")
     u0 = space.project(spec.nodal_u0(space.mesh))
-    solve_c = solve_f = None
-    if not use_modes(spec.n_fine_total, space.n_columns):
-        solve_c = factorized_step(space.ms_mass, space.ms_stiffness,
-                                  spec.tau_c, spec.alpha)
-        solve_f = factorized_step(space.ms_mass, space.ms_stiffness,
-                                  spec.tau_f, spec.alpha)
+    steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
+                             (spec.tau_c, spec.tau_f))
     return PropagatorContext(space=space, soe=soe,
                              coarse_coeffs=step_coefficients(soe, spec.tau_c),
                              fine_coeffs=step_coefficients(soe, spec.tau_f),
                              u0=u0, f=spec.f, tau_c=spec.tau_c,
                              tau_f=spec.tau_f, m_sub=spec.m_sub,
-                             n_slabs=spec.n_coarse,
-                             solve_coarse=solve_c, solve_fine=solve_f)
+                             n_slabs=spec.n_coarse, steps=steps)
 
 
 def _coarse(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
     """coarse_propagate in step coordinates."""
-    solve, mass = ctx._step(ctx.tau_c, ctx.solve_coarse)
-    v, psi, _ = soe_march(solve, mass, ctx.soe, ctx.coarse_coeffs, U,
-                          ctx._u0_step, Phi, [(n + 1) * ctx.tau_c], ctx.load)
+    v, psi, _ = soe_march(*ctx.steps.step(ctx.tau_c), ctx.soe,
+                          ctx.coarse_coeffs, U, ctx._u0_step, Phi,
+                          [(n + 1) * ctx.tau_c], ctx.load)
     return v, psi
 
 
 def _fine(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
     """fine_propagate in step coordinates."""
-    solve, mass = ctx._step(ctx.tau_f, ctx.solve_fine)
     t_start = n * ctx.tau_c
-    v, psi, _ = soe_march(solve, mass, ctx.soe, ctx.fine_coeffs, U,
-                          ctx._u0_step, Phi,
+    v, psi, _ = soe_march(*ctx.steps.step(ctx.tau_f), ctx.soe,
+                          ctx.fine_coeffs, U, ctx._u0_step, Phi,
                           [t_start + (j + 1) * ctx.tau_f
                            for j in range(ctx.m_sub)], ctx.load)
     return v, psi
@@ -179,16 +137,16 @@ def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
                      Phi: np.ndarray):
     """One tau_c step from T^n; returns (solution, history at T^{n+1}).
     Arguments and results are in ms coordinates."""
-    v, psi = _coarse(ctx, n, ctx.to_step(U), ctx.to_step(Phi))
-    return ctx.to_ms(v), ctx.to_ms(psi)
+    v, psi = _coarse(ctx, n, ctx.steps.to_step(U), ctx.steps.to_step(Phi))
+    return ctx.steps.to_ms(v), ctx.steps.to_ms(psi)
 
 
 def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
                    Phi: np.ndarray):
     """m_sub tau_f steps through slab n; global clock for the kernel terms.
     Arguments and results are in ms coordinates."""
-    v, psi = _fine(ctx, n, ctx.to_step(U), ctx.to_step(Phi))
-    return ctx.to_ms(v), ctx.to_ms(psi)
+    v, psi = _fine(ctx, n, ctx.steps.to_step(U), ctx.steps.to_step(Phi))
+    return ctx.steps.to_ms(v), ctx.steps.to_ms(psi)
 
 
 def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
@@ -230,7 +188,7 @@ def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable,
         bad = int(np.where(~np.isfinite(U).all(axis=1))[0][0])
         raise RuntimeError(f"non-finite solution at iteration {iteration}, "
                            f"slab boundary {bad}")
-    solutions = ctx.to_ms(U)
+    solutions = ctx.steps.to_ms(U)
     solutions[0] = ctx.u0
     err = np.inf if prev is None else float(np.mean(
         np.linalg.norm(solutions[1:] - prev.solutions[1:], axis=1)))
@@ -277,7 +235,7 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     is ignored: the slabs run serially, and the keyword stays only because
     perfbench/workloads.py passes it.
     """
-    ctx = replace(ctx)
+    ctx = replace(ctx, steps=replace(ctx.steps))
     t0 = time.perf_counter()
     states = [initial_coarse_sweep(ctx)]
     timings = [{"k": 0, "parallel_s": 0.0, "sweep_s": time.perf_counter() - t0}]

@@ -13,20 +13,27 @@ kernel, soe_implicit_step, so their arithmetic is identical. Homogeneous
 Dirichlet data is eliminated: the fine solvers work on free dofs and the
 trajectories embed zeros back at boundary nodes.
 
-The multiscale march runs in modal coordinates when it takes at least as
-many steps as the space has columns (use_modes), else on a dense Cholesky
-factorization. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
-solve and checks it once; in c = V^T M u each step divides by
+A multiscale march, sequential or parareal, steps through MultiscaleSteps,
+the one owner of how it steps. multiscale_steps picks the path for the
+march's total step count: modal coordinates when it takes at least as many
+steps as the space has columns (use_modes), else ms coordinates with one
+dense Cholesky factorization per step size, made when the steps are built.
+ms_modes solves K V = M V diag(mu), V^T M V = I, once per march, at its
+first step, and checks it once; in c = V^T M u each step divides by
 1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the mass and
 V^T b for a load, and a solution leaves modal coordinates once, as V c. The
 decomposition costs about 130 dense steps at 833 columns and 290 at 3825
 (2 cores, OpenBLAS), so the rule keeps it well under the march it replaces.
+A march keeps its states and histories in these step coordinates and
+converts only what it returns: an ms round trip per step would move the
+answer, since V^T M V - I reaches 8e-8 on the desk space.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,36 +140,10 @@ def use_modes(n_steps: int, n_columns: int) -> bool:
     return n_steps >= n_columns
 
 
-@dataclass(frozen=True)
-class Modes:
-    """Generalized eigenpairs K V = M V diag(rates) of a multiscale space,
-    with V^T M V = I. An ms vector u has modal coordinates c = V^T M u and
-    u = V c; a load b becomes V^T b."""
-
-    rates: np.ndarray           # mu_i, ascending
-    vectors: np.ndarray         # V, one mode per column
-    mass: np.ndarray            # M
-
-    def to_modal(self, u: np.ndarray) -> np.ndarray:
-        """Modal coordinates of an ms vector, or of each row of a stack."""
-        return (u @ self.mass) @ self.vectors
-
-    def to_ms(self, c: np.ndarray) -> np.ndarray:
-        """ms coordinates of a modal vector, or of each row of a stack."""
-        return c @ self.vectors.T
-
-    def project_load(self, b: np.ndarray) -> np.ndarray:
-        return b @ self.vectors
-
-    def step_solve(self, tau: float, alpha: float):
-        """The solve of factorized_step in modal coordinates: a division by
-        the diagonal 1/(tau^alpha Gamma(2 - alpha)) + mu_i."""
-        diagonal = 1.0 / (tau ** alpha * float(gamma(2 - alpha))) + self.rates
-        return lambda rhs: rhs / diagonal
-
-
-def ms_modes(space: MultiscaleSpace) -> Modes:
-    """Modes of (space.ms_stiffness, space.ms_mass), checked once.
+def ms_modes(space: MultiscaleSpace) -> tuple:
+    """(mu, V): the generalized eigenpairs K V = M V diag(mu) of
+    (space.ms_stiffness, space.ms_mass), mu ascending and V^T M V = I,
+    checked once.
 
     Raises if the backward error |K v - mu M v| / ((|K| + |mu| |M|) |v|) of
     any eigenpair exceeds SOLVE_RTOL, the bound every factorized solve
@@ -181,7 +162,66 @@ def ms_modes(space: MultiscaleSpace) -> Modes:
             f"error {worst:.3e}, rtol = {SOLVE_RTOL:.1e}")
     log.debug("modal march over %d columns: mu in [%.4g, %.4g], largest "
               "eigenpair backward error %.2e", mu.size, mu[0], mu[-1], worst)
-    return Modes(rates=mu, vectors=V, mass=M)
+    return mu, V
+
+
+@dataclass(frozen=True)
+class MultiscaleSteps:
+    """The implicit steps of one multiscale march, in its step coordinates:
+    ms coordinates, or modal ones when `modal` (see the module docstring).
+
+    On the Cholesky path `solves` holds the factorized_step of each step
+    size. On the modal path the modes are computed at first use and kept
+    by this object only, so replace(steps) starts without them while it
+    shares any factorizations.
+    """
+
+    space: MultiscaleSpace
+    alpha: float
+    modal: bool
+    solves: dict               # step size -> factorized_step; empty if modal
+
+    @cached_property
+    def _modes(self) -> tuple:
+        return ms_modes(self.space)
+
+    def step(self, tau: float) -> tuple:
+        """(solve, mass) of the step of size tau for soe_march; mass None
+        stands for the identity of modal coordinates."""
+        if not self.modal:
+            return self.solves[tau], self.space.ms_mass
+        diagonal = (1.0 / (tau ** self.alpha * float(gamma(2 - self.alpha)))
+                    + self._modes[0])
+        return (lambda rhs: rhs / diagonal), None
+
+    def to_step(self, u: np.ndarray) -> np.ndarray:
+        """Step coordinates of an ms vector, history or stack of vectors."""
+        return (u @ self.space.ms_mass) @ self._modes[1] if self.modal else u
+
+    def to_ms(self, c: np.ndarray) -> np.ndarray:
+        """ms coordinates of step coordinates, the inverse of to_step."""
+        return c @ self._modes[1].T if self.modal else c
+
+    def load(self, f: Optional[Callable], t: float):
+        """basis.T @ assemble_load(..., f, t) in step coordinates; 0.0 when
+        f is None."""
+        if f is None:
+            return 0.0
+        vec = self.space.basis.T @ assemble_load(
+            self.space.mesh, self.space.fine_ops, f, t)
+        return vec @ self._modes[1] if self.modal else vec
+
+
+def multiscale_steps(space: MultiscaleSpace, alpha: float, n_steps: int,
+                     taus) -> MultiscaleSteps:
+    """The steps of a march of n_steps steps on space, of the sizes in taus.
+    The Cholesky path factorizes each distinct size once, here; the modal
+    path defers its eigendecomposition to the first step."""
+    if use_modes(n_steps, space.n_columns):
+        return MultiscaleSteps(space, alpha, True, {})
+    return MultiscaleSteps(space, alpha, False, {
+        tau: factorized_step(space.ms_mass, space.ms_stiffness, tau, alpha)
+        for tau in dict.fromkeys(taus)})
 
 
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
@@ -283,31 +323,17 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
 
     States are ms-coefficient vectors; lift with space.lift for fine-space
     error measurement. The initial state is the mass-orthogonal projection
-    of u0. The march runs in modal coordinates when use_modes says so, and
+    of u0. The march runs in the step coordinates of multiscale_steps, and
     raises if a stored state is not finite.
     """
     v0 = space.project(spec.nodal_u0(space.mesh))
-    modes = (ms_modes(space) if use_modes(spec.n_fine_total, space.n_columns)
-             else None)
-
-    def load(t):
-        if spec.f is None:
-            return 0.0
-        vec = space.basis.T @ assemble_load(space.mesh, space.fine_ops,
-                                            spec.f, t)
-        return vec if modes is None else modes.project_load(vec)
-
-    if modes is None:
-        times, states = _soe_trajectory(
-            spec, soe, store,
-            factorized_step(space.ms_mass, space.ms_stiffness, spec.tau_f,
-                            spec.alpha), space.ms_mass, v0, load)
-    else:
-        times, states = _soe_trajectory(
-            spec, soe, store, modes.step_solve(spec.tau_f, spec.alpha), None,
-            modes.to_modal(v0), load)
-        states = modes.to_ms(states)
-        states[0] = v0
+    steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
+                             (spec.tau_f,))
+    times, states = _soe_trajectory(spec, soe, store, *steps.step(spec.tau_f),
+                                    steps.to_step(v0),
+                                    partial(steps.load, spec.f))
+    states = steps.to_ms(states)
+    states[0] = v0
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise RuntimeError("non-finite multiscale state at t = "

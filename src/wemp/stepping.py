@@ -72,9 +72,10 @@ def propagate_history_with(psi: np.ndarray, coeffs: StepCoefficients,
         raise ValueError("history term count does not match the coefficients")
     if psi.shape[1] != np.shape(v_prev)[-1] or psi.shape[1] != np.shape(v_next)[-1]:
         raise ValueError("history and vectors disagree in dof count")
-    return (coeffs.decay[:, None] * psi
-            + np.outer(coeffs.c1, v_prev)
-            + np.outer(coeffs.c2, v_next))
+    out = coeffs.decay[:, None] * psi
+    out += coeffs.c1[:, None] * v_prev
+    out += coeffs.c2[:, None] * v_next
+    return out
 
 
 def soe_caputo_known_part(psi: np.ndarray, soe: SOEApproximation, tau: float,

@@ -12,7 +12,7 @@ import inspect
 import sys
 from pathlib import Path
 
-from wemp import experiments, msfem, parareal, solvers
+from wemp import experiments, msfem, parareal, soe, solvers
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,3 +54,20 @@ def test_workload_keywords_and_attributes():
     assert {"solutions", "err"} <= fields
     fields = {f.name for f in dataclasses.fields(solvers.Trajectory)}
     assert {"times", "states"} <= fields
+
+
+def test_context_attributes(space44):
+    # perfbench/workloads.py check() reads ctx.u0 and ctx.fresh_history()
+    # and passes them to fine_propagate; perfbench/selftest.py reads
+    # ctx.n_slabs and ctx.m_sub
+    spec = solvers.ProblemSpec(alpha=0.5, T=0.5, tau_f=1.0 / 32, tau_c=0.125,
+                               u0=experiments.u0_standard, f=None,
+                               kappa=space44.kappa, level=1, epsilon=1e-2)
+    ctx = parareal.build_context(spec, space44,
+                                 soe.build_soe(0.5, spec.tau_f, 1e-2))
+    assert (ctx.n_slabs, ctx.m_sub) == (4, 4)
+    history = ctx.fresh_history()
+    assert ctx.u0.shape == (space44.n_columns,)
+    assert history.shape == (ctx.soe.n_terms, space44.n_columns)
+    v, psi = parareal.fine_propagate(ctx, 0, ctx.u0.copy(), history)
+    assert v.shape == ctx.u0.shape and psi.shape == history.shape

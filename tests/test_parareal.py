@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import gamma
 
-from wemp import parareal
+from wemp import fem, parareal, solvers
 from wemp.experiments import source_smooth, u0_standard
 from wemp.fem import assemble_load
 from wemp.msfem import MultiscaleSpace
@@ -42,8 +42,7 @@ def scalar_space(rate=1.0):
     return MultiscaleSpace(level=0, basis=sp.identity(1, format="csr"),
                            ms_mass=np.eye(1), ms_stiffness=rate * np.eye(1),
                            column_info=((0, "corrector", -1, 0),),
-                           fine_ops=ops, mesh=mesh, kappa=None, pou=None,
-                           kappa_tilde=None)
+                           fine_ops=ops, mesh=mesh, kappa=None)
 
 
 @pytest.fixture(scope="module")
@@ -315,19 +314,49 @@ def test_replaced_context_starts_with_empty_load_cache(ctx44):
     assert np.array_equal(other.load(ctx.tau_c), 2.0 * ctx.load(ctx.tau_c))
 
 
+def nan_coarse_solve(ctx):
+    """ctx with a tau_c solve that returns NaN (a Cholesky-path context)."""
+    steps = dataclasses.replace(ctx.steps, solves={
+        **ctx.steps.solves, ctx.tau_c: lambda rhs: np.full_like(rhs, np.nan)})
+    return dataclasses.replace(ctx, steps=steps)
+
+
 def test_nonfinite_solution_raises(ctx44):
-    broken = dataclasses.replace(
-        ctx44, solve_coarse=lambda rhs: np.full_like(rhs, np.nan))
+    broken = nan_coarse_solve(ctx44)
     with pytest.raises(RuntimeError, match="slab"):
         wemp_iteration(broken, initial_coarse_sweep(ctx44))
 
 
 def test_nonfinite_coarse_sweep_raises(ctx44):
     # iterate 0 runs through the same sweep, so it is checked too
-    broken = dataclasses.replace(
-        ctx44, solve_coarse=lambda rhs: np.full_like(rhs, np.nan))
+    broken = nan_coarse_solve(ctx44)
     with pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
         initial_coarse_sweep(broken)
+
+
+def counting_factorizations(monkeypatch):
+    calls = []
+
+    def factorized_spd(matrix):
+        calls.append(matrix.shape)
+        return fem.factorized_spd(matrix)
+    monkeypatch.setattr(solvers, "factorized_spd", factorized_spd)
+    return calls
+
+
+def test_equal_steps_factorize_once(space44, monkeypatch):
+    # tau_c = tau_f (m_sub = 1): one distinct step size, one factorization
+    calls = counting_factorizations(monkeypatch)
+    spec = make_spec(kappa=space44.kappa, tau_c=1.0 / 64.0)
+    build_context(spec, space44, build_soe(spec.alpha, spec.tau_f, 1e-2))
+    assert calls == [(space44.n_columns, space44.n_columns)]
+
+
+def test_solve_reuses_the_context_factorizations(ctx44, monkeypatch):
+    # the Cholesky path factorizes in build_context, never in wemp_solve
+    calls = counting_factorizations(monkeypatch)
+    wemp_solve(ctx44, delta=0.0, k_max=1)
+    assert calls == []
 
 
 def modal_context(space44, **kw):
@@ -340,13 +369,13 @@ def modal_context(space44, **kw):
 def test_modal_context_defers_its_modes(space44, caplog):
     # set-up neither factorizes nor decomposes; each solve decomposes once
     _, ctx = modal_context(space44)
-    assert ctx.solve_coarse is None and ctx.solve_fine is None
-    assert "_modes" not in vars(ctx)
+    assert ctx.steps.modal and ctx.steps.solves == {}
+    assert "_modes" not in vars(ctx.steps)
     with caplog.at_level(logging.DEBUG, logger="wemp.solvers"):
         first, _ = wemp_solve(ctx, delta=0.0, k_max=2)
         again, _ = wemp_solve(ctx, delta=0.0, k_max=2)
     assert len([r for r in caplog.records if r.name == "wemp.solvers"]) == 2
-    assert "_modes" not in vars(ctx)
+    assert "_modes" not in vars(ctx.steps)
     for a, b in zip(first, again):
         assert np.array_equal(a.solutions, b.solutions)
 
@@ -354,7 +383,7 @@ def test_modal_context_defers_its_modes(space44, caplog):
 def test_modal_chaining_and_fixed_point(space44):
     # criterion 6 on the modal path
     spec, ctx = modal_context(space44)
-    assert ctx._modes is not None
+    assert ctx.steps.modal
     seq = multiscale_soe_solve(spec, space44, ctx.soe, store="coarse")
     u = ctx.u0.copy()
     phi = ctx.fresh_history()
@@ -377,10 +406,9 @@ def test_modal_states_keep_ms_solutions(space44):
     _, ctx = modal_context(space44)
     prev = initial_coarse_sweep(ctx)
     state = wemp_iteration(ctx, prev)
-    modes = ctx._modes
     assert np.array_equal(state.solutions[0], ctx.u0)
     assert np.array_equal(state.solutions[1:],
-                          modes.to_ms(state.step_solutions)[1:])
+                          ctx.steps.to_ms(state.step_solutions)[1:])
     assert state.err == np.mean(np.linalg.norm(
         state.solutions[1:] - prev.solutions[1:], axis=1))
     fine_v, _ = fine_propagate(ctx, 0, ctx.u0, ctx.fresh_history())
