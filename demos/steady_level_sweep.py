@@ -61,8 +61,8 @@ def main():
         t0 = time.perf_counter()
         space = assemble_space(mesh, kappa, pou, level)
         dt = time.perf_counter() - t0
-        coeff = np.linalg.solve(space.ms_stiffness,
-                                np.asarray(space.basis.T @ load).ravel())
+        coeff = solve_spd(space.ms_stiffness,
+                          np.asarray(space.basis.T @ load).ravel())
         diff = u - np.asarray(space.basis @ coeff).ravel()[free]
         err = 100.0 * float(np.sqrt(diff @ (A @ diff))) / energy
         eta = eta_indicator(H, level, kappa, ktilde)

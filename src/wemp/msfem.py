@@ -287,8 +287,8 @@ def eta_indicator(H: float, level: int, kappa: CoefficientField,
 class MultiscaleSpace:
     level: int
     basis: sp.csr_matrix            # fine dofs x ms dofs
-    ms_mass: np.ndarray             # dense, SPD after filtering
-    ms_stiffness: np.ndarray
+    ms_mass: sp.csr_matrix          # SPD after filtering
+    ms_stiffness: sp.csr_matrix
     column_info: tuple              # (vertex, kind, side, wavelet index) per column
     fine_ops: OperatorPair
     mesh: TwoLevelMesh
@@ -402,9 +402,9 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
             "the local problems look degenerate")
     basis = raw[:, kept].tocsr()
     # the Gram matrix already holds basis.T @ M @ basis, entry for entry
-    ms_mass = gram[np.ix_(kept, kept)]
-    ms_stiff = (basis.T @ (ops.stiffness @ basis)).toarray()
-    ms_stiff = 0.5 * (ms_stiff + ms_stiff.T)
+    ms_mass = sp.csr_matrix(gram[np.ix_(kept, kept)])
+    ms_stiff = basis.T @ (ops.stiffness @ basis)
+    ms_stiff = ((ms_stiff + ms_stiff.T) * 0.5).tocsr()
     return MultiscaleSpace(level=level, basis=basis, ms_mass=ms_mass,
                            ms_stiffness=ms_stiff,
                            column_info=tuple(info[i] for i in kept),

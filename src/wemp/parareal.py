@@ -55,7 +55,6 @@ LOAD_CACHE_BUDGET_BYTES = 256_000_000
 
 @dataclass(frozen=True)
 class PropagatorContext:
-    space: MultiscaleSpace
     soe: SOEApproximation
     coarse_coeffs: StepCoefficients
     fine_coeffs: StepCoefficients
@@ -100,14 +99,14 @@ class PropagatorContext:
 def build_context(spec: ProblemSpec, space: MultiscaleSpace,
                   soe: SOEApproximation) -> PropagatorContext:
     """The propagators of spec on space, with the steps of
-    solvers.multiscale_steps: on the Cholesky path this factorizes each
+    solvers.multiscale_steps: on the factorized path this factorizes each
     distinct step size once."""
     if spec.m_sub < 1:
         raise ValueError("tau_c must be at least tau_f")
     u0 = space.project(spec.nodal_u0(space.mesh))
     steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
                              (spec.tau_c, spec.tau_f))
-    return PropagatorContext(space=space, soe=soe,
+    return PropagatorContext(soe=soe,
                              coarse_coeffs=step_coefficients(soe, spec.tau_c),
                              fine_coeffs=step_coefficients(soe, spec.tau_f),
                              u0=u0, f=spec.f, tau_c=spec.tau_c,
@@ -154,7 +153,7 @@ def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
     """Correction S = (fine - coarse) solution over one slab.
 
     The iteration's slab step, so U, Phi and S are in step coordinates
-    (ms coordinates on the Cholesky path); PararealState holds its inputs.
+    (ms coordinates on the factorized path); PararealState holds its inputs.
     """
     fine_v, _ = _fine(ctx, n, U, Phi)
     coarse_v, _ = _coarse(ctx, n, U, Phi)
@@ -168,7 +167,7 @@ class PararealState:
     histories: tuple               # (n_terms, dof) per boundary, step coords
     err: float                     # mean l2 jump from the previous iterate
     step_solutions: np.ndarray     # solutions in step coordinates (the same
-                                   # array on the Cholesky path)
+                                   # array on the factorized path)
 
 
 def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable,

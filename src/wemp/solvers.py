@@ -17,13 +17,16 @@ A multiscale march, sequential or parareal, steps through MultiscaleSteps,
 the one owner of how it steps. multiscale_steps picks the path for the
 march's total step count: modal coordinates when it takes at least as many
 steps as the space has columns (use_modes), else ms coordinates with one
-dense Cholesky factorization per step size, made when the steps are built.
-ms_modes solves K V = M V diag(mu), V^T M V = I, once per march, at its
-first step, and checks it once; in c = V^T M u each step divides by
-1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the mass and
-V^T b for a load, and a solution leaves modal coordinates once, as V c. The
-decomposition costs about 130 dense steps at 833 columns and 290 at 3825
-(2 cores, OpenBLAS), so the rule keeps it well under the march it replaces.
+sparse factorization (fem.factorized_spd) per step size, made when the
+steps are built. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
+march, at its first step, and checks it once; in c = V^T M u each step
+divides by 1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the
+mass and V^T b for a load, and a solution leaves modal coordinates once, as
+V c. The decomposition costs about 260 sparse steps at 833 columns and 1800
+at 3825, and a modal step saves about 0.66 and 0.79 of a sparse one (2
+OpenBLAS threads, medians of 5 and 3). So modes pay for themselves from
+about 0.5 to 0.6 n_columns steps, and at n_columns steps the decomposition
+costs under half the sparse march it replaces.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
@@ -150,7 +153,7 @@ def ms_modes(space: MultiscaleSpace) -> tuple:
     meets.
     """
     K, M = space.ms_stiffness, space.ms_mass
-    mu, V = scipy.linalg.eigh(K, M)
+    mu, V = scipy.linalg.eigh(K.toarray(), M.toarray())
     res = np.linalg.norm(K @ V - (M @ V) * mu, axis=0)
     k_norm = float(np.abs(K).sum(axis=1).max())
     m_norm = float(np.abs(M).sum(axis=1).max())
@@ -170,7 +173,7 @@ class MultiscaleSteps:
     """The implicit steps of one multiscale march, in its step coordinates:
     ms coordinates, or modal ones when `modal` (see the module docstring).
 
-    On the Cholesky path `solves` holds the factorized_step of each step
+    On the factorized path `solves` holds the factorized_step of each step
     size. On the modal path the modes are computed at first use and kept
     by this object only, so replace(steps) starts without them while it
     shares any factorizations.
@@ -215,7 +218,7 @@ class MultiscaleSteps:
 def multiscale_steps(space: MultiscaleSpace, alpha: float, n_steps: int,
                      taus) -> MultiscaleSteps:
     """The steps of a march of n_steps steps on space, of the sizes in taus.
-    The Cholesky path factorizes each distinct size once, here; the modal
+    The factorized path factorizes each distinct size once, here; the modal
     path defers its eigendecomposition to the first step."""
     if use_modes(n_steps, space.n_columns):
         return MultiscaleSteps(space, alpha, True, {})

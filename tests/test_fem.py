@@ -87,20 +87,17 @@ def test_load_integrates_linear_source(mesh44, ops44):
     assert load.sum() == pytest.approx(0.5 + 1.0 + 0.25, rel=1e-12)
 
 
-def test_solve_spd_dense_and_sparse():
-    a = np.array([[2.0, 1.0], [1.0, 2.0]])
+def test_solve_spd_sparse():
+    a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     x = solve_spd(a, np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0])
-    xs = solve_spd(sp.csc_matrix(a), np.array([1.0, 1.0]))
-    assert np.allclose(xs, [1.0 / 3.0, 1.0 / 3.0])
 
 
-@pytest.mark.parametrize("sparse", [False, True])
-def test_block_solve_equals_column_solves(sparse):
+def test_block_solve_equals_column_solves():
     rng = np.random.default_rng(6)
     b = rng.standard_normal((30, 30))
     a = b @ b.T + 30.0 * np.eye(30)
-    solve = factorized_spd(sp.csc_matrix(a) if sparse else a)
+    solve = factorized_spd(sp.csc_matrix(a))
     rhs = rng.standard_normal((30, 5)) * np.logspace(-3, 3, 5)
     block = solve(rhs)
     for j in range(5):
@@ -118,13 +115,10 @@ def test_residual_check_is_per_column():
     _check_residual(np.eye(2), 1.0, rhs.copy(), rhs)
 
 
-@pytest.mark.parametrize("sparse", [False, True])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_solve_rejects_nonfinite_rhs(sparse, bad):
-    # the dense solve skips scipy's finite scan; the residual check must
-    # still refuse a right-hand side holding NaN or inf
+def test_solve_rejects_nonfinite_rhs(bad):
     a = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
-    solve = factorized_spd(sp.csc_matrix(a) if sparse else a)
+    solve = factorized_spd(sp.csc_matrix(a))
     with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
         solve(np.array([1.0, bad, 2.0]))
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from wemp.experiments import generate_kappa
 from wemp.fem import (CoefficientField, assemble_operators,
                       assemble_submesh_operators, triangle_geometry, norms)
 from wemp.mesh import build_mesh, coarse_neighborhood, node_rectangle
@@ -47,7 +48,10 @@ def lift_per_column(mesh, kappa, rect, traces):
     remap = {g: i for i, g in enumerate(local_nodes)}
     bnd = np.array([remap[g] for g in neighborhood_boundary_nodes(rect)])
     inner = np.setdiff1d(np.arange(local_nodes.size), bnd)
-    lu = spla.splu(A[inner][:, inner].tocsc()) if inner.size else None
+    # the factorization settings of fem.factorized_spd
+    lu = spla.splu(A[inner][:, inner].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                   diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True}) if inner.size else None
     out = np.zeros((local_nodes.size, traces.shape[1]))
     for j in range(traces.shape[1]):
         out[bnd, j] = traces[:, j]
@@ -481,12 +485,27 @@ def test_space_columns_are_local(mesh44, space44):
 
 def test_space_galerkin_matrices(mesh44, ops44, space44):
     b = space44.basis
-    assert np.allclose(space44.ms_mass, (b.T @ (ops44.mass @ b)).toarray(),
-                       atol=1e-14)
-    assert np.allclose(space44.ms_stiffness,
-                       (b.T @ (ops44.stiffness @ b)).toarray(), atol=1e-13)
-    assert np.linalg.eigvalsh(space44.ms_mass).min() > 0
-    assert np.linalg.eigvalsh(space44.ms_stiffness).min() > 0
+    mass, stiffness = space44.ms_mass.toarray(), space44.ms_stiffness.toarray()
+    assert np.allclose(mass, (b.T @ (ops44.mass @ b)).toarray(), atol=1e-14)
+    assert np.allclose(stiffness, (b.T @ (ops44.stiffness @ b)).toarray(),
+                       atol=1e-13)
+    assert np.linalg.eigvalsh(mass).min() > 0
+    assert np.linalg.eigvalsh(stiffness).min() > 0
+
+
+def test_space_matrices_are_symmetric_csr(space44):
+    # the symmetric-mode factorization of fem.factorized_spd takes them
+    # as they are stored
+    mesh = build_mesh(4, 8)
+    kappa = generate_kappa("contrast-inclusions",
+                           {"contrast": 1e4, "count": 6, "size": 4},
+                           mesh, seed=7)
+    inclusions = assemble_space(mesh, kappa,
+                                build_partition_of_unity(mesh, kappa), 2)
+    for space in (space44, inclusions):
+        for matrix in (space.ms_mass, space.ms_stiffness):
+            assert matrix.format == "csr"
+            assert abs(matrix - matrix.T).nnz == 0
 
 
 def test_gram_filter_drops_duplicates_and_zeros():

@@ -40,7 +40,8 @@ def scalar_space(rate=1.0):
     """Single-dof stand-in space so the slab machinery runs scalar tests."""
     mesh, ops = single_dof_setup(rate)
     return MultiscaleSpace(level=0, basis=sp.identity(1, format="csr"),
-                           ms_mass=np.eye(1), ms_stiffness=rate * np.eye(1),
+                           ms_mass=sp.identity(1, format="csr"),
+                           ms_stiffness=rate * sp.identity(1, format="csr"),
                            column_info=((0, "corrector", -1, 0),),
                            fine_ops=ops, mesh=mesh, kappa=None)
 
@@ -278,7 +279,7 @@ def test_load_cache_holds_exact_read_only_loads(ctx44):
     state = initial_coarse_sweep(ctx)
     for _ in range(3):
         state = wemp_iteration(ctx, state)
-    space = ctx.space
+    space = ctx.steps.space
     assert set(ctx._loads) == load_instants(ctx)
     for t, vec in ctx._loads.items():
         fresh = space.basis.T @ assemble_load(space.mesh, space.fine_ops,
