@@ -160,6 +160,20 @@ def assemble_load(mesh: TwoLevelMesh, op: OperatorPair, f, t: float) -> np.ndarr
     return op.mass @ f(x, y, t)
 
 
+def assemble_loads(mesh: TwoLevelMesh, op: OperatorPair, f,
+                   times) -> np.ndarray:
+    """assemble_load at every instant of times, one column each, from one
+    call of f and one sparse product, column for column the same numbers.
+
+    f gets the node coordinates as (n_nodes, 1) columns and the instants as
+    a row, and its result must broadcast to (n_nodes, len(times)).
+    """
+    x = mesh.fine_node_coords[:, :1]
+    y = mesh.fine_node_coords[:, 1:]
+    t = np.asarray(times, dtype=np.float64)
+    return op.mass @ np.broadcast_to(f(x, y, t), (x.shape[0], t.size))
+
+
 def solve_spd(matrix, rhs: np.ndarray) -> np.ndarray:
     """Solve an SPD system with a checked direct factorization."""
     return factorized_spd(matrix)(rhs)

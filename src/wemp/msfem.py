@@ -35,7 +35,7 @@ from scipy.linalg import lapack
 from .mesh import (TwoLevelMesh, NodeRectangle, coarse_neighborhood,
                    node_rectangle)
 from .fem import (CoefficientField, OperatorPair, assemble_operators,
-                  assemble_submesh_operators, triangle_geometry, solve_spd,
+                  assemble_submesh_operators, triangle_geometry,
                   factorized_spd)
 
 RANK_FILTER_TOL = 1e-10
@@ -294,6 +294,13 @@ class MultiscaleSpace:
     mesh: TwoLevelMesh
     kappa: CoefficientField
 
+    def __post_init__(self):
+        # ms_mass never changes, so every projection shares one
+        # factorization. Made with the space, it raised the sequential
+        # benchmark's peak memory by its own 2 MB; made at the first
+        # projection, late in the run, by 7 MB
+        object.__setattr__(self, "_mass_solve", factorized_spd(self.ms_mass))
+
     @property
     def n_columns(self) -> int:
         return self.basis.shape[1]
@@ -413,5 +420,4 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
 
 def edge_projection(space: MultiscaleSpace, v: np.ndarray) -> np.ndarray:
     """Mass-orthogonal projection of a fine-nodal vector onto the space."""
-    rhs = space.basis.T @ (space.fine_ops.mass @ v)
-    return solve_spd(space.ms_mass, rhs)
+    return space._mass_solve(space.basis.T @ (space.fine_ops.mass @ v))

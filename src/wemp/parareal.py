@@ -2,9 +2,10 @@
 
 The time axis splits into M_c slabs of width tau_c. The coarse propagator G
 is one implicit tau_c step; the fine propagator F runs m_sub implicit tau_f
-steps through a slab. Both are soe_march calls. Each iteration recomputes,
-slab by slab, the fine and coarse propagations of the previous iterate,
-forms the jumps S = F_1 - G_1, then sweeps sequentially:
+steps through a slab. Both are soe_march calls (but see the slab map
+below). Each iteration recomputes, slab by slab, the fine and coarse
+propagations of the previous iterate, forms the jumps S = F_1 - G_1, then
+sweeps sequentially:
 
     U_k^n = S(T^{n-1}, U_{k-1}^{n-1}; Phi_{k-1}^{n-1})
           + G(T^{n-1}, U_k^{n-1}; Phi_k^{n-1})_1,
@@ -24,21 +25,28 @@ stay in its step coordinates; each iterate's solutions are lifted to ms
 coordinates once, and fine_propagate and coarse_propagate take and return
 ms coordinates.
 
-The slab propagations of one iteration are independent, but they run one
-after another in the calling thread, and there is no worker option: the
-per-step cost is the history recurrence and the solve, which already use
-the BLAS threads, and slab threads on top of them oversubscribe the cores
-and slow the iteration down. The context caches each projected load by its
-instant, so the k-th iteration re-evaluates no load an earlier one has
-seen; wemp_solve gives each solve a fresh cache, which holds at most
-LOAD_CACHE_BUDGET_BYTES.
+On the modal path F's solution at the end of slab n is exactly affine in
+the iterate, rho * U + sum_j sigma_j * Phi_j + r_n
+(solvers.MultiscaleSteps.slab_map), so jump and hybrid_fixed_point read it
+off a map built once per context instead of marching. fine_propagate,
+coarse_propagate and the factorized path march step by step.
+
+Loads come in blocks (MultiscaleSteps.load_block): one for the coarse
+instants and one per slab for the fine ones. The modal map reads each fine
+block once; the factorized path keeps them for the context's life,
+n_fine_total vectors, fewer than the space has columns (use_modes). Each
+wemp_solve runs on a fresh copy of the context, so it evaluates every
+instant once.
+
+The slab jumps of one iteration are independent, but they run one after
+another in the calling thread; there is no worker option.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -47,10 +55,6 @@ from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .solvers import MultiscaleSteps, ProblemSpec, multiscale_steps, soe_march
 from .stepping import propagate_history_with
-
-# one ms_dof float64 vector per instant, about (n_fine_total + n_slabs) of
-# them; past this many bytes loads are recomputed instead of cached
-LOAD_CACHE_BUDGET_BYTES = 256_000_000
 
 
 @dataclass(frozen=True)
@@ -65,31 +69,40 @@ class PropagatorContext:
     m_sub: int
     n_slabs: int
     steps: MultiscaleSteps         # the tau_c and tau_f steps
-    # projected loads by instant; not an init field, so replace() starts empty
-    _loads: dict = field(default_factory=dict, init=False, repr=False,
-                         compare=False)
+    # fine load blocks by slab, made at a slab's first march; not an init
+    # field, so replace() starts empty
+    _fine_loads: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @cached_property
     def _u0_step(self) -> np.ndarray:
         return self.steps.to_step(self.u0)
 
-    def load(self, t: float):
-        """steps.load(f, t), computed once per float t.
+    @cached_property
+    def _coarse_loads(self) -> np.ndarray:
+        """The loads at the slab ends (n + 1) tau_c, one row per slab."""
+        return self.steps.load_block(
+            self.f, [(n + 1) * self.tau_c for n in range(self.n_slabs)])
 
-        The key is the float itself: the coarse (n+1)*tau_c and the fine
-        n*tau_c + m_sub*tau_f name the same instant but may differ in the
-        last bit, and each must get its own load. The cache keeps loads
-        while they fit in LOAD_CACHE_BUDGET_BYTES and recomputes the rest.
-        """
-        if self.f is None:
-            return 0.0
-        vec = self._loads.get(t)
-        if vec is None:
-            vec = self.steps.load(self.f, t)
-            vec.flags.writeable = False
-            if (len(self._loads) + 1) * vec.nbytes <= LOAD_CACHE_BUDGET_BYTES:
-                self._loads[t] = vec
-        return vec
+    def _fine_instants(self, n: int) -> list:
+        # the fine clock restarts from n * tau_c in every slab
+        return [n * self.tau_c + (j + 1) * self.tau_f
+                for j in range(self.m_sub)]
+
+    def _slab_loads(self, n: int) -> np.ndarray:
+        """The load block of slab n's fine instants, made once per context."""
+        if n not in self._fine_loads:
+            self._fine_loads[n] = self.steps.load_block(
+                self.f, self._fine_instants(n))
+        return self._fine_loads[n]
+
+    @cached_property
+    def _slab_map(self) -> tuple:
+        """steps.slab_map of the fine propagator over every slab (modal
+        path only)."""
+        return self.steps.slab_map(
+            self.soe, self.fine_coeffs, self._u0_step, self.f,
+            [self._fine_instants(n) for n in range(self.n_slabs)])
 
     def fresh_history(self) -> np.ndarray:
         """The zero history, (n_terms, ms_dof)."""
@@ -118,18 +131,26 @@ def _coarse(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
     """coarse_propagate in step coordinates."""
     v, psi, _ = soe_march(*ctx.steps.step(ctx.tau_c), ctx.soe,
                           ctx.coarse_coeffs, U, ctx._u0_step, Phi,
-                          [(n + 1) * ctx.tau_c], ctx.load)
+                          [(n + 1) * ctx.tau_c], ctx._coarse_loads[n:n + 1])
     return v, psi
 
 
 def _fine(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
     """fine_propagate in step coordinates."""
-    t_start = n * ctx.tau_c
     v, psi, _ = soe_march(*ctx.steps.step(ctx.tau_f), ctx.soe,
                           ctx.fine_coeffs, U, ctx._u0_step, Phi,
-                          [t_start + (j + 1) * ctx.tau_f
-                           for j in range(ctx.m_sub)], ctx.load)
+                          ctx._fine_instants(n), ctx._slab_loads(n))
     return v, psi
+
+
+def _fine_end(ctx: PropagatorContext, n: int, U: np.ndarray,
+              Phi: np.ndarray) -> np.ndarray:
+    """The solution of _fine(ctx, n, U, Phi): read off the slab map on the
+    modal path, marched on the factorized one."""
+    if not ctx.steps.modal:
+        return _fine(ctx, n, U, Phi)[0]
+    rho, sigma, offsets = ctx._slab_map
+    return rho * U + np.einsum("jd,jd->d", sigma, Phi) + offsets[n]
 
 
 def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
@@ -155,9 +176,7 @@ def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
     The iteration's slab step, so U, Phi and S are in step coordinates
     (ms coordinates on the factorized path); PararealState holds its inputs.
     """
-    fine_v, _ = _fine(ctx, n, U, Phi)
-    coarse_v, _ = _coarse(ctx, n, U, Phi)
-    return fine_v - coarse_v
+    return _fine_end(ctx, n, U, Phi) - _coarse(ctx, n, U, Phi)[0]
 
 
 @dataclass(frozen=True)
@@ -228,9 +247,9 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     (states[0] is the coarse sweep); timings is a list of dicts with the
     slab-phase ("parallel_s") and sweep wall times per iteration. Only the
     last state keeps its boundary histories, the one input the next
-    iteration needs; earlier states hold histories=(). The solve fills a
-    load cache of its own and, on the modal path, computes its own modes,
-    so it costs the same whether or not ctx has solved before. `workers`
+    iteration needs; earlier states hold histories=(). The solve makes its
+    own loads and, on the modal path, its own modes and slab map, so it
+    costs the same whether or not ctx has solved before. `workers`
     is ignored: the slabs run serially, and the keyword stays only because
     perfbench/workloads.py passes it.
     """
@@ -254,7 +273,7 @@ def hybrid_fixed_point(ctx: PropagatorContext) -> PararealState:
     """The exact fixed point of the iteration: fine propagation inside each
     slab with the tau_c history rebuild at slab boundaries. Feeding this
     state through wemp_iteration reproduces it."""
-    return _sweep(ctx, -1, lambda n, u, phi: _fine(ctx, n, u, phi)[0])
+    return _sweep(ctx, -1, partial(_fine_end, ctx))
 
 
 def write_iteration_csv(path, rows) -> None:

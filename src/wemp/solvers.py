@@ -30,6 +30,13 @@ costs under half the sparse march it replaces.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
+
+A multiscale march takes its loads in blocks (MultiscaleSteps.load_block):
+one call of f over a row of instants (fem.assemble_loads), the sparse
+projection, the same numbers as basis.T @ assemble_load per instant, and on
+the modal path one dense product. On the modal path slab_map also folds m_sub
+fine steps into one exact affine map, which parareal reads instead of
+marching.
 """
 
 from __future__ import annotations
@@ -45,8 +52,8 @@ import scipy.sparse as sp
 from scipy.special import gamma
 
 from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
-                  factorized_spd)
-from .soe import SOEApproximation, step_coefficients
+                  assemble_loads, factorized_spd)
+from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .stepping import (l1_coefficients, l1_known_weights,
                        propagate_history_with, soe_caputo_known_part)
 from .msfem import MultiscaleSpace
@@ -54,6 +61,8 @@ from .msfem import MultiscaleSpace
 log = logging.getLogger(__name__)
 
 L1_STATE_BUDGET_BYTES = 2_000_000_000
+# instants per load block of a sequential multiscale march
+LOAD_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -63,7 +72,10 @@ class ProblemSpec:
     tau_f: float
     tau_c: float
     u0: Callable                      # (x, y) -> nodal values
-    f: Optional[Callable]             # (x, y, t) -> nodal values, or None for zero
+    # (x, y, t) -> nodal values, or None for zero; a multiscale march calls
+    # it with (n_nodes, 1) coordinate columns and a row of instants t, and
+    # the result must broadcast to (n_nodes, len(t)) (fem.assemble_loads)
+    f: Optional[Callable]
     kappa: Optional[CoefficientField]
     level: int
     epsilon: float
@@ -153,7 +165,10 @@ def ms_modes(space: MultiscaleSpace) -> tuple:
     meets.
     """
     K, M = space.ms_stiffness, space.ms_mass
-    mu, V = scipy.linalg.eigh(K.toarray(), M.toarray())
+    # Fortran-order throwaway copies let LAPACK work in place: 11 MB less
+    # peak memory at 833 columns, the same eigenpairs bit for bit
+    mu, V = scipy.linalg.eigh(K.toarray(order="F"), M.toarray(order="F"),
+                              overwrite_a=True, overwrite_b=True)
     res = np.linalg.norm(K @ V - (M @ V) * mu, axis=0)
     k_norm = float(np.abs(K).sum(axis=1).max())
     m_norm = float(np.abs(M).sum(axis=1).max())
@@ -205,14 +220,56 @@ class MultiscaleSteps:
         """ms coordinates of step coordinates, the inverse of to_step."""
         return c @ self._modes[1].T if self.modal else c
 
-    def load(self, f: Optional[Callable], t: float):
-        """basis.T @ assemble_load(..., f, t) in step coordinates; 0.0 when
-        f is None."""
+    def load_block(self, f: Optional[Callable], times) -> np.ndarray:
+        """basis.T @ assemble_load(..., f, t) in step coordinates for each
+        instant t of times, one row each, zeros when f is None: one
+        evaluation of f, its sparse products and, in modal coordinates, one
+        dense product."""
         if f is None:
-            return 0.0
-        vec = self.space.basis.T @ assemble_load(
-            self.space.mesh, self.space.fine_ops, f, t)
-        return vec @ self._modes[1] if self.modal else vec
+            return np.zeros((len(times), self.space.n_columns))
+        block = (self.space.basis.T @ assemble_loads(
+            self.space.mesh, self.space.fine_ops, f, times)).T
+        return block @ self._modes[1] if self.modal else block
+
+    def load_rows(self, f: Optional[Callable], times):
+        """The rows of load_block(f, times), made LOAD_CHUNK instants at a
+        time, so a march holds one chunk of loads however long it is."""
+        for start in range(0, len(times), LOAD_CHUNK):
+            yield from self.load_block(f, times[start:start + LOAD_CHUNK])
+
+    def slab_map(self, soe: SOEApproximation, coeffs: StepCoefficients,
+                 v0: np.ndarray, f: Optional[Callable], slabs) -> tuple:
+        """(rho, sigma, offsets): the modal march through the instants of
+        each slab in slabs, all with the steps of coeffs, as one affine map.
+
+        From start state (u, psi) the solution after slab n is
+        rho * u + sum_j sigma_j * psi_j + offsets[n], exactly up to
+        rounding, since modes do not couple. One backward pass over the
+        step recurrence gives rho, sigma and the weight g/d of each step's
+        forcing q = v0 t^(-alpha) / Gamma(1 - alpha) + load; offsets[n]
+        contracts the weights with slab n's forcing.
+        """
+        if not self.modal:
+            raise ValueError("the slab map needs modal coordinates")
+        alpha = self.alpha
+        scale = 1.0 / (coeffs.tau ** alpha * float(gamma(2 - alpha)))
+        d = scale + self._modes[0]
+        g1 = float(gamma(1 - alpha))
+        beta = alpha * soe.weights / g1
+        m_sub = len(slabs[0])
+        rho, sigma = np.ones_like(d), np.zeros((soe.n_terms, d.size))
+        weights = np.empty((m_sub, d.size))
+        for s in reversed(range(m_sub)):
+            weights[s] = (rho + coeffs.c2 @ sigma) / d
+            rho = alpha * scale * weights[s] + coeffs.c1 @ sigma
+            sigma *= coeffs.decay[:, None]
+            sigma += np.outer(beta, weights[s])
+        offsets = np.empty((len(slabs), d.size))
+        for n, instants in enumerate(slabs):
+            kernel = np.array([1.0 / t ** alpha for t in instants]) / g1
+            offsets[n] = (kernel @ weights) * v0 + np.einsum(
+                "sd,sd->d", weights, self.load_block(f, instants))
+        return rho, sigma, offsets
 
 
 def multiscale_steps(space: MultiscaleSpace, alpha: float, n_steps: int,
@@ -241,10 +298,11 @@ def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
 
 
 def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
-              load: Callable, stride: int = 0):
+              loads, stride: int = 0):
     """soe_implicit_step from state (v, psi) through each float of `instants`.
 
-    load(t) gives the load vector at instant t. Returns (v, psi, snapshots):
+    loads yields the load vector of each instant in turn. Returns
+    (v, psi, snapshots):
     the final state and, for stride > 0, the start and every stride-th step
     stacked in an array (None for stride 0). Only the snapshots are stored.
     """
@@ -252,9 +310,9 @@ def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
     if stride:
         snapshots = np.empty((len(instants) // stride + 1, v.size))
         snapshots[0] = v
-    for n, t in enumerate(instants, 1):
+    for n, (t, load) in enumerate(zip(instants, loads, strict=True), 1):
         v, psi = soe_implicit_step(solve, mass, soe, coeffs, v, v0, t, psi,
-                                   load(t))
+                                   load)
         if stride and n % stride == 0:
             snapshots[n // stride] = v
     return v, psi, snapshots
@@ -291,16 +349,17 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
 
 
 def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
-                    solve: Callable, mass, v0: np.ndarray, load: Callable):
+                    solve: Callable, mass, v0: np.ndarray, loads: Callable):
     """(times, states) of the exponential-sum march from v0 with zero
-    history, on the tau_f step that `solve` and `mass` define."""
+    history, on the tau_f step that `solve` and `mass` define; loads(instants)
+    yields the load of each instant in turn."""
     tau = spec.tau_f
     n_steps = spec.n_fine_total
     stride = _store_stride(store, spec.m_sub)
+    instants = [(n + 1) * tau for n in range(n_steps)]
     _, _, states = soe_march(solve, mass, soe, step_coefficients(soe, tau),
                              v0, v0, np.zeros((soe.n_terms, v0.size)),
-                             [(n + 1) * tau for n in range(n_steps)], load,
-                             stride)
+                             instants, loads(instants), stride)
     return np.arange(0, n_steps + 1, stride) * tau, states
 
 
@@ -314,7 +373,7 @@ def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
         spec, soe, store,
         factorized_step(mass, ops.stiffness_free, spec.tau_f, spec.alpha),
         mass, spec.nodal_u0(mesh)[free],
-        lambda t: _load_free(spec, mesh, ops, t))
+        lambda instants: (_load_free(spec, mesh, ops, t) for t in instants))
     return Trajectory(times=times,
                       states=_embed(states, ops.mass.shape[0], free))
 
@@ -334,7 +393,7 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
                              (spec.tau_f,))
     times, states = _soe_trajectory(spec, soe, store, *steps.step(spec.tau_f),
                                     steps.to_step(v0),
-                                    partial(steps.load, spec.f))
+                                    partial(steps.load_rows, spec.f))
     states = steps.to_ms(states)
     states[0] = v0
     finite = np.isfinite(states).all(axis=1)

@@ -12,6 +12,8 @@ import inspect
 import sys
 from pathlib import Path
 
+import pytest
+
 from wemp import experiments, msfem, parareal, soe, solvers
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -71,3 +73,27 @@ def test_context_attributes(space44):
     assert history.shape == (ctx.soe.n_terms, space44.n_columns)
     v, psi = parareal.fine_propagate(ctx, 0, ctx.u0.copy(), history)
     assert v.shape == ctx.u0.shape and psi.shape == history.shape
+
+
+@pytest.mark.parametrize("tau_f", [1.0 / 32, 1.0 / 128])
+def test_iteration_calls_jump_once_per_slab(space44, monkeypatch, tau_f):
+    # perfbench/spans.py times the slab phase from the parareal.jump spans
+    # under each wemp_iteration span, and its layer_metrics raises without
+    # them: wemp_iteration must call the module attribute once per slab, on
+    # the factorized path (32 steps) and on the modal one (128 steps)
+    spec = solvers.ProblemSpec(alpha=0.5, T=1.0, tau_f=tau_f, tau_c=0.125,
+                               u0=experiments.u0_standard,
+                               f=experiments.source_smooth,
+                               kappa=space44.kappa, level=1, epsilon=1e-2)
+    ctx = parareal.build_context(spec, space44,
+                                 soe.build_soe(0.5, spec.tau_f, 1e-2))
+    assert ctx.steps.modal == (tau_f == 1.0 / 128)
+    slabs = []
+    jump = parareal.jump
+
+    def counting_jump(ctx, n, U, Phi):
+        slabs.append(n)
+        return jump(ctx, n, U, Phi)
+    monkeypatch.setattr(parareal, "jump", counting_jump)
+    parareal.wemp_iteration(ctx, parareal.initial_coarse_sweep(ctx))
+    assert slabs == list(range(ctx.n_slabs))

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import gamma
 
-from wemp import fem, parareal, solvers
+from wemp import fem, msfem, parareal, solvers
 from wemp.experiments import source_smooth, u0_standard
 from wemp.fem import assemble_load
 from wemp.msfem import MultiscaleSpace
@@ -245,74 +245,56 @@ def test_wemp_solve_keeps_only_the_last_histories(ctx44):
 
 
 def counting_context(ctx):
-    calls = Counter()
+    calls = []
 
     def source(x, y, t):
-        calls[t] += 1
+        calls.append(np.atleast_1d(t).tolist())
         return source_smooth(x, y, t)
     return dataclasses.replace(ctx, f=source), calls
 
 
 def load_instants(ctx):
-    # every instant either propagator asks for, as each computes it
-    coarse = {(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)}
-    return coarse | {n * ctx.tau_c + (j + 1) * ctx.tau_f
-                     for n in range(ctx.n_slabs) for j in range(ctx.m_sub)}
+    # every instant either propagator steps to, once per propagator: a slab
+    # end is both a coarse and a fine instant
+    coarse = [(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)]
+    return Counter(coarse + [n * ctx.tau_c + (j + 1) * ctx.tau_f
+                             for n in range(ctx.n_slabs)
+                             for j in range(ctx.m_sub)])
 
 
-def test_load_cache_evaluates_each_instant_once(ctx44):
-    ctx, calls = counting_context(ctx44)
+@pytest.mark.parametrize("modal", [False, True])
+def test_each_load_instant_is_evaluated_once_per_solve(space44, ctx44, modal):
+    ctx, calls = counting_context(modal_context(space44)[1] if modal
+                                  else ctx44)
+    assert ctx.steps.modal == modal
     states, _ = wemp_solve(ctx, delta=0.0, k_max=3)
-    assert set(calls) == load_instants(ctx)
-    assert set(calls.values()) == {1}
-    # the cache belongs to the solve: a second solve starts cold
-    assert ctx._loads == {}
+    # one block for the coarse instants and one per slab for the fine ones
+    assert len(calls) == 1 + ctx.n_slabs
+    assert Counter(t for call in calls for t in call) == load_instants(ctx)
+    # the loads belong to the solve: a second solve evaluates them again
     again, _ = wemp_solve(ctx, delta=0.0, k_max=3)
-    assert set(calls.values()) == {2}
+    assert len(calls) == 2 * (1 + ctx.n_slabs)
     for a, b in zip(states, again):
         assert np.array_equal(a.solutions, b.solutions)
 
 
-def test_load_cache_holds_exact_read_only_loads(ctx44):
-    ctx, _ = counting_context(ctx44)
-    # the steps of wemp_solve, on ctx itself so its cache can be read
-    state = initial_coarse_sweep(ctx)
-    for _ in range(3):
-        state = wemp_iteration(ctx, state)
-    space = ctx.steps.space
-    assert set(ctx._loads) == load_instants(ctx)
-    for t, vec in ctx._loads.items():
-        fresh = space.basis.T @ assemble_load(space.mesh, space.fine_ops,
-                                              source_smooth, t)
-        assert np.array_equal(vec, fresh)
-        assert not vec.flags.writeable
-        assert ctx.load(t) is vec
-    with pytest.raises(ValueError):
-        vec[0] = 1.0
-
-
-def test_load_cache_stops_at_its_budget(ctx44, monkeypatch):
-    ctx, calls = counting_context(ctx44)
-    full, _ = wemp_solve(ctx, delta=0.0, k_max=3)
-    monkeypatch.setattr(parareal, "LOAD_CACHE_BUDGET_BYTES",
-                        3 * ctx.u0.nbytes)
-    for t in (0.25, 0.5, 0.75, 1.0):
-        ctx.load(t)
-    assert list(ctx._loads) == [0.25, 0.5, 0.75]
-    assert not ctx.load(1.0).flags.writeable
-    assert calls[1.0] == 3                # the solve, then two uncached calls
-    capped, _ = wemp_solve(ctx, delta=0.0, k_max=3)
-    for a, b in zip(full, capped):
-        assert np.array_equal(a.solutions, b.solutions)
-
-
-def test_replaced_context_starts_with_empty_load_cache(ctx44):
-    ctx, _ = counting_context(ctx44)
-    ctx.load(ctx.tau_c)
-    assert len(ctx._loads) == 1
-    other = dataclasses.replace(ctx, f=lambda x, y, t: 2.0 * x * y * t)
-    assert other._loads == {}
-    assert np.array_equal(other.load(ctx.tau_c), 2.0 * ctx.load(ctx.tau_c))
+@pytest.mark.parametrize("modal", [False, True])
+def test_load_blocks_match_per_instant_loads(space44, ctx44, modal):
+    ctx = modal_context(space44)[1] if modal else ctx44
+    steps = ctx.steps
+    assert steps.modal == modal
+    blocks = [(ctx._fine_instants(n), ctx._slab_loads(n))
+              for n in (0, ctx.n_slabs - 1)]
+    blocks.append(([(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)],
+                   ctx._coarse_loads))
+    for instants, block in blocks:
+        assert block.shape == (len(instants), space44.n_columns)
+        for t, row in zip(instants, block):
+            fresh = space44.basis.T @ assemble_load(
+                space44.mesh, space44.fine_ops, source_smooth, t)
+            if modal:
+                fresh = fresh @ steps._modes[1]
+            assert np.linalg.norm(row - fresh) <= 1e-14 * np.linalg.norm(fresh)
 
 
 def nan_coarse_solve(ctx):
@@ -423,6 +405,61 @@ def test_modal_nonfinite_load_raises(space44):
     with np.errstate(invalid="ignore"), \
             pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
         initial_coarse_sweep(ctx)
+
+
+@pytest.mark.parametrize("case", ["space44", "scalar"])
+def test_slab_map_matches_the_fine_march(space44, case):
+    if case == "space44":
+        _, ctx = modal_context(space44)
+    else:
+        spec = make_spec(u0=lambda x, y: np.ones_like(x),
+                         f=lambda x, y, t: np.cos(3.0 * t) + 0.0 * x,
+                         tau_f=1.0 / 128.0)
+        ctx = build_context(spec, scalar_space(2.0),
+                            build_soe(spec.alpha, spec.tau_f, 1e-2))
+    assert ctx.steps.modal
+    rng = np.random.default_rng(5)
+    for n in (0, 1, ctx.n_slabs // 2, ctx.n_slabs - 1):
+        U = rng.standard_normal(ctx.u0.size)
+        Phi = rng.standard_normal((ctx.soe.n_terms, ctx.u0.size))
+        marched, _ = parareal._fine(ctx, n, U, Phi)
+        mapped = parareal._fine_end(ctx, n, U, Phi)
+        assert (np.linalg.norm(mapped - marched)
+                <= 1e-12 * np.linalg.norm(marched))
+
+
+def test_modal_solve_steps_only_the_coarse_step(space44, monkeypatch):
+    # the slab map replaces every fine step of the solve
+    _, ctx = modal_context(space44)
+    taus = []
+    step = solvers.soe_implicit_step
+
+    def recording(solve, mass, soe, coeffs, *args):
+        taus.append(coeffs.tau)
+        return step(solve, mass, soe, coeffs, *args)
+    monkeypatch.setattr(solvers, "soe_implicit_step", recording)
+    wemp_solve(ctx, delta=0.0, k_max=2)
+    # the coarse sweep, then per iteration the jumps' and the sweep's steps
+    assert taus == [ctx.tau_c] * (ctx.n_slabs * (1 + 2 * 2))
+
+
+def test_one_space_factorizes_its_mass_once(space44, monkeypatch):
+    # build_context and multiscale_soe_solve both project u0 on the modal
+    # path, which factorizes no step; the projections share the
+    # factorization of ms_mass that the space makes
+    calls = []
+
+    def factorized_spd(matrix):
+        calls.append(matrix.shape)
+        return fem.factorized_spd(matrix)
+    monkeypatch.setattr(msfem, "factorized_spd", factorized_spd)
+    monkeypatch.setattr(solvers, "factorized_spd", factorized_spd)
+    space = dataclasses.replace(space44)
+    spec = make_spec(kappa=space.kappa, tau_f=1.0 / 128.0)
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    build_context(spec, space, soe)
+    multiscale_soe_solve(spec, space, soe)
+    assert calls == [(space.n_columns, space.n_columns)]
 
 
 def test_write_iteration_csv(tmp_path):

@@ -253,10 +253,10 @@ def test_modal_march_matches_cholesky_march(space44):
     v0 = space44.project(spec.nodal_u0(space44.mesh))
     solve = solvers.factorized_step(space44.ms_mass, space44.ms_stiffness,
                                     spec.tau_f, spec.alpha)
+    instants = [(n + 1) * spec.tau_f for n in range(spec.n_fine_total)]
     _, _, dense = solvers.soe_march(
         solve, space44.ms_mass, soe, step_coefficients(soe, spec.tau_f), v0,
-        v0, np.zeros((soe.n_terms, v0.size)),
-        [(n + 1) * spec.tau_f for n in range(spec.n_fine_total)], load,
+        v0, np.zeros((soe.n_terms, v0.size)), instants, map(load, instants),
         spec.m_sub)
     assert np.array_equal(modal.states[0], dense[0])
     assert np.abs(modal.states - dense).max() <= 1e-6 * np.abs(dense).max()
@@ -267,7 +267,7 @@ def test_modal_march_rejects_nonfinite_load(space44, bad):
     # the modal step has no residual check to refuse a non-finite
     # right-hand side, so the stored states are checked instead
     def source(x, y, t):
-        return np.full_like(x, bad) if t > 0.5 else source_smooth(x, y, t)
+        return np.where(t > 0.5, bad, source_smooth(x, y, t))
     spec = modal_spec(space44.kappa, f=source)
     assert solvers.use_modes(spec.n_fine_total, space44.n_columns)
     soe = build_soe(0.5, spec.tau_f, 1e-2)
