@@ -339,14 +339,15 @@ def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
     return solver.local_nodes, block, info
 
 
-def _pivoted_gram_filter(gram: np.ndarray, tol: float) -> np.ndarray:
+def _pivoted_gram_filter(gram: sp.csr_matrix, tol: float) -> np.ndarray:
     """Column subset selection by diagonally pivoted Cholesky (dpstrf).
 
-    The Gram matrix is scaled to unit diagonal, so the factorization stops
-    when the best remaining residual diagonal, relative to the column's own
-    squared norm, drops to tol. A column is dropped for its length alone
-    only when its squared norm is zero, however short it is against the
-    others. Returns kept indices, sorted.
+    The sparse Gram matrix is scaled to unit diagonal into the one dense
+    array that dpstrf factors in place, so the factorization stops when the
+    best remaining residual diagonal, relative to the column's own squared
+    norm, drops to tol. A column is dropped for its length alone only when
+    its squared norm is zero, however short it is against the others.
+    Returns kept indices, sorted.
     """
     d0 = gram.diagonal()
     if np.any(d0 < -tol * d0.max()):
@@ -356,11 +357,10 @@ def _pivoted_gram_filter(gram: np.ndarray, tol: float) -> np.ndarray:
     positive = d0 > 0.0
     s = np.zeros_like(d0)
     s[positive] = 1.0 / np.sqrt(d0[positive])
-    scaled = np.outer(s, s)
-    scaled *= gram
-    # exactly symmetric, so its transpose is the Fortran-ordered array that
-    # dpstrf factors in place
-    _, piv, rank, info = lapack.dpstrf(scaled.T, tol=tol, overwrite_a=True)
+    g = gram.tocoo()
+    scaled = np.zeros(gram.shape, order="F")
+    scaled[g.row, g.col] = s[g.row] * s[g.col] * g.data
+    _, piv, rank, info = lapack.dpstrf(scaled, tol=tol, overwrite_a=True)
     if info < 0:
         raise RuntimeError(f"dpstrf rejected its argument {-info}")
     return np.sort(piv[:rank] - 1)
@@ -400,8 +400,9 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(mesh.n_nodes, len(info))).tocsr()
 
-    gram = (raw.T @ (ops.mass @ raw)).toarray()
-    gram = 0.5 * (gram + gram.T)
+    gram = raw.T @ (ops.mass @ raw)
+    gram = ((gram + gram.T) * 0.5).tocsr()
+    gram.eliminate_zeros()          # entries that cancel are not kept
     kept = _pivoted_gram_filter(gram, RANK_FILTER_TOL)
     if kept.size < 0.5 * len(info):
         raise RuntimeError(
@@ -409,7 +410,7 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
             "the local problems look degenerate")
     basis = raw[:, kept].tocsr()
     # the Gram matrix already holds basis.T @ M @ basis, entry for entry
-    ms_mass = sp.csr_matrix(gram[np.ix_(kept, kept)])
+    ms_mass = gram[kept][:, kept]
     ms_stiff = basis.T @ (ops.stiffness @ basis)
     ms_stiff = ((ms_stiff + ms_stiff.T) * 0.5).tocsr()
     return MultiscaleSpace(level=level, basis=basis, ms_mass=ms_mass,

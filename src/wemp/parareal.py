@@ -1,11 +1,13 @@
 """Parareal iteration over the multiscale exponential-sum scheme.
 
 The time axis splits into M_c slabs of width tau_c. The coarse propagator G
-is one implicit tau_c step; the fine propagator F runs m_sub implicit tau_f
-steps through a slab. Both are soe_march calls (but see the slab map
-below). Each iteration recomputes, slab by slab, the fine and coarse
-propagations of the previous iterate, forms the jumps S = F_1 - G_1, then
-sweeps sequentially:
+is one implicit tau_c step, to (n + 1) tau_c; the fine propagator F runs
+m_sub implicit tau_f steps through slab n on the sequential march's clock,
+solvers.slab_instants(n, m_sub, tau_f). Both are soe_march calls (but see
+the slab map below), so F chained over the slabs is the sequential
+multiscale march, bit for bit on the factorized path. Each iteration
+recomputes, slab by slab, the fine and coarse propagations of the previous
+iterate, forms the jumps S = F_1 - G_1, then sweeps sequentially:
 
     U_k^n = S(T^{n-1}, U_{k-1}^{n-1}; Phi_{k-1}^{n-1})
           + G(T^{n-1}, U_k^{n-1}; Phi_k^{n-1})_1,
@@ -32,11 +34,11 @@ off a map built once per context instead of marching. fine_propagate,
 coarse_propagate and the factorized path march step by step.
 
 Loads come in blocks (MultiscaleSteps.load_block): one for the coarse
-instants and one per slab for the fine ones. The modal map reads each fine
-block once; the factorized path keeps them for the context's life,
-n_fine_total vectors, fewer than the space has columns (use_modes). Each
-wemp_solve runs on a fresh copy of the context, so it evaluates every
-instant once.
+instants and one per slab for the fine ones, as in the sequential march.
+The modal map reads each fine block once; the factorized path keeps them
+for the context's life, n_fine_total vectors, fewer than the space has
+columns (use_modes). Each wemp_solve runs on a fresh copy of the context,
+so it evaluates every instant once.
 
 The slab jumps of one iteration are independent, but they run one after
 another in the calling thread; there is no worker option.
@@ -53,7 +55,8 @@ import numpy as np
 
 from .msfem import MultiscaleSpace
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import MultiscaleSteps, ProblemSpec, multiscale_steps, soe_march
+from .solvers import (MultiscaleSteps, ProblemSpec, multiscale_steps,
+                      slab_instants, soe_march)
 from .stepping import propagate_history_with
 
 
@@ -64,8 +67,6 @@ class PropagatorContext:
     fine_coeffs: StepCoefficients
     u0: np.ndarray                 # global initial ms vector
     f: Optional[Callable]
-    tau_c: float
-    tau_f: float
     m_sub: int
     n_slabs: int
     steps: MultiscaleSteps         # the tau_c and tau_f steps
@@ -73,6 +74,14 @@ class PropagatorContext:
     # field, so replace() starts empty
     _fine_loads: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+
+    @property
+    def tau_c(self) -> float:
+        return self.coarse_coeffs.tau
+
+    @property
+    def tau_f(self) -> float:
+        return self.fine_coeffs.tau
 
     @cached_property
     def _u0_step(self) -> np.ndarray:
@@ -85,9 +94,7 @@ class PropagatorContext:
             self.f, [(n + 1) * self.tau_c for n in range(self.n_slabs)])
 
     def _fine_instants(self, n: int) -> list:
-        # the fine clock restarts from n * tau_c in every slab
-        return [n * self.tau_c + (j + 1) * self.tau_f
-                for j in range(self.m_sub)]
+        return slab_instants(n, self.m_sub, self.tau_f)
 
     def _slab_loads(self, n: int) -> np.ndarray:
         """The load block of slab n's fine instants, made once per context."""
@@ -114,33 +121,28 @@ def build_context(spec: ProblemSpec, space: MultiscaleSpace,
     """The propagators of spec on space, with the steps of
     solvers.multiscale_steps: on the factorized path this factorizes each
     distinct step size once."""
-    if spec.m_sub < 1:
-        raise ValueError("tau_c must be at least tau_f")
     u0 = space.project(spec.nodal_u0(space.mesh))
     steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
                              (spec.tau_c, spec.tau_f))
     return PropagatorContext(soe=soe,
                              coarse_coeffs=step_coefficients(soe, spec.tau_c),
                              fine_coeffs=step_coefficients(soe, spec.tau_f),
-                             u0=u0, f=spec.f, tau_c=spec.tau_c,
-                             tau_f=spec.tau_f, m_sub=spec.m_sub,
+                             u0=u0, f=spec.f, m_sub=spec.m_sub,
                              n_slabs=spec.n_coarse, steps=steps)
 
 
 def _coarse(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
     """coarse_propagate in step coordinates."""
-    v, psi, _ = soe_march(*ctx.steps.step(ctx.tau_c), ctx.soe,
-                          ctx.coarse_coeffs, U, ctx._u0_step, Phi,
-                          [(n + 1) * ctx.tau_c], ctx._coarse_loads[n:n + 1])
-    return v, psi
+    return soe_march(*ctx.steps.step(ctx.tau_c), ctx.soe, ctx.coarse_coeffs,
+                     U, ctx._u0_step, Phi, [(n + 1) * ctx.tau_c],
+                     ctx._coarse_loads[n:n + 1])
 
 
 def _fine(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
     """fine_propagate in step coordinates."""
-    v, psi, _ = soe_march(*ctx.steps.step(ctx.tau_f), ctx.soe,
-                          ctx.fine_coeffs, U, ctx._u0_step, Phi,
-                          ctx._fine_instants(n), ctx._slab_loads(n))
-    return v, psi
+    return soe_march(*ctx.steps.step(ctx.tau_f), ctx.soe, ctx.fine_coeffs,
+                     U, ctx._u0_step, Phi, ctx._fine_instants(n),
+                     ctx._slab_loads(n))
 
 
 def _fine_end(ctx: PropagatorContext, n: int, U: np.ndarray,

@@ -7,11 +7,13 @@ Three end-to-end integrators:
 * fine_soe_solve: fine-space Galerkin with the exponential-sum history;
 * multiscale_soe_solve: the exponential-sum scheme in multiscale coordinates.
 
-All run on uniform steps of size tau_f. The two exponential-sum solvers and
-the parareal propagators march one loop, soe_march, over one implicit-step
-kernel, soe_implicit_step, so their arithmetic is identical. Homogeneous
-Dirichlet data is eliminated: the fine solvers work on free dofs and the
-trajectories embed zeros back at boundary nodes.
+All run on uniform steps of size tau_f, slab by slab on one clock: slab n
+steps through slab_instants(n, m_sub, tau_f), and a trajectory holds the
+state at each slab boundary. The two exponential-sum solvers and the
+parareal propagators march one loop, soe_march, once per slab, over one
+implicit-step kernel, soe_implicit_step, so their arithmetic is identical.
+Homogeneous Dirichlet data is eliminated: the fine solvers work on free
+dofs and the trajectories embed zeros back at boundary nodes.
 
 A multiscale march, sequential or parareal, steps through MultiscaleSteps,
 the one owner of how it steps. multiscale_steps picks the path for the
@@ -31,12 +33,12 @@ A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
 
-A multiscale march takes its loads in blocks (MultiscaleSteps.load_block):
-one call of f over a row of instants (fem.assemble_loads), the sparse
-projection, the same numbers as basis.T @ assemble_load per instant, and on
-the modal path one dense product. On the modal path slab_map also folds m_sub
-fine steps into one exact affine map, which parareal reads instead of
-marching.
+A multiscale march takes one load block per slab
+(MultiscaleSteps.load_block): one call of f over the slab's instants
+(fem.assemble_loads), the sparse projection, the same numbers as
+basis.T @ assemble_load per instant, and on the modal path one dense
+product. On the modal path slab_map also folds a slab's fine steps into
+one exact affine map, which parareal reads instead of marching.
 """
 
 from __future__ import annotations
@@ -61,8 +63,6 @@ from .msfem import MultiscaleSpace
 log = logging.getLogger(__name__)
 
 L1_STATE_BUDGET_BYTES = 2_000_000_000
-# instants per load block of a sequential multiscale march
-LOAD_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -120,14 +120,15 @@ class Trajectory:
             raise ValueError("one state per time required")
 
 
-def _store_stride(store: str, m_sub: int) -> int:
-    """Steps between stored states: every step ("all") or every slab
-    boundary ("coarse")."""
-    if store == "all":
-        return 1
-    if store == "coarse":
-        return m_sub
-    raise ValueError(f"store must be 'coarse' or 'all', got {store!r}")
+def slab_instants(n: int, m_sub: int, tau: float) -> list:
+    """The instants (n m_sub + j + 1) tau of the m_sub steps of size tau
+    through slab n, on the global clock, as Python floats."""
+    return [(n * m_sub + j + 1) * tau for j in range(m_sub)]
+
+
+def _boundary_times(spec: ProblemSpec) -> np.ndarray:
+    """The slab boundaries 0, tau_c, ..., T."""
+    return np.arange(0, spec.n_fine_total + 1, spec.m_sub) * spec.tau_f
 
 
 def _load_free(spec, mesh, ops, t):
@@ -231,12 +232,6 @@ class MultiscaleSteps:
             self.space.mesh, self.space.fine_ops, f, times)).T
         return block @ self._modes[1] if self.modal else block
 
-    def load_rows(self, f: Optional[Callable], times):
-        """The rows of load_block(f, times), made LOAD_CHUNK instants at a
-        time, so a march holds one chunk of loads however long it is."""
-        for start in range(0, len(times), LOAD_CHUNK):
-            yield from self.load_block(f, times[start:start + LOAD_CHUNK])
-
     def slab_map(self, soe: SOEApproximation, coeffs: StepCoefficients,
                  v0: np.ndarray, f: Optional[Callable], slabs) -> tuple:
         """(rho, sigma, offsets): the modal march through the instants of
@@ -298,32 +293,22 @@ def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
 
 
 def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
-              loads, stride: int = 0):
-    """soe_implicit_step from state (v, psi) through each float of `instants`.
-
-    loads yields the load vector of each instant in turn. Returns
-    (v, psi, snapshots):
-    the final state and, for stride > 0, the start and every stride-th step
-    stacked in an array (None for stride 0). Only the snapshots are stored.
-    """
-    snapshots = None
-    if stride:
-        snapshots = np.empty((len(instants) // stride + 1, v.size))
-        snapshots[0] = v
-    for n, (t, load) in enumerate(zip(instants, loads, strict=True), 1):
+              loads):
+    """soe_implicit_step from state (v, psi) through each float of
+    `instants`, with the load vector that loads yields for each in turn;
+    returns the final (v, psi)."""
+    for t, load in zip(instants, loads, strict=True):
         v, psi = soe_implicit_step(solve, mass, soe, coeffs, v, v0, t, psi,
                                    load)
-        if stride and n % stride == 0:
-            snapshots[n // stride] = v
-    return v, psi, snapshots
+    return v, psi
 
 
-def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
-                       store: str = "coarse") -> Trajectory:
-    """Fine Galerkin solution with the full-history L1 derivative."""
+def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
+                       ) -> Trajectory:
+    """Fine Galerkin solution with the full-history L1 derivative, at the
+    slab boundaries."""
     tau = spec.tau_f
     n_steps = spec.n_fine_total
-    stride = _store_stride(store, spec.m_sub)
     free = ops.free_dofs
     n_free = free.size
     need = (n_steps + 1) * n_free * 8
@@ -333,8 +318,8 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
             "use the exponential-sum solver instead")
     coeffs = l1_coefficients(spec.alpha, n_steps)
     scale = tau ** spec.alpha * coeffs.c_alpha
-    M_ff = ops.mass_free.tocsr()
-    solve = factorized_spd((M_ff / scale + ops.stiffness_free).tocsc())
+    M_ff = ops.mass_free
+    solve = factorized_step(M_ff, ops.stiffness_free, tau, spec.alpha)
 
     states = np.empty((n_steps + 1, n_free))
     states[0] = spec.nodal_u0(mesh)[free]
@@ -344,43 +329,47 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
         rhs = M_ff @ known + _load_free(spec, mesh, ops, (n + 1) * tau)
         states[n + 1] = solve(rhs)
 
-    return Trajectory(times=np.arange(0, n_steps + 1, stride) * tau,
-                      states=_embed(states[::stride], ops.mass.shape[0], free))
+    return Trajectory(times=_boundary_times(spec),
+                      states=_embed(states[::spec.m_sub], ops.mass.shape[0],
+                                    free))
 
 
-def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation, store: str,
-                    solve: Callable, mass, v0: np.ndarray, loads: Callable):
-    """(times, states) of the exponential-sum march from v0 with zero
-    history, on the tau_f step that `solve` and `mass` define; loads(instants)
-    yields the load of each instant in turn."""
-    tau = spec.tau_f
-    n_steps = spec.n_fine_total
-    stride = _store_stride(store, spec.m_sub)
-    instants = [(n + 1) * tau for n in range(n_steps)]
-    _, _, states = soe_march(solve, mass, soe, step_coefficients(soe, tau),
-                             v0, v0, np.zeros((soe.n_terms, v0.size)),
-                             instants, loads(instants), stride)
-    return np.arange(0, n_steps + 1, stride) * tau, states
+def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation,
+                    solve: Callable, mass, v0: np.ndarray,
+                    loads: Callable) -> np.ndarray:
+    """The slab-boundary states of the exponential-sum march from v0 with
+    zero history, on the tau_f step that `solve` and `mass` define: one
+    soe_march per slab, and loads(instants) yields the load of each of a
+    slab's instants in turn."""
+    coeffs = step_coefficients(soe, spec.tau_f)
+    states = np.empty((spec.n_coarse + 1, v0.size))
+    states[0] = v = v0
+    psi = np.zeros((soe.n_terms, v0.size))
+    for n in range(spec.n_coarse):
+        instants = slab_instants(n, spec.m_sub, spec.tau_f)
+        v, psi = soe_march(solve, mass, soe, coeffs, v, v0, psi, instants,
+                           loads(instants))
+        states[n + 1] = v
+    return states
 
 
 def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
-                   soe: SOEApproximation, store: str = "coarse") -> Trajectory:
+                   soe: SOEApproximation) -> Trajectory:
     """Fine Galerkin solution with the exponential-sum history: O(N_exp)
     state vectors instead of the full history."""
     free = ops.free_dofs
     mass = ops.mass_free.tocsr()
-    times, states = _soe_trajectory(
-        spec, soe, store,
+    states = _soe_trajectory(
+        spec, soe,
         factorized_step(mass, ops.stiffness_free, spec.tau_f, spec.alpha),
         mass, spec.nodal_u0(mesh)[free],
         lambda instants: (_load_free(spec, mesh, ops, t) for t in instants))
-    return Trajectory(times=times,
+    return Trajectory(times=_boundary_times(spec),
                       states=_embed(states, ops.mass.shape[0], free))
 
 
 def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
-                         soe: SOEApproximation,
-                         store: str = "coarse") -> Trajectory:
+                         soe: SOEApproximation) -> Trajectory:
     """Exponential-sum scheme in multiscale coordinates.
 
     States are ms-coefficient vectors; lift with space.lift for fine-space
@@ -391,11 +380,11 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
     v0 = space.project(spec.nodal_u0(space.mesh))
     steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
                              (spec.tau_f,))
-    times, states = _soe_trajectory(spec, soe, store, *steps.step(spec.tau_f),
-                                    steps.to_step(v0),
-                                    partial(steps.load_rows, spec.f))
-    states = steps.to_ms(states)
+    states = steps.to_ms(_soe_trajectory(spec, soe, *steps.step(spec.tau_f),
+                                         steps.to_step(v0),
+                                         partial(steps.load_block, spec.f)))
     states[0] = v0
+    times = _boundary_times(spec)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
         raise RuntimeError("non-finite multiscale state at t = "

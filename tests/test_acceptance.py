@@ -191,7 +191,7 @@ def test_criterion_6_chaining_and_fixed_point(space44):
     ctx = build_context(spec, space44, soe)
 
     # chaining the slab propagator reproduces the sequential solver
-    seq = multiscale_soe_solve(spec, space44, soe, store="coarse")
+    seq = multiscale_soe_solve(spec, space44, soe)
     u = ctx.u0.copy()
     phi = ctx.fresh_history()
     chained = [u.copy()]

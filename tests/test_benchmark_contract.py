@@ -44,6 +44,17 @@ def test_workload_entry_points_exist():
     assert "workers" in inspect.signature(msfem.assemble_space).parameters
 
 
+def test_workload_positional_calls_bind():
+    # perfbench/workloads.py marches() calls the three sequential solvers
+    # with exactly these positional arguments
+    for solver, args in ((solvers.reference_l1_solve, ("spec", "mesh", "ops")),
+                         (solvers.fine_soe_solve,
+                          ("spec", "mesh", "ops", "soe")),
+                         (solvers.multiscale_soe_solve,
+                          ("spec", "space", "soe"))):
+        inspect.signature(solver).bind(*args)
+
+
 def test_workload_keywords_and_attributes():
     # perfbench/workloads.py builds its problem with exactly these keywords
     spec = solvers.ProblemSpec(alpha=0.5, T=1.0, tau_f=1e-3, tau_c=0.1,

@@ -510,27 +510,29 @@ def test_space_matrices_are_symmetric_csr(space44):
 
 def test_gram_filter_drops_duplicates_and_zeros():
     gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-    kept = _pivoted_gram_filter(gram, 1e-10)
+    kept = _pivoted_gram_filter(sp.csr_matrix(gram), 1e-10)
     assert kept.size == 1
     gram2 = np.diag([1.0, 0.0, 2.0])
-    kept2 = _pivoted_gram_filter(gram2, 1e-10)
+    kept2 = _pivoted_gram_filter(sp.csr_matrix(gram2), 1e-10)
     assert kept2.tolist() == [0, 2]
     with pytest.raises(RuntimeError):
-        _pivoted_gram_filter(np.diag([1.0, -1.0]), 1e-10)
+        _pivoted_gram_filter(sp.csr_matrix(np.diag([1.0, -1.0])), 1e-10)
     # an exactly dependent third column b1 + b2: two of the three stay
     rng = np.random.default_rng(3)
     B = rng.standard_normal((6, 3))
     B[:, 2] = B[:, 0] + B[:, 1]
-    assert _pivoted_gram_filter(B.T @ B, 1e-10).size == 2
+    assert _pivoted_gram_filter(sp.csr_matrix(B.T @ B), 1e-10).size == 2
     # independent columns scaled from 1e-8 to 1e-4 all stay, though most
     # squared norms lie below tol: the stopping rule is relative to each
     # column's own norm
     Bs = rng.standard_normal((8, 5)) * np.logspace(-8, -4, 5)
-    assert _pivoted_gram_filter(Bs.T @ Bs, 1e-10).tolist() == [0, 1, 2, 3, 4]
+    assert (_pivoted_gram_filter(sp.csr_matrix(Bs.T @ Bs), 1e-10).tolist()
+            == [0, 1, 2, 3, 4])
     # and from 1e-6 to 1e6: a column is dropped for its length only when
     # its squared norm is zero, not when it is short against the longest
     Bw = rng.standard_normal((8, 5)) * np.logspace(-6, 6, 5)
-    assert _pivoted_gram_filter(Bw.T @ Bw, 1e-10).tolist() == [0, 1, 2, 3, 4]
+    assert (_pivoted_gram_filter(sp.csr_matrix(Bw.T @ Bw), 1e-10).tolist()
+            == [0, 1, 2, 3, 4])
 
 
 def test_space_degenerate_refinement_limit():

@@ -207,7 +207,7 @@ def test_chained_fine_propagation_is_sequential_solve(space44, ctx44):
     # driving fine_propagate through all slabs reproduces the sequential
     # multiscale solver at the slab boundaries
     spec = make_spec(kappa=space44.kappa)
-    seq = multiscale_soe_solve(spec, space44, ctx44.soe, store="coarse")
+    seq = multiscale_soe_solve(spec, space44, ctx44.soe)
     u = ctx44.u0.copy()
     phi = ctx44.fresh_history()
     chained = [u.copy()]
@@ -217,6 +217,22 @@ def test_chained_fine_propagation_is_sequential_solve(space44, ctx44):
     chained = np.array(chained)
     scale = np.abs(seq.states).max()
     assert np.abs(chained - seq.states).max() <= 1e-12 * scale
+
+
+def test_chained_fine_propagation_is_the_march_bit_for_bit(space44):
+    # on the factorized path, with a tau_c that is no power of two, the
+    # slabs step through the sequential march's own instants and loads
+    spec = make_spec(kappa=space44.kappa, T=0.5, tau_c=0.1, tau_f=0.01)
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    ctx = build_context(spec, space44, soe)
+    assert not ctx.steps.modal
+    u, phi = ctx.u0, ctx.fresh_history()
+    chained = [u]
+    for n in range(ctx.n_slabs):
+        u, phi = fine_propagate(ctx, n, u, phi)
+        chained.append(u)
+    assert np.array_equal(np.array(chained),
+                          multiscale_soe_solve(spec, space44, soe).states)
 
 
 def test_wemp_solve_stopping_and_timings(ctx44):
@@ -257,9 +273,9 @@ def load_instants(ctx):
     # every instant either propagator steps to, once per propagator: a slab
     # end is both a coarse and a fine instant
     coarse = [(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)]
-    return Counter(coarse + [n * ctx.tau_c + (j + 1) * ctx.tau_f
-                             for n in range(ctx.n_slabs)
-                             for j in range(ctx.m_sub)])
+    return Counter(coarse + [t for n in range(ctx.n_slabs)
+                             for t in solvers.slab_instants(n, ctx.m_sub,
+                                                            ctx.tau_f)])
 
 
 @pytest.mark.parametrize("modal", [False, True])
@@ -367,7 +383,7 @@ def test_modal_chaining_and_fixed_point(space44):
     # criterion 6 on the modal path
     spec, ctx = modal_context(space44)
     assert ctx.steps.modal
-    seq = multiscale_soe_solve(spec, space44, ctx.soe, store="coarse")
+    seq = multiscale_soe_solve(spec, space44, ctx.soe)
     u = ctx.u0.copy()
     phi = ctx.fresh_history()
     chained = [u.copy()]

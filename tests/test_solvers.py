@@ -49,6 +49,8 @@ def test_problem_spec_validation():
         make_spec(tau_c=0.3)      # does not divide T = 1
     with pytest.raises(ValueError):
         make_spec(tau_f=0.03)     # does not divide tau_c = 0.1
+    with pytest.raises(ValueError):
+        make_spec(tau_f=0.3)      # m_sub rounds to 0
     spec = make_spec()
     assert spec.n_coarse == 10
     assert spec.m_sub == 10
@@ -62,20 +64,25 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 0.5]), states=np.zeros((3, 2)))
 
 
-def test_store_flag_semantics():
-    mesh = build_mesh(2, 2)
-    kappa = CoefficientField.constant(mesh)
-    ops = assemble_operators(mesh, kappa)
-    spec = make_spec(kappa=kappa)
+def test_solvers_share_the_slab_boundary_times(space44):
+    mesh, ops = space44.mesh, space44.fine_ops
+    spec = make_spec(kappa=space44.kappa)
     soe = build_soe(0.5, spec.tau_f, 1e-2)
-    full = fine_soe_solve(spec, mesh, ops, soe, store="all")
-    thin = fine_soe_solve(spec, mesh, ops, soe, store="coarse")
-    assert full.times.size == spec.n_fine_total + 1
-    assert thin.times.size == spec.n_coarse + 1
-    assert np.allclose(thin.times, np.arange(spec.n_coarse + 1) * spec.tau_c)
-    assert np.array_equal(full.states[::spec.m_sub], thin.states)
-    with pytest.raises(ValueError):
-        fine_soe_solve(spec, mesh, ops, soe, store="some")
+    trajectories = [reference_l1_solve(spec, mesh, ops),
+                    fine_soe_solve(spec, mesh, ops, soe),
+                    multiscale_soe_solve(spec, space44, soe)]
+    times = trajectories[0].times
+    assert times.size == spec.n_coarse + 1
+    assert np.allclose(times, np.arange(spec.n_coarse + 1) * spec.tau_c)
+    for traj in trajectories:
+        assert np.array_equal(traj.times, times)
+        assert traj.states.shape[0] == times.size
+
+
+def test_slab_instants_are_the_global_clock():
+    # step k of the march is at k * tau, whatever slab it falls in
+    assert solvers.slab_instants(0, 3, 0.1) == [k * 0.1 for k in (1, 2, 3)]
+    assert solvers.slab_instants(4, 3, 0.1) == [k * 0.1 for k in (13, 14, 15)]
 
 
 def test_zero_data_stays_zero():
@@ -120,14 +127,15 @@ def test_single_dof_setup_operators():
 
 
 def test_first_step_agreement():
-    # the SOE scheme's first step is algebraically the L1 first step
+    # the SOE scheme's first step is algebraically the L1 first step; at
+    # tau_c = tau_f every step is a slab boundary
     mesh = build_mesh(2, 2)
     kappa = CoefficientField.constant(mesh)
     ops = assemble_operators(mesh, kappa)
-    spec = make_spec(kappa=kappa, alpha=0.7)
+    spec = make_spec(kappa=kappa, alpha=0.7, tau_c=1e-2)
     soe = build_soe(0.7, spec.tau_f, 1e-2)
-    l1 = reference_l1_solve(spec, mesh, ops, store="all")
-    se = fine_soe_solve(spec, mesh, ops, soe, store="all")
+    l1 = reference_l1_solve(spec, mesh, ops)
+    se = fine_soe_solve(spec, mesh, ops, soe)
     assert np.allclose(se.states[1], l1.states[1], rtol=1e-13, atol=1e-16)
 
 
@@ -166,12 +174,14 @@ def test_soe_scheme_tracks_l1_and_tolerates_rough_source():
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("eps", [1e-1, 1e-3])
 def test_scalar_scheme_gap_constant(alpha, eps):
-    # |u_soe - u_l1| <= C eps T^(1+alpha) max|u| with C <= 10
+    # |u_soe - u_l1| <= C eps T^(1+alpha) max|u| with C <= 10, at every
+    # step: tau_c = tau_f makes each one a slab boundary
     mesh, ops = single_dof_setup(1.0)
-    spec = make_spec(alpha=alpha, tau_f=1e-3, u0=one_u0, f=None, epsilon=eps)
+    spec = make_spec(alpha=alpha, tau_f=1e-3, tau_c=1e-3, u0=one_u0, f=None,
+                     epsilon=eps)
     soe = build_soe(alpha, 1e-3, eps)
-    l1 = reference_l1_solve(spec, mesh, ops, store="all")
-    se = fine_soe_solve(spec, mesh, ops, soe, store="all")
+    l1 = reference_l1_solve(spec, mesh, ops)
+    se = fine_soe_solve(spec, mesh, ops, soe)
     gap = np.abs(se.states - l1.states).max()
     assert gap <= 10.0 * soe.epsilon * np.abs(l1.states).max()
 
@@ -253,11 +263,15 @@ def test_modal_march_matches_cholesky_march(space44):
     v0 = space44.project(spec.nodal_u0(space44.mesh))
     solve = solvers.factorized_step(space44.ms_mass, space44.ms_stiffness,
                                     spec.tau_f, spec.alpha)
-    instants = [(n + 1) * spec.tau_f for n in range(spec.n_fine_total)]
-    _, _, dense = solvers.soe_march(
-        solve, space44.ms_mass, soe, step_coefficients(soe, spec.tau_f), v0,
-        v0, np.zeros((soe.n_terms, v0.size)), instants, map(load, instants),
-        spec.m_sub)
+    coeffs = step_coefficients(soe, spec.tau_f)
+    v, psi = v0, np.zeros((soe.n_terms, v0.size))
+    dense = [v0]
+    for n in range(spec.n_coarse):
+        instants = solvers.slab_instants(n, spec.m_sub, spec.tau_f)
+        v, psi = solvers.soe_march(solve, space44.ms_mass, soe, coeffs, v,
+                                   v0, psi, instants, map(load, instants))
+        dense.append(v)
+    dense = np.array(dense)
     assert np.array_equal(modal.states[0], dense[0])
     assert np.abs(modal.states - dense).max() <= 1e-6 * np.abs(dense).max()
 
