@@ -17,12 +17,11 @@ from .stepping import (L1Coefficients, l1_coefficients, mittag_leffler_neg,
 from .msfem import (MultiscaleSpace, PartitionOfUnity, assemble_space,
                     build_partition_of_unity, edge_projection, edge_wavelets,
                     eta_indicator, weighted_coefficient)
-from .solvers import (ProblemSpec, Trajectory, fine_soe_solve,
-                      multiscale_soe_solve, reference_l1_solve,
+from .solvers import (ProblemSpec, PropagatorContext, Trajectory,
+                      fine_soe_solve, multiscale_soe_solve, reference_l1_solve,
                       relative_errors_percent)
-from .parareal import (PropagatorContext, PararealState, build_context,
-                       coarse_propagate, fine_propagate, hybrid_fixed_point,
-                       jump, wemp_solve)
+from .parareal import (PararealState, build_context, coarse_propagate,
+                       fine_propagate, hybrid_fixed_point, jump, wemp_solve)
 from .experiments import ExperimentConfig, generate_kappa, parse_config, run_experiment
 
 __version__ = "0.1.0"

@@ -242,6 +242,16 @@ def run_experiment(cfg: ExperimentConfig, assert_mode: bool = False,
     # everything in this block validates user-supplied parameters, so a
     # rejected run leaves no output directory behind
     try:
+        if cfg.level < 0:
+            raise ValueError(f"[problem] level must be >= 0, got {cfg.level}")
+        # a neighbourhood side has 2 * refinements fine segments, and the
+        # level's dyadic breakpoints must land on fine nodes
+        if (cfg.experiment == "wemp-convergence"
+                and (2 * cfg.refinements) % 2 ** cfg.level):
+            raise ValueError(
+                f"[problem] level {cfg.level} needs 2^{cfg.level} to divide "
+                f"the {2 * cfg.refinements} fine segments of a neighbourhood "
+                f"side; raise [mesh] refinements or lower the level")
         mesh = build_mesh(cfg.coarse_divisions, cfg.refinements)
         kappa = generate_kappa(cfg.kappa_kind, cfg.kappa_params, mesh, cfg.seed)
         spec = _problem(cfg, kappa)

@@ -3,11 +3,11 @@
 The time axis splits into M_c slabs of width tau_c. The coarse propagator G
 is one implicit tau_c step, to (n + 1) tau_c; the fine propagator F runs
 m_sub implicit tau_f steps through slab n on the sequential march's clock,
-solvers.slab_instants(n, m_sub, tau_f). Both are soe_march calls (but see
-the slab map below), so F chained over the slabs is the sequential
-multiscale march, bit for bit on the factorized path. Each iteration
-recomputes, slab by slab, the fine and coarse propagations of the previous
-iterate, forms the jumps S = F_1 - G_1, then sweeps sequentially:
+solvers.slab_instants(n, m_sub, tau_f). Both are methods of the context,
+solvers.PropagatorContext (coarse and fine), and F chained over the slabs
+is solvers.multiscale_soe_solve. Each iteration recomputes, slab by slab,
+the fine and coarse propagations of the previous iterate, forms the jumps
+S = F_1 - G_1, then sweeps sequentially:
 
     U_k^n = S(T^{n-1}, U_{k-1}^{n-1}; Phi_{k-1}^{n-1})
           + G(T^{n-1}, U_k^{n-1}; Phi_k^{n-1})_1,
@@ -20,25 +20,24 @@ integrals (see stepping.propagate_history_with). Iterate 0 (G), every update
 step. The kernel's t^(-alpha) initial-data term always uses the global clock
 and the global initial vector; slabs never restart it.
 
-The propagators step through the context's solvers.MultiscaleSteps, built
-for all n_slabs * m_sub fine steps; the solvers module docstring explains
-its two paths. The boundary values and histories the next iteration reads
-stay in its step coordinates; each iterate's solutions are lifted to ms
-coordinates once, and fine_propagate and coarse_propagate take and return
-ms coordinates.
+The context is built for all n_slabs * m_sub fine steps; the solvers module
+docstring explains its two paths. The boundary values and histories the
+next iteration reads stay in its step coordinates; each iterate's solutions
+are lifted to ms coordinates once, and fine_propagate and coarse_propagate
+take and return ms coordinates.
 
 On the modal path F's solution at the end of slab n is exactly affine in
 the iterate, rho * U + sum_j sigma_j * Phi_j + r_n
-(solvers.MultiscaleSteps.slab_map), so jump and hybrid_fixed_point read it
-off a map built once per context instead of marching. fine_propagate,
+(PropagatorContext.fine_end), so jump and hybrid_fixed_point read it off a
+map built once per context instead of marching. fine_propagate,
 coarse_propagate and the factorized path march step by step.
 
-Loads come in blocks (MultiscaleSteps.load_block): one for the coarse
-instants and one per slab for the fine ones, as in the sequential march.
-The modal map reads each fine block once; the factorized path keeps them
-for the context's life, n_fine_total vectors, fewer than the space has
-columns (use_modes). Each wemp_solve runs on a fresh copy of the context,
-so it evaluates every instant once.
+Loads come in blocks (PropagatorContext.load_block): one for the coarse
+instants, made once per context, and one per fine slab march, as in the
+sequential march. The modal map reads each fine block once; on the
+factorized path every jump makes its slab's block again. Each wemp_solve
+runs on a fresh copy of the context, so a second solve costs what the
+first did.
 
 The slab jumps of one iteration are independent, but they run one after
 another in the calling thread; there is no worker option.
@@ -47,128 +46,38 @@ another in the calling thread; there is no worker option.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from functools import cached_property, partial
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from .msfem import MultiscaleSpace
-from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .solvers import (MultiscaleSteps, ProblemSpec, multiscale_steps,
-                      slab_instants, soe_march)
+from .soe import SOEApproximation
+from .solvers import PropagatorContext, ProblemSpec, march_context
 from .stepping import propagate_history_with
-
-
-@dataclass(frozen=True)
-class PropagatorContext:
-    soe: SOEApproximation
-    coarse_coeffs: StepCoefficients
-    fine_coeffs: StepCoefficients
-    u0: np.ndarray                 # global initial ms vector
-    f: Optional[Callable]
-    m_sub: int
-    n_slabs: int
-    steps: MultiscaleSteps         # the tau_c and tau_f steps
-    # fine load blocks by slab, made at a slab's first march; not an init
-    # field, so replace() starts empty
-    _fine_loads: dict = field(default_factory=dict, init=False, repr=False,
-                              compare=False)
-
-    @property
-    def tau_c(self) -> float:
-        return self.coarse_coeffs.tau
-
-    @property
-    def tau_f(self) -> float:
-        return self.fine_coeffs.tau
-
-    @cached_property
-    def _u0_step(self) -> np.ndarray:
-        return self.steps.to_step(self.u0)
-
-    @cached_property
-    def _coarse_loads(self) -> np.ndarray:
-        """The loads at the slab ends (n + 1) tau_c, one row per slab."""
-        return self.steps.load_block(
-            self.f, [(n + 1) * self.tau_c for n in range(self.n_slabs)])
-
-    def _fine_instants(self, n: int) -> list:
-        return slab_instants(n, self.m_sub, self.tau_f)
-
-    def _slab_loads(self, n: int) -> np.ndarray:
-        """The load block of slab n's fine instants, made once per context."""
-        if n not in self._fine_loads:
-            self._fine_loads[n] = self.steps.load_block(
-                self.f, self._fine_instants(n))
-        return self._fine_loads[n]
-
-    @cached_property
-    def _slab_map(self) -> tuple:
-        """steps.slab_map of the fine propagator over every slab (modal
-        path only)."""
-        return self.steps.slab_map(
-            self.soe, self.fine_coeffs, self._u0_step, self.f,
-            [self._fine_instants(n) for n in range(self.n_slabs)])
-
-    def fresh_history(self) -> np.ndarray:
-        """The zero history, (n_terms, ms_dof)."""
-        return np.zeros((self.soe.n_terms, self.u0.size))
 
 
 def build_context(spec: ProblemSpec, space: MultiscaleSpace,
                   soe: SOEApproximation) -> PropagatorContext:
-    """The propagators of spec on space, with the steps of
-    solvers.multiscale_steps: on the factorized path this factorizes each
-    distinct step size once."""
-    u0 = space.project(spec.nodal_u0(space.mesh))
-    steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
-                             (spec.tau_c, spec.tau_f))
-    return PropagatorContext(soe=soe,
-                             coarse_coeffs=step_coefficients(soe, spec.tau_c),
-                             fine_coeffs=step_coefficients(soe, spec.tau_f),
-                             u0=u0, f=spec.f, m_sub=spec.m_sub,
-                             n_slabs=spec.n_coarse, steps=steps)
-
-
-def _coarse(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
-    """coarse_propagate in step coordinates."""
-    return soe_march(*ctx.steps.step(ctx.tau_c), ctx.soe, ctx.coarse_coeffs,
-                     U, ctx._u0_step, Phi, [(n + 1) * ctx.tau_c],
-                     ctx._coarse_loads[n:n + 1])
-
-
-def _fine(ctx: PropagatorContext, n: int, U: np.ndarray, Phi: np.ndarray):
-    """fine_propagate in step coordinates."""
-    return soe_march(*ctx.steps.step(ctx.tau_f), ctx.soe, ctx.fine_coeffs,
-                     U, ctx._u0_step, Phi, ctx._fine_instants(n),
-                     ctx._slab_loads(n))
-
-
-def _fine_end(ctx: PropagatorContext, n: int, U: np.ndarray,
-              Phi: np.ndarray) -> np.ndarray:
-    """The solution of _fine(ctx, n, U, Phi): read off the slab map on the
-    modal path, marched on the factorized one."""
-    if not ctx.steps.modal:
-        return _fine(ctx, n, U, Phi)[0]
-    rho, sigma, offsets = ctx._slab_map
-    return rho * U + np.einsum("jd,jd->d", sigma, Phi) + offsets[n]
+    """The propagators of spec on space (solvers.march_context): on the
+    factorized path this factorizes the tau_c and tau_f steps once."""
+    return march_context(spec, space, soe, (spec.tau_c, spec.tau_f))
 
 
 def coarse_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
                      Phi: np.ndarray):
     """One tau_c step from T^n; returns (solution, history at T^{n+1}).
     Arguments and results are in ms coordinates."""
-    v, psi = _coarse(ctx, n, ctx.steps.to_step(U), ctx.steps.to_step(Phi))
-    return ctx.steps.to_ms(v), ctx.steps.to_ms(psi)
+    v, psi = ctx.coarse(n, ctx.to_step(U), ctx.to_step(Phi))
+    return ctx.to_ms(v), ctx.to_ms(psi)
 
 
 def fine_propagate(ctx: PropagatorContext, n: int, U: np.ndarray,
                    Phi: np.ndarray):
     """m_sub tau_f steps through slab n; global clock for the kernel terms.
     Arguments and results are in ms coordinates."""
-    v, psi = _fine(ctx, n, ctx.steps.to_step(U), ctx.steps.to_step(Phi))
-    return ctx.steps.to_ms(v), ctx.steps.to_ms(psi)
+    v, psi = ctx.fine(n, ctx.to_step(U), ctx.to_step(Phi))
+    return ctx.to_ms(v), ctx.to_ms(psi)
 
 
 def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
@@ -178,7 +87,7 @@ def jump(ctx: PropagatorContext, n: int, U: np.ndarray,
     The iteration's slab step, so U, Phi and S are in step coordinates
     (ms coordinates on the factorized path); PararealState holds its inputs.
     """
-    return _fine_end(ctx, n, U, Phi) - _coarse(ctx, n, U, Phi)[0]
+    return ctx.fine_end(n, U, Phi) - ctx.coarse(n, U, Phi)[0]
 
 
 @dataclass(frozen=True)
@@ -208,7 +117,7 @@ def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable,
         bad = int(np.where(~np.isfinite(U).all(axis=1))[0][0])
         raise RuntimeError(f"non-finite solution at iteration {iteration}, "
                            f"slab boundary {bad}")
-    solutions = ctx.steps.to_ms(U)
+    solutions = ctx.to_ms(U)
     solutions[0] = ctx.u0
     err = np.inf if prev is None else float(np.mean(
         np.linalg.norm(solutions[1:] - prev.solutions[1:], axis=1)))
@@ -218,7 +127,7 @@ def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable,
 
 def initial_coarse_sweep(ctx: PropagatorContext) -> PararealState:
     """Iterate 0: the sequential coarse propagation."""
-    return _sweep(ctx, 0, lambda n, u, phi: _coarse(ctx, n, u, phi)[0])
+    return _sweep(ctx, 0, lambda n, u, phi: ctx.coarse(n, u, phi)[0])
 
 
 def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
@@ -234,7 +143,7 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
              for n in range(ctx.n_slabs)]
     t1 = time.perf_counter()
     state = _sweep(ctx, prev.iteration + 1, lambda n, u, phi:
-                   jumps[n] + _coarse(ctx, n, u, phi)[0], prev)
+                   jumps[n] + ctx.coarse(n, u, phi)[0], prev)
     if phase_log is not None:
         phase_log["parallel_s"] = t1 - t0
         phase_log["sweep_s"] = time.perf_counter() - t1
@@ -255,7 +164,7 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     is ignored: the slabs run serially, and the keyword stays only because
     perfbench/workloads.py passes it.
     """
-    ctx = replace(ctx, steps=replace(ctx.steps))
+    ctx = replace(ctx)
     t0 = time.perf_counter()
     states = [initial_coarse_sweep(ctx)]
     timings = [{"k": 0, "parallel_s": 0.0, "sweep_s": time.perf_counter() - t0}]
@@ -275,7 +184,7 @@ def hybrid_fixed_point(ctx: PropagatorContext) -> PararealState:
     """The exact fixed point of the iteration: fine propagation inside each
     slab with the tau_c history rebuild at slab boundaries. Feeding this
     state through wemp_iteration reproduces it."""
-    return _sweep(ctx, -1, partial(_fine_end, ctx))
+    return _sweep(ctx, -1, ctx.fine_end)
 
 
 def write_iteration_csv(path, rows) -> None:

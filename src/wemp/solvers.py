@@ -15,13 +15,15 @@ implicit-step kernel, soe_implicit_step, so their arithmetic is identical.
 Homogeneous Dirichlet data is eliminated: the fine solvers work on free
 dofs and the trajectories embed zeros back at boundary nodes.
 
-A multiscale march, sequential or parareal, steps through MultiscaleSteps,
-the one owner of how it steps. multiscale_steps picks the path for the
-march's total step count: modal coordinates when it takes at least as many
-steps as the space has columns (use_modes), else ms coordinates with one
-sparse factorization (fem.factorized_spd) per step size, made when the
-steps are built. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
-march, at its first step, and checks it once; in c = V^T M u each step
+A multiscale march, sequential or parareal, steps through one
+PropagatorContext, the one owner of how it steps; march_context builds it,
+projects u0 once and picks the path for the march's total step count: modal
+coordinates when it takes at least as many steps as the space has columns
+(use_modes), else ms coordinates with one sparse factorization
+(fem.factorized_spd) per step size, made when the context is built. Its
+fine propagator F marches one slab, and the sequential march is F chained
+over the slabs. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
+context, at its first step, and checks it once; in c = V^T M u each step
 divides by 1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the
 mass and V^T b for a load, and a solution leaves modal coordinates once, as
 V c. The decomposition costs about 260 sparse steps at 833 columns and 1800
@@ -33,19 +35,19 @@ A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
 
-A multiscale march takes one load block per slab
-(MultiscaleSteps.load_block): one call of f over the slab's instants
-(fem.assemble_loads), the sparse projection, the same numbers as
-basis.T @ assemble_load per instant, and on the modal path one dense
-product. On the modal path slab_map also folds a slab's fine steps into
-one exact affine map, which parareal reads instead of marching.
+F takes one load block per slab (PropagatorContext.load_block): one call
+of f over the slab's instants (fem.assemble_loads), the sparse projection,
+the same numbers as basis.T @ assemble_load per instant, and on the modal
+path one dense product. On the modal path the context also folds a slab's
+fine steps into one exact affine map, which parareal reads instead of
+marching (PropagatorContext.fine_end).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -185,31 +187,64 @@ def ms_modes(space: MultiscaleSpace) -> tuple:
 
 
 @dataclass(frozen=True)
-class MultiscaleSteps:
-    """The implicit steps of one multiscale march, in its step coordinates:
+class PropagatorContext:
+    """How a multiscale march of one problem steps, in its step coordinates:
     ms coordinates, or modal ones when `modal` (see the module docstring).
 
+    The march runs n_slabs slabs of m_sub fine steps. fine(n, ...) is the
+    fine propagator F over slab n, and the sequential march is F chained
+    over the slabs; coarse(n, ...) is parareal's one tau_c step G.
+
     On the factorized path `solves` holds the factorized_step of each step
-    size. On the modal path the modes are computed at first use and kept
-    by this object only, so replace(steps) starts without them while it
-    shares any factorizations.
+    size. The modes, u0 in step coordinates, the coarse loads and the slab
+    map are made at first use and kept by this object only, so replace(ctx)
+    starts without them while it shares any factorizations.
     """
 
     space: MultiscaleSpace
-    alpha: float
+    soe: SOEApproximation
+    coarse_coeffs: StepCoefficients
+    fine_coeffs: StepCoefficients
+    u0: np.ndarray             # global initial ms vector
+    f: Optional[Callable]
+    m_sub: int
+    n_slabs: int
     modal: bool
     solves: dict               # step size -> factorized_step; empty if modal
+
+    @property
+    def tau_c(self) -> float:
+        return self.coarse_coeffs.tau
+
+    @property
+    def tau_f(self) -> float:
+        return self.fine_coeffs.tau
 
     @cached_property
     def _modes(self) -> tuple:
         return ms_modes(self.space)
+
+    @cached_property
+    def _u0_step(self) -> np.ndarray:
+        return self.to_step(self.u0)
+
+    @cached_property
+    def _coarse_loads(self) -> np.ndarray:
+        """The loads at the slab ends (n + 1) tau_c, one row per slab."""
+        return self.load_block([(n + 1) * self.tau_c
+                                for n in range(self.n_slabs)])
+
+    def fresh_history(self) -> np.ndarray:
+        """The zero history, (n_terms, ms_dof)."""
+        return np.zeros((self.soe.n_terms, self.u0.size))
 
     def step(self, tau: float) -> tuple:
         """(solve, mass) of the step of size tau for soe_march; mass None
         stands for the identity of modal coordinates."""
         if not self.modal:
             return self.solves[tau], self.space.ms_mass
-        diagonal = (1.0 / (tau ** self.alpha * float(gamma(2 - self.alpha)))
+        alpha = self.soe.alpha
+        diagonal = (1.0 / (tau ** alpha * float(gamma(2 - alpha)))
                     + self._modes[0])
         return (lambda rhs: rhs / diagonal), None
 
@@ -221,62 +256,91 @@ class MultiscaleSteps:
         """ms coordinates of step coordinates, the inverse of to_step."""
         return c @ self._modes[1].T if self.modal else c
 
-    def load_block(self, f: Optional[Callable], times) -> np.ndarray:
+    def load_block(self, times) -> np.ndarray:
         """basis.T @ assemble_load(..., f, t) in step coordinates for each
         instant t of times, one row each, zeros when f is None: one
         evaluation of f, its sparse products and, in modal coordinates, one
         dense product."""
-        if f is None:
+        if self.f is None:
             return np.zeros((len(times), self.space.n_columns))
         block = (self.space.basis.T @ assemble_loads(
-            self.space.mesh, self.space.fine_ops, f, times)).T
+            self.space.mesh, self.space.fine_ops, self.f, times)).T
         return block @ self._modes[1] if self.modal else block
 
-    def slab_map(self, soe: SOEApproximation, coeffs: StepCoefficients,
-                 v0: np.ndarray, f: Optional[Callable], slabs) -> tuple:
-        """(rho, sigma, offsets): the modal march through the instants of
-        each slab in slabs, all with the steps of coeffs, as one affine map.
+    def coarse(self, n: int, U: np.ndarray, Phi: np.ndarray) -> tuple:
+        """G: one tau_c step from (U, Phi) at the start of slab n, to
+        (n + 1) tau_c; returns (solution, history), in step coordinates."""
+        return soe_march(*self.step(self.tau_c), self.soe, self.coarse_coeffs,
+                         U, self._u0_step, Phi, [(n + 1) * self.tau_c],
+                         self._coarse_loads[n:n + 1])
 
-        From start state (u, psi) the solution after slab n is
-        rho * u + sum_j sigma_j * psi_j + offsets[n], exactly up to
+    def fine(self, n: int, U: np.ndarray, Phi: np.ndarray) -> tuple:
+        """F: the m_sub tau_f steps through slab_instants(n, m_sub, tau_f)
+        from (U, Phi), with one load block; returns (solution, history), in
+        step coordinates."""
+        instants = slab_instants(n, self.m_sub, self.tau_f)
+        return soe_march(*self.step(self.tau_f), self.soe, self.fine_coeffs,
+                         U, self._u0_step, Phi, instants,
+                         self.load_block(instants))
+
+    def fine_end(self, n: int, U: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+        """The solution of fine(n, U, Phi): read off the slab map on the
+        modal path, marched on the factorized one."""
+        if not self.modal:
+            return self.fine(n, U, Phi)[0]
+        rho, sigma, offsets = self._slab_map
+        return rho * U + np.einsum("jd,jd->d", sigma, Phi) + offsets[n]
+
+    @cached_property
+    def _slab_map(self) -> tuple:
+        """(rho, sigma, offsets): the modal march of fine(n, ...) through
+        every slab n as one affine map.
+
+        From start state (U, Phi) the solution after slab n is
+        rho * U + sum_j sigma_j * Phi_j + offsets[n], exactly up to
         rounding, since modes do not couple. One backward pass over the
         step recurrence gives rho, sigma and the weight g/d of each step's
-        forcing q = v0 t^(-alpha) / Gamma(1 - alpha) + load; offsets[n]
+        forcing q = u0 t^(-alpha) / Gamma(1 - alpha) + load; offsets[n]
         contracts the weights with slab n's forcing.
         """
-        if not self.modal:
-            raise ValueError("the slab map needs modal coordinates")
-        alpha = self.alpha
+        alpha, coeffs = self.soe.alpha, self.fine_coeffs
         scale = 1.0 / (coeffs.tau ** alpha * float(gamma(2 - alpha)))
         d = scale + self._modes[0]
         g1 = float(gamma(1 - alpha))
-        beta = alpha * soe.weights / g1
-        m_sub = len(slabs[0])
-        rho, sigma = np.ones_like(d), np.zeros((soe.n_terms, d.size))
-        weights = np.empty((m_sub, d.size))
-        for s in reversed(range(m_sub)):
+        beta = alpha * self.soe.weights / g1
+        rho, sigma = np.ones_like(d), np.zeros((self.soe.n_terms, d.size))
+        weights = np.empty((self.m_sub, d.size))
+        for s in reversed(range(self.m_sub)):
             weights[s] = (rho + coeffs.c2 @ sigma) / d
             rho = alpha * scale * weights[s] + coeffs.c1 @ sigma
             sigma *= coeffs.decay[:, None]
             sigma += np.outer(beta, weights[s])
-        offsets = np.empty((len(slabs), d.size))
-        for n, instants in enumerate(slabs):
+        offsets = np.empty((self.n_slabs, d.size))
+        for n in range(self.n_slabs):
+            instants = slab_instants(n, self.m_sub, self.tau_f)
             kernel = np.array([1.0 / t ** alpha for t in instants]) / g1
-            offsets[n] = (kernel @ weights) * v0 + np.einsum(
-                "sd,sd->d", weights, self.load_block(f, instants))
+            offsets[n] = (kernel @ weights) * self._u0_step + np.einsum(
+                "sd,sd->d", weights, self.load_block(instants))
         return rho, sigma, offsets
 
 
-def multiscale_steps(space: MultiscaleSpace, alpha: float, n_steps: int,
-                     taus) -> MultiscaleSteps:
-    """The steps of a march of n_steps steps on space, of the sizes in taus.
-    The factorized path factorizes each distinct size once, here; the modal
-    path defers its eigendecomposition to the first step."""
-    if use_modes(n_steps, space.n_columns):
-        return MultiscaleSteps(space, alpha, True, {})
-    return MultiscaleSteps(space, alpha, False, {
-        tau: factorized_step(space.ms_mass, space.ms_stiffness, tau, alpha)
-        for tau in dict.fromkeys(taus)})
+def march_context(spec: ProblemSpec, space: MultiscaleSpace,
+                  soe: SOEApproximation, taus) -> PropagatorContext:
+    """The context of a multiscale march of spec on space, from the
+    mass-orthogonal projection of u0, on the path use_modes picks for its
+    n_fine_total steps. The factorized path factorizes each distinct step
+    size in taus once, here; the modal path defers its eigendecomposition
+    to first use."""
+    u0 = space.project(spec.nodal_u0(space.mesh))
+    modal = use_modes(spec.n_fine_total, space.n_columns)
+    solves = {} if modal else {
+        tau: factorized_step(space.ms_mass, space.ms_stiffness, tau, soe.alpha)
+        for tau in dict.fromkeys(taus)}
+    return PropagatorContext(space=space, soe=soe,
+                             coarse_coeffs=step_coefficients(soe, spec.tau_c),
+                             fine_coeffs=step_coefficients(soe, spec.tau_f),
+                             u0=u0, f=spec.f, m_sub=spec.m_sub,
+                             n_slabs=spec.n_coarse, modal=modal, solves=solves)
 
 
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
@@ -334,56 +398,45 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
                                     free))
 
 
-def _soe_trajectory(spec: ProblemSpec, soe: SOEApproximation,
-                    solve: Callable, mass, v0: np.ndarray,
-                    loads: Callable) -> np.ndarray:
-    """The slab-boundary states of the exponential-sum march from v0 with
-    zero history, on the tau_f step that `solve` and `mass` define: one
-    soe_march per slab, and loads(instants) yields the load of each of a
-    slab's instants in turn."""
-    coeffs = step_coefficients(soe, spec.tau_f)
-    states = np.empty((spec.n_coarse + 1, v0.size))
-    states[0] = v = v0
-    psi = np.zeros((soe.n_terms, v0.size))
-    for n in range(spec.n_coarse):
-        instants = slab_instants(n, spec.m_sub, spec.tau_f)
-        v, psi = soe_march(solve, mass, soe, coeffs, v, v0, psi, instants,
-                           loads(instants))
-        states[n + 1] = v
-    return states
-
-
 def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
                    soe: SOEApproximation) -> Trajectory:
     """Fine Galerkin solution with the exponential-sum history: O(N_exp)
-    state vectors instead of the full history."""
+    state vectors instead of the full history. One soe_march per slab, from
+    u0 with zero history."""
     free = ops.free_dofs
     mass = ops.mass_free.tocsr()
-    states = _soe_trajectory(
-        spec, soe,
-        factorized_step(mass, ops.stiffness_free, spec.tau_f, spec.alpha),
-        mass, spec.nodal_u0(mesh)[free],
-        lambda instants: (_load_free(spec, mesh, ops, t) for t in instants))
+    solve = factorized_step(mass, ops.stiffness_free, spec.tau_f, spec.alpha)
+    coeffs = step_coefficients(soe, spec.tau_f)
+    states = np.empty((spec.n_coarse + 1, free.size))
+    states[0] = v = v0 = spec.nodal_u0(mesh)[free]
+    psi = np.zeros((soe.n_terms, free.size))
+    for n in range(spec.n_coarse):
+        instants = slab_instants(n, spec.m_sub, spec.tau_f)
+        v, psi = soe_march(solve, mass, soe, coeffs, v, v0, psi, instants,
+                           (_load_free(spec, mesh, ops, t) for t in instants))
+        states[n + 1] = v
     return Trajectory(times=_boundary_times(spec),
                       states=_embed(states, ops.mass.shape[0], free))
 
 
 def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
                          soe: SOEApproximation) -> Trajectory:
-    """Exponential-sum scheme in multiscale coordinates.
+    """Exponential-sum scheme in multiscale coordinates: the fine propagator
+    of march_context chained over the slabs, from u0 with zero history.
 
     States are ms-coefficient vectors; lift with space.lift for fine-space
     error measurement. The initial state is the mass-orthogonal projection
-    of u0. The march runs in the step coordinates of multiscale_steps, and
-    raises if a stored state is not finite.
+    of u0. Raises if a stored state is not finite.
     """
-    v0 = space.project(spec.nodal_u0(space.mesh))
-    steps = multiscale_steps(space, spec.alpha, spec.n_fine_total,
-                             (spec.tau_f,))
-    states = steps.to_ms(_soe_trajectory(spec, soe, *steps.step(spec.tau_f),
-                                         steps.to_step(v0),
-                                         partial(steps.load_block, spec.f)))
-    states[0] = v0
+    ctx = march_context(spec, space, soe, (spec.tau_f,))
+    states = np.empty((ctx.n_slabs + 1, ctx.u0.size))
+    states[0] = v = ctx._u0_step
+    psi = ctx.fresh_history()
+    for n in range(ctx.n_slabs):
+        v, psi = ctx.fine(n, v, psi)
+        states[n + 1] = v
+    states = ctx.to_ms(states)
+    states[0] = ctx.u0
     times = _boundary_times(spec)
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():

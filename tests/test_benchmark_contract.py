@@ -98,7 +98,7 @@ def test_iteration_calls_jump_once_per_slab(space44, monkeypatch, tau_f):
                                kappa=space44.kappa, level=1, epsilon=1e-2)
     ctx = parareal.build_context(spec, space44,
                                  soe.build_soe(0.5, spec.tau_f, 1e-2))
-    assert ctx.steps.modal == (tau_f == 1.0 / 128)
+    assert ctx.modal == (tau_f == 1.0 / 128)
     slabs = []
     jump = parareal.jump
 

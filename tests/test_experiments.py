@@ -374,6 +374,34 @@ def test_cli_epsilon_above_feasibility_ceiling(tmp_path, capsys):
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
 
 
+@pytest.mark.parametrize("experiment", ["soe-accuracy", "wemp-convergence"])
+def test_cli_negative_level(tmp_path, capsys, experiment):
+    overrides = {"problem": {"level": "-1"}, "run": {"experiment": experiment}}
+    path = write_config(tmp_path / "a.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "level must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_level_too_fine_for_the_mesh(tmp_path, capsys):
+    # refinements = 2: a neighbourhood side has 4 fine segments, which
+    # carry level 2 but not level 3
+    problem = {"level": "3"}
+    overrides = {"problem": problem,
+                 "run": {"experiment": "wemp-convergence", "k_max": "1"}}
+    path = write_config(tmp_path / "a.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "level 3" in err
+    # the rejected run leaves no output directory behind
+    assert not (tmp_path / "out").exists()
+    # the finest level that fits goes through
+    problem["level"] = "2"
+    path = write_config(tmp_path / "b.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
 def test_cli_run_unit_oracles(tmp_path, capsys):
     overrides = {"run": {"experiment": "unit-oracles"}}
     path = write_config(tmp_path / "a.ini", overrides)

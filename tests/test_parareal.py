@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import gamma
 
-from wemp import fem, msfem, parareal, solvers
+from wemp import fem, msfem, solvers
 from wemp.experiments import source_smooth, u0_standard
 from wemp.fem import assemble_load
 from wemp.msfem import MultiscaleSpace
@@ -225,7 +225,7 @@ def test_chained_fine_propagation_is_the_march_bit_for_bit(space44):
     spec = make_spec(kappa=space44.kappa, T=0.5, tau_c=0.1, tau_f=0.01)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
     ctx = build_context(spec, space44, soe)
-    assert not ctx.steps.modal
+    assert not ctx.modal
     u, phi = ctx.u0, ctx.fresh_history()
     chained = [u]
     for n in range(ctx.n_slabs):
@@ -269,27 +269,31 @@ def counting_context(ctx):
     return dataclasses.replace(ctx, f=source), calls
 
 
-def load_instants(ctx):
-    # every instant either propagator steps to, once per propagator: a slab
-    # end is both a coarse and a fine instant
+def load_instants(ctx, fine_marches):
+    # every coarse instant once and every fine instant fine_marches times: a
+    # slab end is both a coarse and a fine instant
     coarse = [(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)]
-    return Counter(coarse + [t for n in range(ctx.n_slabs)
-                             for t in solvers.slab_instants(n, ctx.m_sub,
-                                                            ctx.tau_f)])
+    return Counter(coarse + fine_marches * [
+        t for n in range(ctx.n_slabs)
+        for t in solvers.slab_instants(n, ctx.m_sub, ctx.tau_f)])
 
 
 @pytest.mark.parametrize("modal", [False, True])
 def test_each_load_instant_is_evaluated_once_per_solve(space44, ctx44, modal):
     ctx, calls = counting_context(modal_context(space44)[1] if modal
                                   else ctx44)
-    assert ctx.steps.modal == modal
+    assert ctx.modal == modal
     states, _ = wemp_solve(ctx, delta=0.0, k_max=3)
-    # one block for the coarse instants and one per slab for the fine ones
-    assert len(calls) == 1 + ctx.n_slabs
-    assert Counter(t for call in calls for t in call) == load_instants(ctx)
+    # one block for the coarse instants, and one per fine slab march: once
+    # per slab for the modal map, once per slab and iteration on the
+    # factorized path, whose jumps march
+    fine_marches = 1 if modal else 3
+    assert len(calls) == 1 + fine_marches * ctx.n_slabs
+    assert (Counter(t for call in calls for t in call)
+            == load_instants(ctx, fine_marches))
     # the loads belong to the solve: a second solve evaluates them again
     again, _ = wemp_solve(ctx, delta=0.0, k_max=3)
-    assert len(calls) == 2 * (1 + ctx.n_slabs)
+    assert len(calls) == 2 * (1 + fine_marches * ctx.n_slabs)
     for a, b in zip(states, again):
         assert np.array_equal(a.solutions, b.solutions)
 
@@ -297,27 +301,25 @@ def test_each_load_instant_is_evaluated_once_per_solve(space44, ctx44, modal):
 @pytest.mark.parametrize("modal", [False, True])
 def test_load_blocks_match_per_instant_loads(space44, ctx44, modal):
     ctx = modal_context(space44)[1] if modal else ctx44
-    steps = ctx.steps
-    assert steps.modal == modal
-    blocks = [(ctx._fine_instants(n), ctx._slab_loads(n))
+    assert ctx.modal == modal
+    blocks = [solvers.slab_instants(n, ctx.m_sub, ctx.tau_f)
               for n in (0, ctx.n_slabs - 1)]
-    blocks.append(([(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)],
-                   ctx._coarse_loads))
+    blocks.append([(n + 1) * ctx.tau_c for n in range(ctx.n_slabs)])
+    blocks = [(instants, ctx.load_block(instants)) for instants in blocks]
     for instants, block in blocks:
         assert block.shape == (len(instants), space44.n_columns)
         for t, row in zip(instants, block):
             fresh = space44.basis.T @ assemble_load(
                 space44.mesh, space44.fine_ops, source_smooth, t)
             if modal:
-                fresh = fresh @ steps._modes[1]
+                fresh = fresh @ ctx._modes[1]
             assert np.linalg.norm(row - fresh) <= 1e-14 * np.linalg.norm(fresh)
 
 
 def nan_coarse_solve(ctx):
     """ctx with a tau_c solve that returns NaN (a Cholesky-path context)."""
-    steps = dataclasses.replace(ctx.steps, solves={
-        **ctx.steps.solves, ctx.tau_c: lambda rhs: np.full_like(rhs, np.nan)})
-    return dataclasses.replace(ctx, steps=steps)
+    return dataclasses.replace(ctx, solves={
+        **ctx.solves, ctx.tau_c: lambda rhs: np.full_like(rhs, np.nan)})
 
 
 def test_nonfinite_solution_raises(ctx44):
@@ -358,6 +360,20 @@ def test_solve_reuses_the_context_factorizations(ctx44, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("T,tau_c,tau_f,factorizations",
+                         [(0.5, 0.1, 0.01, 1), (1.0, 0.125, 1.0 / 128.0, 0)])
+def test_sequential_march_factorizes_only_its_fine_step(
+        space44, monkeypatch, T, tau_c, tau_f, factorizations):
+    # 50 steps over the 81 columns of space44 take the factorized path and
+    # factorize the tau_f step alone, never the tau_c one; 128 steps take
+    # the modal path and factorize no step
+    calls = counting_factorizations(monkeypatch)
+    spec = make_spec(kappa=space44.kappa, T=T, tau_c=tau_c, tau_f=tau_f)
+    multiscale_soe_solve(spec, space44,
+                         build_soe(spec.alpha, spec.tau_f, 1e-2))
+    assert calls == [(space44.n_columns, space44.n_columns)] * factorizations
+
+
 def modal_context(space44, **kw):
     # 128 fine steps over the 81 columns of space44: the modal path
     spec = make_spec(kappa=space44.kappa, tau_f=1.0 / 128.0, **kw)
@@ -368,13 +384,13 @@ def modal_context(space44, **kw):
 def test_modal_context_defers_its_modes(space44, caplog):
     # set-up neither factorizes nor decomposes; each solve decomposes once
     _, ctx = modal_context(space44)
-    assert ctx.steps.modal and ctx.steps.solves == {}
-    assert "_modes" not in vars(ctx.steps)
+    assert ctx.modal and ctx.solves == {}
+    assert "_modes" not in vars(ctx)
     with caplog.at_level(logging.DEBUG, logger="wemp.solvers"):
         first, _ = wemp_solve(ctx, delta=0.0, k_max=2)
         again, _ = wemp_solve(ctx, delta=0.0, k_max=2)
     assert len([r for r in caplog.records if r.name == "wemp.solvers"]) == 2
-    assert "_modes" not in vars(ctx.steps)
+    assert "_modes" not in vars(ctx)
     for a, b in zip(first, again):
         assert np.array_equal(a.solutions, b.solutions)
 
@@ -382,7 +398,7 @@ def test_modal_context_defers_its_modes(space44, caplog):
 def test_modal_chaining_and_fixed_point(space44):
     # criterion 6 on the modal path
     spec, ctx = modal_context(space44)
-    assert ctx.steps.modal
+    assert ctx.modal
     seq = multiscale_soe_solve(spec, space44, ctx.soe)
     u = ctx.u0.copy()
     phi = ctx.fresh_history()
@@ -407,7 +423,7 @@ def test_modal_states_keep_ms_solutions(space44):
     state = wemp_iteration(ctx, prev)
     assert np.array_equal(state.solutions[0], ctx.u0)
     assert np.array_equal(state.solutions[1:],
-                          ctx.steps.to_ms(state.step_solutions)[1:])
+                          ctx.to_ms(state.step_solutions)[1:])
     assert state.err == np.mean(np.linalg.norm(
         state.solutions[1:] - prev.solutions[1:], axis=1))
     fine_v, _ = fine_propagate(ctx, 0, ctx.u0, ctx.fresh_history())
@@ -433,13 +449,13 @@ def test_slab_map_matches_the_fine_march(space44, case):
                          tau_f=1.0 / 128.0)
         ctx = build_context(spec, scalar_space(2.0),
                             build_soe(spec.alpha, spec.tau_f, 1e-2))
-    assert ctx.steps.modal
+    assert ctx.modal
     rng = np.random.default_rng(5)
     for n in (0, 1, ctx.n_slabs // 2, ctx.n_slabs - 1):
         U = rng.standard_normal(ctx.u0.size)
         Phi = rng.standard_normal((ctx.soe.n_terms, ctx.u0.size))
-        marched, _ = parareal._fine(ctx, n, U, Phi)
-        mapped = parareal._fine_end(ctx, n, U, Phi)
+        marched, _ = ctx.fine(n, U, Phi)
+        mapped = ctx.fine_end(n, U, Phi)
         assert (np.linalg.norm(mapped - marched)
                 <= 1e-12 * np.linalg.norm(marched))
 
