@@ -159,13 +159,25 @@ def parse_config(path) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     try:
-        ProblemSpec(alpha=cfg.alpha, T=cfg.T, tau_f=cfg.tau_f, tau_c=cfg.tau_c,
-                    u0=u0_standard, f=None, kappa=None, level=cfg.level,
-                    epsilon=cfg.epsilon if cfg.epsilon is not None else 1.0)
+        _problem(cfg, None)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.coarse_divisions < 1 or cfg.refinements < 1:
         raise ConfigError("[mesh] divisions and refinements must be >= 1")
+    if cfg.k_max < 0:
+        raise ConfigError(f"[run] k_max must be >= 0, got {cfg.k_max}")
+    if cfg.experiment != "wemp-convergence":
+        return
+    if cfg.coarse_divisions < 2:
+        raise ConfigError("[mesh] wemp-convergence needs coarse_divisions "
+                          ">= 2, for an interior coarse vertex")
+    # a neighbourhood side has 2 * refinements fine segments, and the
+    # level's dyadic breakpoints must land on fine nodes
+    if (2 * cfg.refinements) % 2 ** cfg.level:
+        raise ConfigError(
+            f"[problem] level {cfg.level} needs 2^{cfg.level} to divide "
+            f"the {2 * cfg.refinements} fine segments of a neighbourhood "
+            f"side; raise [mesh] refinements or lower the level")
 
 
 def generate_kappa(kind: str, params: dict, mesh, seed: int) -> CoefficientField:
@@ -242,16 +254,6 @@ def run_experiment(cfg: ExperimentConfig, assert_mode: bool = False,
     # everything in this block validates user-supplied parameters, so a
     # rejected run leaves no output directory behind
     try:
-        if cfg.level < 0:
-            raise ValueError(f"[problem] level must be >= 0, got {cfg.level}")
-        # a neighbourhood side has 2 * refinements fine segments, and the
-        # level's dyadic breakpoints must land on fine nodes
-        if (cfg.experiment == "wemp-convergence"
-                and (2 * cfg.refinements) % 2 ** cfg.level):
-            raise ValueError(
-                f"[problem] level {cfg.level} needs 2^{cfg.level} to divide "
-                f"the {2 * cfg.refinements} fine segments of a neighbourhood "
-                f"side; raise [mesh] refinements or lower the level")
         mesh = build_mesh(cfg.coarse_divisions, cfg.refinements)
         kappa = generate_kappa(cfg.kappa_kind, cfg.kappa_params, mesh, cfg.seed)
         spec = _problem(cfg, kappa)

@@ -375,6 +375,8 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
     threads made the set-up slower than one, and the keyword stays only
     because perfbench/workloads.py passes it.
     """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
     ops = assemble_operators(mesh, kappa)
     kappa_tilde = weighted_coefficient(mesh, kappa, pou)
     vertices = np.where(mesh.coarse_vertex_interior)[0]

@@ -4,10 +4,9 @@ The time axis splits into M_c slabs of width tau_c. The coarse propagator G
 is one implicit tau_c step, to (n + 1) tau_c; the fine propagator F runs
 m_sub implicit tau_f steps through slab n on the sequential march's clock,
 solvers.slab_instants(n, m_sub, tau_f). Both are methods of the context,
-solvers.PropagatorContext (coarse and fine), and F chained over the slabs
-is solvers.multiscale_soe_solve. Each iteration recomputes, slab by slab,
-the fine and coarse propagations of the previous iterate, forms the jumps
-S = F_1 - G_1, then sweeps sequentially:
+solvers.PropagatorContext (coarse and fine). Each iteration recomputes,
+slab by slab, the fine and coarse propagations of the previous iterate,
+forms the jumps S = F_1 - G_1, then sweeps sequentially:
 
     U_k^n = S(T^{n-1}, U_{k-1}^{n-1}; Phi_{k-1}^{n-1})
           + G(T^{n-1}, U_k^{n-1}; Phi_k^{n-1})_1,
@@ -15,16 +14,18 @@ S = F_1 - G_1, then sweeps sequentially:
     recurrence.
 
 A history Phi is a plain (n_terms, dof) array of the exponential-sum
-integrals (see stepping.propagate_history_with). Iterate 0 (G), every update
-(S + G) and the hybrid fixed point (F) are one sweep, _sweep, with its own
-step. The kernel's t^(-alpha) initial-data term always uses the global clock
-and the global initial vector; slabs never restart it.
+integrals (see stepping.propagate_history_with). Every iterate, like the
+sequential march (F chained), is one PropagatorContext.chain of slab steps
+(U, Phi) -> (U', Phi'), which also lifts it and checks it is finite. Iterate
+0 chains G with the histories G returns; every update (S + G) and the
+hybrid fixed point (F) rebuild Phi with the tau_c recurrence (_rebuilt).
+The kernel's t^(-alpha) initial-data term always uses the global clock and
+the global initial vector; slabs never restart it.
 
 The context is built for all n_slabs * m_sub fine steps; the solvers module
 docstring explains its two paths. The boundary values and histories the
-next iteration reads stay in its step coordinates; each iterate's solutions
-are lifted to ms coordinates once, and fine_propagate and coarse_propagate
-take and return ms coordinates.
+next iteration reads stay in its step coordinates; fine_propagate and
+coarse_propagate take and return ms coordinates.
 
 On the modal path F's solution at the end of slab n is exactly affine in
 the iterate, rho * U + sum_j sigma_j * Phi_j + r_n
@@ -35,12 +36,7 @@ coarse_propagate and the factorized path march step by step.
 Loads come in blocks (PropagatorContext.load_block): one for the coarse
 instants, made once per context, and one per fine slab march, as in the
 sequential march. The modal map reads each fine block once; on the
-factorized path every jump makes its slab's block again. Each wemp_solve
-runs on a fresh copy of the context, so a second solve costs what the
-first did.
-
-The slab jumps of one iteration are independent, but they run one after
-another in the calling thread; there is no worker option.
+factorized path every jump makes its slab's block again.
 """
 
 from __future__ import annotations
@@ -100,34 +96,30 @@ class PararealState:
                                    # array on the factorized path)
 
 
-def _sweep(ctx: PropagatorContext, iteration: int, advance: Callable,
+def _sweep(ctx: PropagatorContext, iteration: int, step: Callable,
            prev: Optional[PararealState] = None) -> PararealState:
-    """The state of U^{n+1} = advance(n, U^n, Phi^n) from u0 and the zero
-    history, in step coordinates, each Phi^{n+1} rebuilt from
-    (Phi^n, U^n, U^{n+1}) with the tau_c recurrence; raises if a boundary
-    value is not finite. err is measured against prev."""
-    U = np.empty((ctx.n_slabs + 1, ctx.u0.size))
-    U[0] = ctx._u0_step
-    phis = [ctx.fresh_history()]
-    for n in range(ctx.n_slabs):
-        U[n + 1] = advance(n, U[n], phis[n])
-        phis.append(propagate_history_with(phis[n], ctx.coarse_coeffs,
-                                           U[n], U[n + 1]))
-    if not np.all(np.isfinite(U)):
-        bad = int(np.where(~np.isfinite(U).all(axis=1))[0][0])
-        raise RuntimeError(f"non-finite solution at iteration {iteration}, "
-                           f"slab boundary {bad}")
-    solutions = ctx.to_ms(U)
-    solutions[0] = ctx.u0
+    """The state of the chain (U^{n+1}, Phi^{n+1}) = step(n, U^n, Phi^n)
+    (PropagatorContext.chain); err is measured against prev."""
+    U, solutions, histories = ctx.chain(
+        step, f"solution at iteration {iteration}")
     err = np.inf if prev is None else float(np.mean(
         np.linalg.norm(solutions[1:] - prev.solutions[1:], axis=1)))
     return PararealState(iteration=iteration, solutions=solutions,
-                         histories=tuple(phis), err=err, step_solutions=U)
+                         histories=histories, err=err, step_solutions=U)
+
+
+def _rebuilt(ctx: PropagatorContext, advance: Callable) -> Callable:
+    """The chain step of U^{n+1} = advance(n, U^n, Phi^n), with Phi^{n+1}
+    rebuilt from (Phi^n, U^n, U^{n+1}) by the tau_c recurrence."""
+    def step(n, U, Phi):
+        v = advance(n, U, Phi)
+        return v, propagate_history_with(Phi, ctx.coarse_coeffs, U, v)
+    return step
 
 
 def initial_coarse_sweep(ctx: PropagatorContext) -> PararealState:
-    """Iterate 0: the sequential coarse propagation."""
-    return _sweep(ctx, 0, lambda n, u, phi: ctx.coarse(n, u, phi)[0])
+    """Iterate 0: G chained, with the histories G returns."""
+    return _sweep(ctx, 0, ctx.coarse)
 
 
 def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
@@ -142,8 +134,8 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
     jumps = [jump(ctx, n, prev.step_solutions[n], prev.histories[n])
              for n in range(ctx.n_slabs)]
     t1 = time.perf_counter()
-    state = _sweep(ctx, prev.iteration + 1, lambda n, u, phi:
-                   jumps[n] + ctx.coarse(n, u, phi)[0], prev)
+    state = _sweep(ctx, prev.iteration + 1, _rebuilt(
+        ctx, lambda n, u, phi: jumps[n] + ctx.coarse(n, u, phi)[0]), prev)
     if phase_log is not None:
         phase_log["parallel_s"] = t1 - t0
         phase_log["sweep_s"] = time.perf_counter() - t1
@@ -184,7 +176,7 @@ def hybrid_fixed_point(ctx: PropagatorContext) -> PararealState:
     """The exact fixed point of the iteration: fine propagation inside each
     slab with the tau_c history rebuild at slab boundaries. Feeding this
     state through wemp_iteration reproduces it."""
-    return _sweep(ctx, -1, ctx.fine_end)
+    return _sweep(ctx, -1, _rebuilt(ctx, ctx.fine_end))
 
 
 def write_iteration_csv(path, rows) -> None:

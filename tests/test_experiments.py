@@ -125,6 +125,12 @@ def test_parse_config_missing_file(tmp_path):
     ({"kappa": {"contrast": "1e4"}}, r"unknown key 'contrast' in \[kappa\]"),
     ({"output": {"dir": "x"}}, r"unknown section \[output\]"),
     ({"run": {"experiment": "long-time"}}, "not recognized"),
+    ({"problem": {"level": "-1"}}, "level must be >= 0"),
+    ({"run": {"k_max": "-2"}}, "k_max must be >= 0"),
+    ({"mesh": {"coarse_divisions": "1"},
+      "run": {"experiment": "wemp-convergence"}}, "coarse_divisions"),
+    ({"problem": {"level": "3"}, "run": {"experiment": "wemp-convergence"}},
+     "level 3 needs"),
 ])
 def test_parse_config_errors(tmp_path, overrides, match):
     path = write_config(tmp_path / "bad.ini", overrides)
@@ -400,6 +406,39 @@ def test_cli_level_too_fine_for_the_mesh(tmp_path, capsys):
     problem["level"] = "2"
     path = write_config(tmp_path / "b.ini", overrides)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_wemp_convergence_needs_an_interior_coarse_vertex(tmp_path,
+                                                              capsys):
+    # one coarse division has no interior coarse vertex, so no multiscale
+    # column
+    mesh = {"coarse_divisions": "1"}
+    overrides = {"mesh": mesh,
+                 "run": {"experiment": "wemp-convergence", "k_max": "1"}}
+    path = write_config(tmp_path / "a.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "coarse_divisions" in err
+    # the rejected run leaves no output directory behind
+    assert not (tmp_path / "out").exists()
+    # two divisions give one interior vertex, and the run goes through
+    mesh["coarse_divisions"] = "2"
+    path = write_config(tmp_path / "b.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_negative_k_max(tmp_path, capsys):
+    run = {"experiment": "wemp-convergence", "k_max": "-2"}
+    path = write_config(tmp_path / "a.ini", {"run": run})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "k_max must be >= 0" in err
+    assert not (tmp_path / "out").exists()
+    # k_max = 0 runs the coarse sweep alone
+    run["k_max"] = "0"
+    path = write_config(tmp_path / "b.ini", {"run": run})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+    assert "iterations run = 0" in capsys.readouterr().out
 
 
 def test_cli_run_unit_oracles(tmp_path, capsys):

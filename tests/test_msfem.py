@@ -300,6 +300,15 @@ def test_edge_wavelets_errors():
         edge_wavelets(-1, coords)
 
 
+def test_assemble_space_rejects_a_negative_level():
+    # a ValueError before any local solve, not a TypeError from 2 ** level
+    mesh = build_mesh(2, 2)
+    kappa = CoefficientField.constant(mesh)
+    pou = build_partition_of_unity(mesh, kappa)
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        assemble_space(mesh, kappa, pou, -1)
+
+
 def test_segments_to_nodes():
     out = segments_to_nodes(np.array([2.0, 4.0]))
     assert np.allclose(out, [1.0, 3.0, 2.0])

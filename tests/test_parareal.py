@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sp
 from scipy.special import gamma
 
-from wemp import fem, msfem, solvers
+from wemp import fem, msfem, parareal, solvers
 from wemp.experiments import source_smooth, u0_standard
 from wemp.fem import assemble_load
 from wemp.msfem import MultiscaleSpace
@@ -150,6 +150,19 @@ def test_initial_sweep_matches_manual_loop(ctx44):
     assert state.iteration == 0
 
 
+def test_initial_sweep_updates_each_history_once(ctx44, monkeypatch):
+    # iterate 0 keeps the histories G returns instead of rebuilding them
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return propagate_history_with(*args)
+    monkeypatch.setattr(solvers, "propagate_history_with", counting)
+    monkeypatch.setattr(parareal, "propagate_history_with", counting)
+    initial_coarse_sweep(ctx44)
+    assert len(calls) == ctx44.n_slabs
+
+
 def test_iteration_matches_manual_formula(ctx44):
     # recompute U_k^n = S(U_{k-1}^{n-1}) + G(U_k^{n-1}) by hand
     prev = initial_coarse_sweep(ctx44)
@@ -233,6 +246,25 @@ def test_chained_fine_propagation_is_the_march_bit_for_bit(space44):
         chained.append(u)
     assert np.array_equal(np.array(chained),
                           multiscale_soe_solve(spec, space44, soe).states)
+
+
+@pytest.mark.parametrize("modal", [False, True])
+def test_fixed_point_at_equal_steps_is_the_sequential_march(space44, modal):
+    # at tau_c = tau_f the tau_c history rebuild is the fine step's own
+    # update, so the fixed point is the sequential march: bit for bit on
+    # the factorized path, up to the slab map's rounding on the modal one
+    tau = 1.0 / 128.0 if modal else 1.0 / 32.0
+    spec = make_spec(kappa=space44.kappa, T=1.0 if modal else 0.5,
+                     tau_c=tau, tau_f=tau)
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    ctx = build_context(spec, space44, soe)
+    assert ctx.modal == modal
+    fixed = hybrid_fixed_point(ctx).solutions
+    seq = multiscale_soe_solve(spec, space44, soe).states
+    if modal:
+        assert np.linalg.norm(fixed - seq) <= 1e-15 * np.linalg.norm(seq)
+    else:
+        assert np.array_equal(fixed, seq)
 
 
 def test_wemp_solve_stopping_and_timings(ctx44):

@@ -57,6 +57,12 @@ def test_problem_spec_validation():
     assert spec.n_fine_total == 100
 
 
+def test_problem_spec_rejects_a_negative_level():
+    with pytest.raises(ValueError, match="level must be >= 0"):
+        make_spec(level=-1)
+    assert make_spec(level=0).level == 0
+
+
 def test_trajectory_validation():
     with pytest.raises(ValueError):
         Trajectory(times=np.array([0.0, 0.5, 0.5]), states=np.zeros((3, 2)))
