@@ -27,9 +27,9 @@ from .msfem import assemble_space, build_partition_of_unity, edge_wavelets
 from .parareal import build_context, wemp_solve, write_iteration_csv
 from .soe import (build_soe, build_soe_for_terms, soe_residual,
                   step_coefficients, validate_epsilon)
-from .solvers import (ProblemSpec, fine_soe_solve, reference_l1_solve,
-                      relative_errors_percent, single_dof_setup,
-                      write_error_csv)
+from .solvers import (ProblemSpec, check_l1_storage, fine_soe_solve,
+                      reference_l1_solve, relative_errors_percent,
+                      single_dof_setup, write_error_csv)
 from .stepping import l1_coefficients, mittag_leffler_neg
 
 
@@ -159,7 +159,13 @@ def parse_config(path) -> ExperimentConfig:
 
 def _validate(cfg: ExperimentConfig) -> None:
     try:
-        _problem(cfg, None)
+        spec = _problem(cfg, None)
+        if cfg.experiment == "soe-accuracy" or (
+                cfg.experiment == "wemp-convergence"
+                and cfg.reference == "l1"):
+            # the L1 reference keeps every fine state of the interior nodes
+            n_free = (cfg.coarse_divisions * cfg.refinements - 1) ** 2
+            check_l1_storage(spec.n_fine_total, n_free)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.coarse_divisions < 1 or cfg.refinements < 1:
@@ -171,6 +177,10 @@ def _validate(cfg: ExperimentConfig) -> None:
     if cfg.coarse_divisions < 2:
         raise ConfigError("[mesh] wemp-convergence needs coarse_divisions "
                           ">= 2, for an interior coarse vertex")
+    # with one refinement the chi_i collapse to hat functions, and the rank
+    # filter rejects the degenerate columns
+    if cfg.refinements < 2:
+        raise ConfigError("[mesh] wemp-convergence needs refinements >= 2")
     # a neighbourhood side has 2 * refinements fine segments, and the
     # level's dyadic breakpoints must land on fine nodes
     if (2 * cfg.refinements) % 2 ** cfg.level:

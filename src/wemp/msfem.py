@@ -11,10 +11,11 @@ Construction stages:
    neighborhood, and one Neumann corrector per neighborhood driven by the
    weighted coefficient kappa_tilde;
 4. global space: the columns chi_i * (local function) of each neighborhood
-   form one block, scattered with its boundary dofs zeroed;
-   near-dependent columns are dropped by LAPACK's pivoted Cholesky (dpstrf) of
-   the Gram matrix scaled to unit diagonal; the kept block of the Gram
-   matrix is the projected mass matrix, and the stiffness is projected.
+   form one block, made, filtered and scattered in one pass: LAPACK's
+   pivoted Cholesky (dpstrf) of the block's Gram matrix, less the part the
+   columns kept before it explain, scaled to unit diagonal, drops the
+   near-dependent columns; the kept ones are scattered with their
+   boundary dofs zeroed, and mass and stiffness are projected.
 
 Stages 1 and 3 share one Dirichlet solver, _LocalSolver, on a rectangle of
 fine cells: a coarse cell for stage 1, a vertex neighborhood for stage 3.
@@ -28,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
@@ -287,19 +289,12 @@ def eta_indicator(H: float, level: int, kappa: CoefficientField,
 class MultiscaleSpace:
     level: int
     basis: sp.csr_matrix            # fine dofs x ms dofs
-    ms_mass: sp.csr_matrix          # SPD after filtering
-    ms_stiffness: sp.csr_matrix
+    ms_mass: sp.csr_matrix          # basis.T M basis, SPD after filtering
+    ms_stiffness: sp.csr_matrix     # basis.T A basis
     column_info: tuple              # (vertex, kind, side, wavelet index) per column
     fine_ops: OperatorPair
     mesh: TwoLevelMesh
     kappa: CoefficientField
-
-    def __post_init__(self):
-        # ms_mass never changes, so every projection shares one
-        # factorization. Made with the space, it raised the sequential
-        # benchmark's peak memory by its own 2 MB; made at the first
-        # projection, late in the run, by 7 MB
-        object.__setattr__(self, "_mass_solve", factorized_spd(self.ms_mass))
 
     @property
     def n_columns(self) -> int:
@@ -339,17 +334,19 @@ def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
     return solver.local_nodes, block, info
 
 
-def _pivoted_gram_filter(gram: sp.csr_matrix, tol: float) -> np.ndarray:
+def _pivoted_gram_filter(gram: np.ndarray, tol: float,
+                         explained: np.ndarray | float = 0.0) -> np.ndarray:
     """Column subset selection by diagonally pivoted Cholesky (dpstrf).
 
-    The sparse Gram matrix is scaled to unit diagonal into the one dense
-    array that dpstrf factors in place, so the factorization stops when the
-    best remaining residual diagonal, relative to the column's own squared
-    norm, drops to tol. A column is dropped for its length alone only when
-    its squared norm is zero, however short it is against the others.
-    Returns kept indices, sorted.
+    gram is the dense Gram matrix of one neighbourhood's columns, and
+    explained the part of it that the columns kept before them account
+    for. dpstrf factors the rest scaled by gram's diagonal, so it stops
+    when the best remaining residual diagonal, relative to the column's
+    own squared norm, drops to tol. A column is dropped for its length
+    alone only when its squared norm is zero, however short it is against
+    the others. Returns kept indices, sorted.
     """
-    d0 = gram.diagonal()
+    d0 = np.diag(gram)
     if np.any(d0 < -tol * d0.max()):
         raise RuntimeError("Gram matrix has a negative diagonal entry")
     # identically vanishing products chi_i * v (possible in degenerate
@@ -357,21 +354,27 @@ def _pivoted_gram_filter(gram: sp.csr_matrix, tol: float) -> np.ndarray:
     positive = d0 > 0.0
     s = np.zeros_like(d0)
     s[positive] = 1.0 / np.sqrt(d0[positive])
-    g = gram.tocoo()
-    scaled = np.zeros(gram.shape, order="F")
-    scaled[g.row, g.col] = s[g.row] * s[g.col] * g.data
+    scaled = np.asfortranarray(s[:, None] * (gram - explained) * s)
     _, piv, rank, info = lapack.dpstrf(scaled, tol=tol, overwrite_a=True)
     if info < 0:
         raise RuntimeError(f"dpstrf rejected its argument {-info}")
     return np.sort(piv[:rank] - 1)
 
 
+def _galerkin(basis: sp.csr_matrix, op: sp.spmatrix) -> sp.csr_matrix:
+    """basis.T @ op @ basis, symmetrized, with entries that cancel dropped."""
+    g = basis.T @ (op @ basis)
+    g = ((g + g.T) * 0.5).tocsr()
+    g.eliminate_zeros()
+    return g
+
+
 def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
                    pou: PartitionOfUnity, level: int,
                    workers: int = 1) -> MultiscaleSpace:
-    """Global multiscale space over the interior coarse vertices.
-
-    The local solves run one after another. `workers` is ignored: two
+    """Global multiscale space over the interior coarse vertices, made in
+    one pass: each neighbourhood's block is built, rank filtered against
+    the columns kept before it, and scattered. `workers` is ignored: two
     threads made the set-up slower than one, and the keyword stays only
     because perfbench/workloads.py passes it.
     """
@@ -382,45 +385,61 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
     vertices = np.where(mesh.coarse_vertex_interior)[0]
     if vertices.size == 0:
         raise ValueError("mesh has no interior coarse vertices")
-    results = [_vertex_columns(mesh, kappa, pou, level, v, kappa_tilde)
-               for v in vertices]
 
     interior_mask = np.zeros(mesh.n_nodes, dtype=bool)
     interior_mask[ops.free_dofs] = True
-    rows, cols, vals = [], [], []
-    info = []
-    for local_nodes, block, block_info in results:
+    columns, info = [], []
+    # A near-dependence can span neighbourhoods (at two refinements per
+    # coarse cell, or at the finest level a mesh carries), so each block is
+    # filtered on the part of its Gram matrix that the columns kept before
+    # it leave unexplained: one pivoted Cholesky of the global Gram matrix,
+    # a block of pivots at a time. A neighbourhood shares cells only with
+    # those of the vertices one coarse step away, the earliest numbered
+    # C + 2 before it (chi_i vanishes, up to rounding, on the lines it
+    # shares with the others). So `factor` holds the global factor's
+    # trailing rows and columns over the `window` of blocks that a later
+    # block can meet: (vertex, nodes, kept rows) per block.
+    window, factor = [], np.zeros((0, 0))
+    n_built = 0
+    for vertex in vertices:
+        local_nodes, block, block_info = _vertex_columns(
+            mesh, kappa, pou, level, vertex, kappa_tilde)
         keep = interior_mask[local_nodes]
-        kept = block[:, keep]
-        # row-major nonzeros: column by column, nodes ascending within each
-        col, node = np.nonzero(kept)
-        rows.append(local_nodes[keep][node])
-        cols.append(len(info) + col)
-        vals.append(kept[col, node])
-        info.extend(block_info)
-    raw = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(mesh.n_nodes, len(info))).tocsr()
-
-    gram = raw.T @ (ops.mass @ raw)
-    gram = ((gram + gram.T) * 0.5).tocsr()
-    gram.eliminate_zeros()          # entries that cancel are not kept
-    kept = _pivoted_gram_filter(gram, RANK_FILTER_TOL)
-    if kept.size < 0.5 * len(info):
+        nodes, block = local_nodes[keep], block[:, keep]
+        while window and window[0][0] < vertex - mesh.coarse_divisions - 2:
+            drop = len(window.pop(0)[2])
+            factor = factor[drop:, drop:]
+        m_block = ops.mass[nodes].T @ block.T   # M @ block.T, M symmetric
+        window_gram = [np.zeros((0, len(block)))]
+        window_gram += [b @ m_block[n] for _, n, b in window]
+        cross = scipy.linalg.solve_triangular(factor, np.vstack(window_gram),
+                                              lower=True)
+        gram, explained = block @ m_block[nodes], cross.T @ cross
+        kept = _pivoted_gram_filter(gram, RANK_FILTER_TOL, explained)
+        new = np.linalg.cholesky((gram - explained)[np.ix_(kept, kept)])
+        factor = np.block([[factor, np.zeros((len(factor), kept.size))],
+                           [cross[:, kept].T, new]])
+        block = block[kept]
+        window.append((vertex, nodes, block))
+        col, node = np.nonzero(block)       # column by column
+        columns.append(sp.coo_matrix((block[col, node], (nodes[node], col)),
+                                     shape=(mesh.n_nodes, len(block))))
+        info.extend(block_info[i] for i in kept)
+        n_built += len(block_info)
+    if len(info) < 0.5 * n_built:
         raise RuntimeError(
-            f"rank filter kept only {kept.size} of {len(info)} columns; "
+            f"rank filter kept only {len(info)} of {n_built} columns; "
             "the local problems look degenerate")
-    basis = raw[:, kept].tocsr()
-    # the Gram matrix already holds basis.T @ M @ basis, entry for entry
-    ms_mass = gram[kept][:, kept]
-    ms_stiff = basis.T @ (ops.stiffness @ basis)
-    ms_stiff = ((ms_stiff + ms_stiff.T) * 0.5).tocsr()
-    return MultiscaleSpace(level=level, basis=basis, ms_mass=ms_mass,
-                           ms_stiffness=ms_stiff,
-                           column_info=tuple(info[i] for i in kept),
-                           fine_ops=ops, mesh=mesh, kappa=kappa)
+    basis = sp.hstack(columns).tocsr()
+    return MultiscaleSpace(level=level, basis=basis,
+                           ms_mass=_galerkin(basis, ops.mass),
+                           ms_stiffness=_galerkin(basis, ops.stiffness),
+                           column_info=tuple(info), fine_ops=ops, mesh=mesh,
+                           kappa=kappa)
 
 
 def edge_projection(space: MultiscaleSpace, v: np.ndarray) -> np.ndarray:
-    """Mass-orthogonal projection of a fine-nodal vector onto the space."""
-    return space._mass_solve(space.basis.T @ (space.fine_ops.mass @ v))
+    """Mass-orthogonal projection of a fine-nodal vector onto the space.
+    Each call factorizes ms_mass: a march projects only u0, once."""
+    return factorized_spd(space.ms_mass)(
+        space.basis.T @ (space.fine_ops.mass @ v))

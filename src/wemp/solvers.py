@@ -68,6 +68,16 @@ log = logging.getLogger(__name__)
 L1_STATE_BUDGET_BYTES = 2_000_000_000
 
 
+def check_l1_storage(n_steps: int, n_free: int) -> None:
+    """Raise ValueError when the L1 march's full history, n_steps + 1
+    states of n_free floats, exceeds L1_STATE_BUDGET_BYTES."""
+    need = (n_steps + 1) * n_free * 8
+    if need > L1_STATE_BUDGET_BYTES:
+        raise ValueError(
+            f"full-history storage needs {need / 1e9:.1f} GB; "
+            "use the exponential-sum solver instead")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     alpha: float
@@ -399,11 +409,7 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
     n_steps = spec.n_fine_total
     free = ops.free_dofs
     n_free = free.size
-    need = (n_steps + 1) * n_free * 8
-    if need > L1_STATE_BUDGET_BYTES:
-        raise ValueError(
-            f"full-history storage needs {need / 1e9:.1f} GB; "
-            "use the exponential-sum solver instead")
+    check_l1_storage(n_steps, n_free)
     coeffs = l1_coefficients(spec.alpha, n_steps)
     scale = tau ** spec.alpha * coeffs.c_alpha
     M_ff = ops.mass_free

@@ -9,12 +9,14 @@ import dataclasses
 import importlib
 import importlib.util
 import inspect
+import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from wemp import experiments, msfem, parareal, soe, solvers
+from wemp import experiments, fem, msfem, parareal, soe, solvers
+from wemp import mesh as wmesh
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -108,3 +110,34 @@ def test_iteration_calls_jump_once_per_slab(space44, monkeypatch, tau_f):
     monkeypatch.setattr(parareal, "jump", counting_jump)
     parareal.wemp_iteration(ctx, parareal.initial_coarse_sweep(ctx))
     assert slabs == list(range(ctx.n_slabs))
+
+
+def test_traced_pass_yields_every_per_layer_metric(monkeypatch):
+    # perfbench/run.py marks a traced run incorrect when a per_layer metric
+    # of BENCHMARK.json is missing; a tiny pass through the calls of the
+    # workloads must yield each one that layer_metrics computes (run.py
+    # adds the three column counts itself)
+    spans = load_spans(monkeypatch)
+    bench = json.loads((SPANS.parents[1] / "BENCHMARK.json").read_text())
+    wanted = {m["name"] for m in bench["per_layer"]} - {
+        "msfem.columns_built", "msfem.columns_kept", "msfem.kept_ratio"}
+    tracer = spans.Tracer()
+    with spans.installed(tracer):
+        tracer.active = True
+        mesh = wmesh.build_mesh(4, 4)
+        kappa = fem.CoefficientField.constant(mesh)
+        ops = fem.assemble_operators(mesh, kappa)
+        space = msfem.assemble_space(
+            mesh, kappa, msfem.build_partition_of_unity(mesh, kappa), 1)
+        spec = solvers.ProblemSpec(alpha=0.5, T=0.5, tau_f=1.0 / 32,
+                                   tau_c=0.125, u0=experiments.u0_standard,
+                                   f=experiments.source_smooth, kappa=kappa,
+                                   level=1, epsilon=1e-2)
+        approx = soe.build_soe(spec.alpha, spec.tau_f, 1e-2)
+        parareal.wemp_solve(parareal.build_context(spec, space, approx),
+                            delta=0.0, k_max=1)
+        solvers.reference_l1_solve(spec, mesh, ops)
+        solvers.fine_soe_solve(spec, mesh, ops, approx)
+        solvers.multiscale_soe_solve(spec, space, approx)
+    missing = wanted - set(spans.layer_metrics(tracer.take(), 1))
+    assert not missing, sorted(missing)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from wemp import experiments
 from wemp.cli import main
 from wemp.experiments import (ConfigError, SOURCES, generate_kappa,
                               parse_config, run_experiment, run_unit_oracles,
@@ -263,14 +264,13 @@ def test_run_soe_accuracy_assert_breach(tmp_path):
     assert "threshold = 0.01 %" in summary
 
 
-def test_run_experiment_numerical_failure(tmp_path, capsys):
-    # the full-history reference refuses to allocate this many fine states,
-    # which the driver reports as a numerical failure, not a config error
-    overrides = {
-        "problem": {"T": "1.0", "tau_c": "0.1", "tau_f": "1e-7"},
-        "mesh": {"coarse_divisions": "8", "refinements": "8"},
-    }
-    cfg = parse_config(write_config(tmp_path / "a.ini", overrides))
+def test_run_experiment_numerical_failure(tmp_path, capsys, monkeypatch):
+    # a solver that fails on a valid config is reported as a numerical
+    # failure, not a config error
+    def failing_reference(spec, mesh, ops):
+        raise RuntimeError("solve residual too large")
+    monkeypatch.setattr(experiments, "reference_l1_solve", failing_reference)
+    cfg = parse_config(write_config(tmp_path / "a.ini"))
     code = run_experiment(cfg, out_dir=str(tmp_path / "out"))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().out
@@ -425,6 +425,42 @@ def test_cli_wemp_convergence_needs_an_interior_coarse_vertex(tmp_path,
     mesh["coarse_divisions"] = "2"
     path = write_config(tmp_path / "b.ini", overrides)
     assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_wemp_convergence_needs_two_refinements(tmp_path, capsys):
+    # with one refinement per coarse cell the chi_i collapse to hat
+    # functions, and the space has too few independent columns
+    mesh = {"coarse_divisions": "4", "refinements": "1"}
+    overrides = {"problem": {"level": "0"}, "mesh": mesh,
+                 "run": {"experiment": "wemp-convergence", "k_max": "1"}}
+    path = write_config(tmp_path / "a.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "refinements >= 2" in err
+    assert not (tmp_path / "out").exists()
+    # two refinements carry the space, and the run goes through
+    mesh["refinements"] = "2"
+    path = write_config(tmp_path / "b.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+
+
+def test_cli_l1_history_over_budget(tmp_path, capsys):
+    # the L1 reference would keep 100001 states of 63^2 interior nodes,
+    # 3.2 GB, and the config alone says so
+    overrides = {"problem": {"T": "1.0", "tau_c": "0.1", "tau_f": "1e-5"},
+                 "mesh": {"coarse_divisions": "8", "refinements": "8"}}
+    path = write_config(tmp_path / "a.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "needs 3.2 GB" in err
+    assert not (tmp_path / "out").exists()
+    # wemp-convergence checks the budget only against the L1 reference
+    overrides["run"] = {"experiment": "wemp-convergence"}
+    with pytest.raises(ConfigError, match="needs 3.2 GB"):
+        parse_config(write_config(tmp_path / "b.ini", overrides))
+    overrides["run"]["reference"] = "soe"
+    assert parse_config(write_config(tmp_path / "c.ini", overrides)).tau_f \
+        == 1e-5
 
 
 def test_cli_negative_k_max(tmp_path, capsys):

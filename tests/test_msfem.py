@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
+from wemp import msfem
 from wemp.experiments import generate_kappa
 from wemp.fem import (CoefficientField, assemble_operators,
                       assemble_submesh_operators, triangle_geometry, norms)
@@ -502,16 +504,20 @@ def test_space_galerkin_matrices(mesh44, ops44, space44):
     assert np.linalg.eigvalsh(stiffness).min() > 0
 
 
-def test_space_matrices_are_symmetric_csr(space44):
-    # the symmetric-mode factorization of fem.factorized_spd takes them
-    # as they are stored
+@pytest.fixture(scope="module")
+def inclusions48():
+    """A 4x8 mesh with six 4x4 inclusions of contrast 1e4, at level 2."""
     mesh = build_mesh(4, 8)
     kappa = generate_kappa("contrast-inclusions",
                            {"contrast": 1e4, "count": 6, "size": 4},
                            mesh, seed=7)
-    inclusions = assemble_space(mesh, kappa,
-                                build_partition_of_unity(mesh, kappa), 2)
-    for space in (space44, inclusions):
+    return mesh, kappa, build_partition_of_unity(mesh, kappa), 2
+
+
+def test_space_matrices_are_symmetric_csr(space44, inclusions48):
+    # the symmetric-mode factorization of fem.factorized_spd takes them
+    # as they are stored
+    for space in (space44, assemble_space(*inclusions48)):
         for matrix in (space.ms_mass, space.ms_stiffness):
             assert matrix.format == "csr"
             assert abs(matrix - matrix.T).nnz == 0
@@ -519,29 +525,99 @@ def test_space_matrices_are_symmetric_csr(space44):
 
 def test_gram_filter_drops_duplicates_and_zeros():
     gram = np.array([[1.0, 1.0], [1.0, 1.0]])
-    kept = _pivoted_gram_filter(sp.csr_matrix(gram), 1e-10)
+    kept = _pivoted_gram_filter(gram, 1e-10)
     assert kept.size == 1
     gram2 = np.diag([1.0, 0.0, 2.0])
-    kept2 = _pivoted_gram_filter(sp.csr_matrix(gram2), 1e-10)
+    kept2 = _pivoted_gram_filter(gram2, 1e-10)
     assert kept2.tolist() == [0, 2]
     with pytest.raises(RuntimeError):
-        _pivoted_gram_filter(sp.csr_matrix(np.diag([1.0, -1.0])), 1e-10)
+        _pivoted_gram_filter(np.diag([1.0, -1.0]), 1e-10)
     # an exactly dependent third column b1 + b2: two of the three stay
     rng = np.random.default_rng(3)
     B = rng.standard_normal((6, 3))
     B[:, 2] = B[:, 0] + B[:, 1]
-    assert _pivoted_gram_filter(sp.csr_matrix(B.T @ B), 1e-10).size == 2
+    assert _pivoted_gram_filter(B.T @ B, 1e-10).size == 2
     # independent columns scaled from 1e-8 to 1e-4 all stay, though most
     # squared norms lie below tol: the stopping rule is relative to each
     # column's own norm
     Bs = rng.standard_normal((8, 5)) * np.logspace(-8, -4, 5)
-    assert (_pivoted_gram_filter(sp.csr_matrix(Bs.T @ Bs), 1e-10).tolist()
+    assert (_pivoted_gram_filter(Bs.T @ Bs, 1e-10).tolist()
             == [0, 1, 2, 3, 4])
     # and from 1e-6 to 1e6: a column is dropped for its length only when
     # its squared norm is zero, not when it is short against the longest
     Bw = rng.standard_normal((8, 5)) * np.logspace(-6, 6, 5)
-    assert (_pivoted_gram_filter(sp.csr_matrix(Bw.T @ Bw), 1e-10).tolist()
+    assert (_pivoted_gram_filter(Bw.T @ Bw, 1e-10).tolist()
             == [0, 1, 2, 3, 4])
+
+
+def test_rank_filter_sees_one_neighbourhood_at_a_time(inclusions48,
+                                                      monkeypatch):
+    # no call sees more columns than one neighbourhood builds, so set-up
+    # forms no n_columns^2 Gram matrix
+    mesh, kappa, pou, level = inclusions48
+    sizes = []
+
+    def spy(gram, tol, explained):
+        sizes.append(gram.shape)
+        return _pivoted_gram_filter(gram, tol, explained)
+    monkeypatch.setattr(msfem, "_pivoted_gram_filter", spy)
+    space = assemble_space(mesh, kappa, pou, level)
+    per_hood = 4 * 2 ** level + 1
+    assert sizes == [(per_hood, per_hood)] * int(
+        mesh.coarse_vertex_interior.sum())
+    assert space.n_columns == sum(n for n, _ in sizes)
+
+
+def global_filter_count(mesh, kappa, pou, level, tol):
+    """Columns that a pivoted Cholesky of the Gram matrix of every built
+    column, scaled to unit diagonal, keeps at tol."""
+    ops = assemble_operators(mesh, kappa)
+    kt = weighted_coefficient(mesh, kappa, pou)
+    blocks = []
+    for vertex in np.flatnonzero(mesh.coarse_vertex_interior):
+        local_nodes, block, _ = _vertex_columns(mesh, kappa, pou, level,
+                                                vertex, kt)
+        full = np.zeros((len(block), mesh.n_nodes))
+        full[:, local_nodes] = block
+        blocks.append(full)
+    raw = np.vstack(blocks)[:, ops.free_dofs]
+    M = ops.mass[ops.free_dofs][:, ops.free_dofs]
+    gram = raw @ (M @ raw.T)
+    s = 1.0 / np.sqrt(np.diag(gram))
+    return lapack.dpstrf(s[:, None] * gram * s, tol=tol)[2]
+
+
+def constant_case(coarse, refinements, level):
+    mesh = build_mesh(coarse, refinements)
+    kappa = CoefficientField.constant(mesh)
+    return mesh, kappa, build_partition_of_unity(mesh, kappa), level
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-8])
+@pytest.mark.parametrize("case,kept_at_1e10", [
+    ("space44", 81), ("inclusions48", 153),
+    # columns of different neighbourhoods depend on one another at two
+    # refinements per coarse cell, and at the finest level of a mesh
+    ((4, 2, 1), 48), ((4, 4, 3), 204)],
+    ids=["space44", "inclusions48", "two-refinements", "finest-level"])
+def test_block_filter_keeps_the_global_count(request, monkeypatch, case,
+                                             kept_at_1e10, tol):
+    # filtering block by block, each against the columns kept before it,
+    # keeps as many columns as one pivoted Cholesky of the whole Gram matrix
+    if case == "space44":
+        args = tuple(request.getfixturevalue(name)
+                     for name in ("mesh44", "kappa44", "pou44")) + (1,)
+    elif case == "inclusions48":
+        args = request.getfixturevalue("inclusions48")
+    else:
+        args = constant_case(*case)
+    monkeypatch.setattr(msfem, "RANK_FILTER_TOL", tol)
+    rank = global_filter_count(*args, tol)
+    space = assemble_space(*args)
+    assert space.n_columns == rank
+    if tol == 1e-10:
+        assert rank == kept_at_1e10
+    assert np.linalg.eigvalsh(space.ms_mass.toarray()).min() > 0
 
 
 def test_space_degenerate_refinement_limit():

@@ -507,10 +507,12 @@ def test_modal_solve_steps_only_the_coarse_step(space44, monkeypatch):
     assert taus == [ctx.tau_c] * (ctx.n_slabs * (1 + 2 * 2))
 
 
-def test_one_space_factorizes_its_mass_once(space44, monkeypatch):
-    # build_context and multiscale_soe_solve both project u0 on the modal
-    # path, which factorizes no step; the projections share the
-    # factorization of ms_mass that the space makes
+def test_each_projection_factorizes_the_mass(space44, monkeypatch):
+    # a space holds its fields and no factorization; build_context and
+    # multiscale_soe_solve each project u0 on the modal path, which
+    # factorizes no step, so ms_mass is factorized once per projection
+    fields = {f.name for f in dataclasses.fields(MultiscaleSpace)}
+    assert set(vars(space44)) == fields
     calls = []
 
     def factorized_spd(matrix):
@@ -518,12 +520,11 @@ def test_one_space_factorizes_its_mass_once(space44, monkeypatch):
         return fem.factorized_spd(matrix)
     monkeypatch.setattr(msfem, "factorized_spd", factorized_spd)
     monkeypatch.setattr(solvers, "factorized_spd", factorized_spd)
-    space = dataclasses.replace(space44)
-    spec = make_spec(kappa=space.kappa, tau_f=1.0 / 128.0)
+    spec = make_spec(kappa=space44.kappa, tau_f=1.0 / 128.0)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
-    build_context(spec, space, soe)
-    multiscale_soe_solve(spec, space, soe)
-    assert calls == [(space.n_columns, space.n_columns)]
+    build_context(spec, space44, soe)
+    multiscale_soe_solve(spec, space44, soe)
+    assert calls == [(space44.n_columns, space44.n_columns)] * 2
 
 
 def test_write_iteration_csv(tmp_path):
