@@ -12,8 +12,9 @@ from .fem import (CoefficientField, OperatorPair, assemble_operators,
 from .soe import (SOEApproximation, StepCoefficients, build_soe,
                   build_soe_for_terms, soe_residual, step_coefficients,
                   validate_epsilon)
-from .stepping import (L1Coefficients, l1_coefficients, mittag_leffler_neg,
-                       propagate_history_with, soe_caputo_known_part)
+from .stepping import (L1Coefficients, history_weights, l1_coefficients,
+                       mittag_leffler_neg, propagate_history_with,
+                       soe_caputo_known_part)
 from .msfem import (MultiscaleSpace, PartitionOfUnity, assemble_space,
                     build_partition_of_unity, edge_projection, edge_wavelets,
                     eta_indicator, weighted_coefficient)

@@ -165,7 +165,7 @@ def _validate(cfg: ExperimentConfig) -> None:
                 and cfg.reference == "l1"):
             # the L1 reference keeps every fine state of the interior nodes
             n_free = (cfg.coarse_divisions * cfg.refinements - 1) ** 2
-            check_l1_storage(spec.n_fine_total, n_free)
+            check_l1_storage(spec.n_fine_total, spec.m_sub, n_free)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     if cfg.coarse_divisions < 1 or cfg.refinements < 1:
@@ -327,9 +327,9 @@ def _run_wemp(cfg, spec, mesh, kappa, soe, out, assert_mode) -> int:
         last_max = float(rel_l2.max())
     write_iteration_csv(out / "iterations.csv", rows)
     with open(out / "timings.csv", "w") as fh:
-        fh.write("k,parallel_s,sweep_s,err\n")
+        fh.write("k,slab_s,sweep_s,err\n")
         for row in timings:
-            fh.write(f"{row['k']},{row.get('parallel_s', 0.0):.6g},"
+            fh.write(f"{row['k']},{row.get('slab_s', 0.0):.6g},"
                      f"{row.get('sweep_s', 0.0):.6g},"
                      f"{row.get('err', float('nan')):.17g}\n")
     lines = [

@@ -84,9 +84,11 @@ def build_partition_of_unity(mesh: TwoLevelMesh,
             cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
                                   (cy * R, (cy + 1) * R))
             solver = _LocalSolver(mesh, kappa, cell)
-            coords = mesh.fine_node_coords[solver.bnd_nodes]
-            xi = (coords[:, 0] - cx * mesh.H) / mesh.H
-            eta = (coords[:, 1] - cy * mesh.H) / mesh.H
+            # integer node offsets put xi and eta exactly on 0 and 1 at the
+            # cell's sides, whatever H is
+            iy, ix = np.divmod(solver.bnd_nodes, mesh.n_fine_per_axis + 1)
+            xi = (ix - cx * R) / R
+            eta = (iy - cy * R) / R
             corners = mesh.coarse_vertex_index(cx + np.array([0, 1, 0, 1]),
                                                cy + np.array([0, 0, 1, 1]))
             data = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),

@@ -18,7 +18,9 @@ integrals (see stepping.propagate_history_with). Every iterate, like the
 sequential march (F chained), is one PropagatorContext.chain of slab steps
 (U, Phi) -> (U', Phi'), which also lifts it and checks it is finite. Iterate
 0 chains G with the histories G returns; every update (S + G) and the
-hybrid fixed point (F) rebuild Phi with the tau_c recurrence (_rebuilt).
+hybrid fixed point (F) rebuild Phi with the tau_c recurrence (_rebuilt):
+propagate_history_with over the 2-state stack (U, U'), the update that ends
+every block of a march, so a rebuild at tau_c = tau_f is the march's own.
 The kernel's t^(-alpha) initial-data term always uses the global clock and
 the global initial vector; slabs never restart it.
 
@@ -113,7 +115,8 @@ def _rebuilt(ctx: PropagatorContext, advance: Callable) -> Callable:
     rebuilt from (Phi^n, U^n, U^{n+1}) by the tau_c recurrence."""
     def step(n, U, Phi):
         v = advance(n, U, Phi)
-        return v, propagate_history_with(Phi, ctx.coarse_coeffs, U, v)
+        return v, propagate_history_with(Phi, ctx.coarse_coeffs,
+                                         np.stack((U, v)))
     return step
 
 
@@ -128,7 +131,7 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
 
     The slab jumps are computed one after another in the calling thread. If
     phase_log is a dict it receives the wall times of the slab phase (under
-    the key "parallel_s") and of the sequential sweep.
+    the key "slab_s") and of the sequential sweep.
     """
     t0 = time.perf_counter()
     jumps = [jump(ctx, n, prev.step_solutions[n], prev.histories[n])
@@ -137,7 +140,7 @@ def wemp_iteration(ctx: PropagatorContext, prev: PararealState,
     state = _sweep(ctx, prev.iteration + 1, _rebuilt(
         ctx, lambda n, u, phi: jumps[n] + ctx.coarse(n, u, phi)[0]), prev)
     if phase_log is not None:
-        phase_log["parallel_s"] = t1 - t0
+        phase_log["slab_s"] = t1 - t0
         phase_log["sweep_s"] = time.perf_counter() - t1
     return state
 
@@ -148,7 +151,7 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
 
     Returns (states, timings): states[k] is the iterate after k corrections
     (states[0] is the coarse sweep); timings is a list of dicts with the
-    slab-phase ("parallel_s") and sweep wall times per iteration. Only the
+    slab-phase ("slab_s") and sweep wall times per iteration. Only the
     last state keeps its boundary histories, the one input the next
     iteration needs; earlier states hold histories=(). The solve makes its
     own loads and, on the modal path, its own modes and slab map, so it
@@ -159,7 +162,7 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     ctx = replace(ctx)
     t0 = time.perf_counter()
     states = [initial_coarse_sweep(ctx)]
-    timings = [{"k": 0, "parallel_s": 0.0, "sweep_s": time.perf_counter() - t0}]
+    timings = [{"k": 0, "slab_s": 0.0, "sweep_s": time.perf_counter() - t0}]
     for k in range(1, k_max + 1):
         log = {"k": k}
         new = wemp_iteration(ctx, states[-1], phase_log=log)

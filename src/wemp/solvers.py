@@ -12,6 +12,14 @@ steps through slab_instants(n, m_sub, tau_f), and a trajectory holds the
 state at each slab boundary. The two exponential-sum solvers and the
 parareal propagators march one loop, soe_march, once per slab, over one
 implicit-step kernel, soe_implicit_step, so their arithmetic is identical.
+soe_march reads the history in blocks of at most n_terms steps, cut within
+each slab (stepping.history_weights): one product of the block's far
+weights with its start history gives each step's far history, each step
+adds a near window over the block's own states, and one product at the
+block's end (stepping.propagate_history_with) advances the history; no
+step passes over the (n_terms, dof) history by itself. reference_l1_solve
+reads its full history a slab at a time the same way: one product of the
+slab's weight rows with every earlier state, plus the slab's own states.
 Homogeneous Dirichlet data is eliminated: the fine solvers work on free
 dofs and the trajectories embed zeros back at boundary nodes.
 
@@ -46,6 +54,7 @@ marching (PropagatorContext.fine_end).
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from functools import cached_property
@@ -59,7 +68,7 @@ from scipy.special import gamma
 from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
                   assemble_loads, factorized_spd, norms)
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
-from .stepping import (l1_coefficients, l1_known_weights,
+from .stepping import (history_weights, l1_coefficients, l1_known_weights,
                        propagate_history_with, soe_caputo_known_part)
 from .msfem import MultiscaleSpace
 
@@ -68,14 +77,19 @@ log = logging.getLogger(__name__)
 L1_STATE_BUDGET_BYTES = 2_000_000_000
 
 
-def check_l1_storage(n_steps: int, n_free: int) -> None:
-    """Raise ValueError when the L1 march's full history, n_steps + 1
-    states of n_free floats, exceeds L1_STATE_BUDGET_BYTES."""
-    need = (n_steps + 1) * n_free * 8
-    if need > L1_STATE_BUDGET_BYTES:
+def check_l1_storage(n_steps: int, m_sub: int, n_free: int) -> None:
+    """Raise ValueError when the L1 march's memory exceeds
+    L1_STATE_BUDGET_BYTES: its full history, n_steps + 1 states of n_free
+    floats, and one slab block (reference_l1_solve), m_sub far-history
+    vectors of n_free floats and m_sub weight rows of up to n_steps."""
+    history = (n_steps + 1) * n_free * 8
+    block = m_sub * (n_free + n_steps) * 8
+    if history + block > L1_STATE_BUDGET_BYTES:
         raise ValueError(
-            f"full-history storage needs {need / 1e9:.1f} GB; "
-            "use the exponential-sum solver instead")
+            f"the L1 march needs {(history + block) / 1e9:.1f} GB: "
+            f"full-history storage needs {history / 1e9:.1f} GB and one "
+            f"slab block {block / 1e9:.1f} GB; use the exponential-sum "
+            "solver instead")
 
 
 @dataclass(frozen=True)
@@ -378,38 +392,62 @@ def march_context(spec: ProblemSpec, space: MultiscaleSpace,
 
 
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
-                      psi: np.ndarray, load_vec):
-    """One implicit step of the exponential-sum scheme.
+                      weighted: np.ndarray, load_vec) -> np.ndarray:
+    """One implicit step of the exponential-sum scheme, from the weighted
+    history omega . psi of the step (stepping.history_weights); returns
+    v_next.
 
-    Solves (M / (tau^alpha c_alpha) + A) v_next = M @ known + F and advances
-    the history recurrence. `solve` must be the factorization of that left
-    matrix; mass None stands for the identity of modal coordinates.
+    Solves (M / (tau^alpha c_alpha) + A) v_next = M @ known + F. `solve`
+    must be the factorization of that left matrix; mass None stands for the
+    identity of modal coordinates.
     """
-    known = soe_caputo_known_part(psi, soe, coeffs.tau, v_curr, v0, t_next)
-    v_next = solve((known if mass is None else mass @ known) + load_vec)
-    return v_next, propagate_history_with(psi, coeffs, v_curr, v_next)
+    known = soe_caputo_known_part(weighted, soe, coeffs.tau, v_curr, v0,
+                                  t_next)
+    return solve((known if mass is None else mass @ known) + load_vec)
 
 
 def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
               loads):
-    """soe_implicit_step from state (v, psi) through each float of
+    """soe_implicit_step from state (v, psi) through each float of the list
     `instants`, with the load vector that loads yields for each in turn;
-    returns the final (v, psi)."""
-    for t, load in zip(instants, loads, strict=True):
-        v, psi = soe_implicit_step(solve, mass, soe, coeffs, v, v0, t, psi,
-                                   load)
+    returns the final (v, psi).
+
+    The march reads its history in blocks of at most n_terms steps: one
+    product of the block's far weights with psi gives every step's weighted
+    history but for the block's own states, each step adds those through
+    its near weights, and propagate_history_with advances psi over the
+    block in one product.
+    """
+    steps = zip(instants, loads, strict=True)
+    for start in range(0, len(instants), soe.n_terms):
+        n_block = min(soe.n_terms, len(instants) - start)
+        far, near = history_weights(soe, coeffs, n_block)
+        weighted = far @ psi
+        states = np.empty((n_block + 1, np.size(v)))
+        states[0] = v
+        for k, (t, load) in enumerate(itertools.islice(steps, n_block)):
+            weighted[k] += near[k, :k + 1] @ states[:k + 1]
+            v = states[k + 1] = soe_implicit_step(
+                solve, mass, soe, coeffs, v, v0, t, weighted[k], load)
+        psi = propagate_history_with(psi, coeffs, states)
+    next(steps, None)              # raises if loads outlast instants
     return v, psi
 
 
 def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
                        ) -> Trajectory:
     """Fine Galerkin solution with the full-history L1 derivative, at the
-    slab boundaries."""
+    slab boundaries.
+
+    Slab by slab, one product of the slab's weight rows with the states
+    before it gives each step's far history; each step adds the slab's own
+    states.
+    """
     tau = spec.tau_f
-    n_steps = spec.n_fine_total
+    n_steps, m_sub = spec.n_fine_total, spec.m_sub
     free = ops.free_dofs
     n_free = free.size
-    check_l1_storage(n_steps, n_free)
+    check_l1_storage(n_steps, m_sub, n_free)
     coeffs = l1_coefficients(spec.alpha, n_steps)
     scale = tau ** spec.alpha * coeffs.c_alpha
     M_ff = ops.mass_free
@@ -417,14 +455,20 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
 
     states = np.empty((n_steps + 1, n_free))
     states[0] = spec.nodal_u0(mesh)[free]
-    for n in range(n_steps):
-        w = l1_known_weights(coeffs, n)
-        known = (w @ states[:n + 1]) / scale
-        rhs = M_ff @ known + _load_free(spec, mesh, ops, (n + 1) * tau)
-        states[n + 1] = solve(rhs)
+    for first in range(0, n_steps, m_sub):
+        rows = np.zeros((m_sub, first + m_sub))
+        for k in range(m_sub):
+            rows[k, :first + k + 1] = l1_known_weights(coeffs, first + k)
+        far = rows[:, :first + 1] @ states[:first + 1]
+        for k in range(m_sub):
+            n = first + k
+            known = (far[k] + rows[k, first + 1:n + 1]
+                     @ states[first + 1:n + 1]) / scale
+            rhs = M_ff @ known + _load_free(spec, mesh, ops, (n + 1) * tau)
+            states[n + 1] = solve(rhs)
 
     return Trajectory(times=_boundary_times(spec),
-                      states=_embed(states[::spec.m_sub], ops.mass.shape[0],
+                      states=_embed(states[::m_sub], ops.mass.shape[0],
                                     free))
 
 

@@ -305,7 +305,7 @@ def test_run_wemp_convergence_outputs(tmp_path):
             assert float(row[4]) >= 0.0
 
     timings = (out / "timings.csv").read_text().splitlines()
-    assert timings[0] == "k,parallel_s,sweep_s,err"
+    assert timings[0] == "k,slab_s,sweep_s,err"
     # one timing row per state, including the k=0 coarse sweep
     assert len(timings) == 2 + ks[-1]
     assert timings[1].split(",")[3] == "nan"

@@ -64,16 +64,17 @@ def lift_per_column(mesh, kappa, rect, traces):
 
 def pou_per_vertex(mesh, kappa):
     """chi from per-corner lifts gathered per vertex, one np.unique each."""
-    C, R, H = mesh.coarse_divisions, mesh.refinements_per_coarse, mesh.H
+    C, R = mesh.coarse_divisions, mesh.refinements_per_coarse
     per_nodes = [[] for _ in range((C + 1) ** 2)]
     per_vals = [[] for _ in range((C + 1) ** 2)]
     for cy in range(C):
         for cx in range(C):
             cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
                                   (cy * R, (cy + 1) * R))
-            coords = mesh.fine_node_coords[neighborhood_boundary_nodes(cell)]
-            xi = (coords[:, 0] - cx * H) / H
-            eta = (coords[:, 1] - cy * H) / H
+            iy, ix = np.divmod(neighborhood_boundary_nodes(cell),
+                               mesh.n_fine_per_axis + 1)
+            xi = (ix - cx * R) / R
+            eta = (iy - cy * R) / R
             corners = [mesh.coarse_vertex_index(cx + i, cy + j)
                        for j in (0, 1) for i in (0, 1)]
             data = ((1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta,
@@ -225,9 +226,27 @@ def test_pou_support_is_neighborhood(mesh44, pou44):
     assert np.all(chi[outside] == 0.0)
 
 
+def test_pou_vanishes_exactly_off_its_neighborhood_when_h_is_no_power_of_two():
+    # H = 1/5 and h = 1/15: corner data from fine coordinates would leave
+    # roundoff on each neighbourhood's outer boundary, and ms_mass would then
+    # couple vertices two coarse steps apart
+    mesh = build_mesh(5, 3)
+    kappa = CoefficientField.constant(mesh)
+    pou = build_partition_of_unity(mesh, kappa)
+    for vert in np.flatnonzero(mesh.coarse_vertex_interior):
+        bnd = neighborhood_boundary_nodes(coarse_neighborhood(mesh, vert))
+        assert np.all(pou.vertex_values(vert, bnd) == 0.0)
+    space = assemble_space(mesh, kappa, pou, 1)
+    grid = np.array([divmod(info[0], mesh.coarse_divisions + 1)
+                     for info in space.column_info])
+    mass = space.ms_mass.tocoo()
+    apart = np.abs(grid[mass.row] - grid[mass.col]).max(axis=1)
+    assert apart.max() == 1
+
+
 def test_vertex_values_match_the_dense_row(block_case):
-    # node sets holding a whole support, part of one, or none of it; the
-    # one-refinement case stores -0.0 entries, which the dense row reads as 0.0
+    # node sets holding a whole support, part of one, or none of it, over
+    # rows that store explicit zeros
     mesh, _, pou, _ = block_case
     rng = np.random.default_rng(3)
     every = np.arange(mesh.n_nodes)

@@ -175,7 +175,7 @@ def test_iteration_matches_manual_formula(ctx44):
         g_val, _ = coarse_propagate(ctx44, n - 1, u, phis[n - 1])
         u_next = jumps[n - 1] + g_val
         phis.append(propagate_history_with(phis[n - 1], ctx44.coarse_coeffs,
-                                           u, u_next))
+                                           np.stack((u, u_next))))
         assert np.array_equal(new.solutions[n], u_next)
         u = u_next
     expected_err = np.mean(np.linalg.norm(new.solutions[1:] - prev.solutions[1:],
@@ -209,8 +209,7 @@ def test_replay_histories(ctx44):
     replayed = [ctx44.fresh_history()]
     for n in range(ctx44.n_slabs):
         replayed.append(propagate_history_with(
-            replayed[n], ctx44.coarse_coeffs, state.solutions[n],
-            state.solutions[n + 1]))
+            replayed[n], ctx44.coarse_coeffs, state.solutions[n:n + 2]))
     assert len(replayed) == len(state.histories)
     for a, b in zip(replayed, state.histories):
         assert np.array_equal(a, b)
@@ -272,7 +271,7 @@ def test_wemp_solve_stopping_and_timings(ctx44):
     assert len(states) == 2           # coarse sweep + one iteration, then stop
     assert timings[0]["k"] == 0
     assert timings[1]["k"] == 1
-    assert "parallel_s" in timings[1] and "sweep_s" in timings[1]
+    assert "slab_s" in timings[1] and "sweep_s" in timings[1]
     assert timings[1]["err"] == states[1].err
 
     states2, _ = wemp_solve(ctx44, delta=0.0, k_max=2)

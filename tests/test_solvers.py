@@ -19,7 +19,7 @@ from wemp.solvers import (
     single_dof_setup,
     write_error_csv,
 )
-from wemp.stepping import mittag_leffler_neg
+from wemp.stepping import l1_coefficients, l1_known_weights, mittag_leffler_neg
 
 
 def zero_u0(x, y):
@@ -143,6 +143,48 @@ def test_first_step_agreement():
     l1 = reference_l1_solve(spec, mesh, ops)
     se = fine_soe_solve(spec, mesh, ops, soe)
     assert np.allclose(se.states[1], l1.states[1], rtol=1e-13, atol=1e-16)
+
+
+def test_l1_slab_blocks_match_per_step_history():
+    # the slab GEMM plus within-slab window equals w @ states[:n + 1] per step
+    mesh = build_mesh(2, 4)
+    ops = assemble_operators(mesh, CoefficientField.constant(mesh))
+    spec = make_spec(T=0.2, tau_c=0.05, tau_f=0.01)
+    free = ops.free_dofs
+    coeffs = l1_coefficients(spec.alpha, spec.n_fine_total)
+    scale = spec.tau_f ** spec.alpha * coeffs.c_alpha
+    solve = solvers.factorized_step(ops.mass_free, ops.stiffness_free,
+                                    spec.tau_f, spec.alpha)
+    states = [spec.nodal_u0(mesh)[free]]
+    for n in range(spec.n_fine_total):
+        known = (l1_known_weights(coeffs, n) @ np.array(states)) / scale
+        load = assemble_load(mesh, ops, spec.f, (n + 1) * spec.tau_f)[free]
+        states.append(solve(ops.mass_free @ known + load))
+    oracle = np.array(states)[::spec.m_sub]
+    blocked = reference_l1_solve(spec, mesh, ops).states[:, free]
+    assert np.abs(blocked - oracle).max() <= 1e-13 * np.abs(oracle).max()
+
+
+def test_one_slab_reads_its_history_once_per_block(monkeypatch):
+    # a slab of m_sub > n_terms steps: ceil(m_sub / n_terms) history
+    # updates, one implicit step per fine step
+    soe = build_soe_for_terms(0.5, 0.01, 5)
+    spec = make_spec(T=0.12, tau_c=0.12, tau_f=0.01, u0=one_u0, f=None)
+    assert spec.n_coarse == 1 and spec.m_sub == 12
+    calls = {"history": 0, "step": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    monkeypatch.setattr(solvers, "propagate_history_with", counted(
+        "history", solvers.propagate_history_with))
+    monkeypatch.setattr(solvers, "soe_implicit_step", counted(
+        "step", solvers.soe_implicit_step))
+    fine_soe_solve(spec, *single_dof_setup(), soe)
+    assert calls == {"history": -(-spec.m_sub // soe.n_terms),
+                     "step": spec.m_sub}
 
 
 def test_l1_memory_budget():

@@ -4,6 +4,7 @@ from scipy.special import erfc, gamma
 
 from wemp.soe import build_soe, step_coefficients
 from wemp.stepping import (
+    history_weights,
     l1_coefficients,
     l1_known_weights,
     mittag_leffler_neg,
@@ -62,8 +63,7 @@ def test_first_step_equals_l1():
     # with empty history the compressed known part is v / (tau^alpha c_alpha)
     soe = build_soe(0.5, 1e-3, 1e-2)
     v = np.array([1.0, -2.0, 0.5])
-    psi = np.zeros((soe.n_terms, 3))
-    known = soe_caputo_known_part(psi, soe, 1e-3, v, v, 1e-3)
+    known = soe_caputo_known_part(np.zeros(3), soe, 1e-3, v, v, 1e-3)
     expected = v / (1e-3 ** 0.5 * gamma(1.5))
     assert np.allclose(known, expected, rtol=1e-14)
 
@@ -79,7 +79,7 @@ def test_history_exact_for_constant_state():
     coeffs = step_coefficients(soe, tau)
     n = 6
     for _ in range(n):
-        psi = propagate_history_with(psi, coeffs, v, v)
+        psi = propagate_history_with(psi, coeffs, np.stack((v, v)))
     lam = soe.rates
     t_np1 = (n + 1) * tau
     exact = c * (np.exp(-lam * tau) - np.exp(-lam * t_np1)) / lam
@@ -94,11 +94,32 @@ def test_history_linearity():
     b = rng.standard_normal((4, 2))
     sa = sb = sab = np.zeros((soe.n_terms, 2))
     for k in range(3):
-        sa = propagate_history_with(sa, sc, a[k], a[k + 1])
-        sb = propagate_history_with(sb, sc, b[k], b[k + 1])
-        sab = propagate_history_with(sab, sc, 2 * a[k] - b[k],
-                                     2 * a[k + 1] - b[k + 1])
+        sa = propagate_history_with(sa, sc, a[k:k + 2])
+        sb = propagate_history_with(sb, sc, b[k:k + 2])
+        sab = propagate_history_with(sab, sc, 2 * a[k:k + 2] - b[k:k + 2])
     assert np.allclose(sab, 2 * sa - sb, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, "n_terms", 100])
+def test_block_history_equals_chained_steps(n_steps):
+    # K steps read in one block: the end-of-block update and each step's
+    # weighted history match K chained one-step updates
+    soe = build_soe(0.5, 1e-3, 1e-2)
+    coeffs = step_coefficients(soe, 1e-3)
+    K = soe.n_terms if n_steps == "n_terms" else n_steps
+    rng = np.random.default_rng(6)
+    psi = rng.standard_normal((soe.n_terms, 4))
+    states = rng.standard_normal((K + 1, 4))
+    far, near = history_weights(soe, coeffs, K)
+    chained = psi
+    for k in range(K):
+        weighted = far[k] @ psi + near[k, :k + 1] @ states[:k + 1]
+        expected = soe.weights @ chained
+        assert (np.abs(weighted - expected).max()
+                <= 1e-14 * np.abs(expected).max())
+        chained = propagate_history_with(chained, coeffs, states[k:k + 2])
+    block = propagate_history_with(psi, coeffs, states)
+    assert np.abs(block - chained).max() <= 1e-14 * np.abs(chained).max()
 
 
 def test_history_shape_validation():
@@ -106,12 +127,13 @@ def test_history_shape_validation():
     coeffs = step_coefficients(soe, 1e-3)
     psi = np.zeros((soe.n_terms, 2))
     with pytest.raises(ValueError, match="dof count"):
-        propagate_history_with(psi, coeffs, np.ones(3), np.ones(3))
+        propagate_history_with(psi, coeffs, np.ones((2, 3)))
     bad = np.zeros((soe.n_terms + 2, 2))
     with pytest.raises(ValueError, match="term count"):
-        propagate_history_with(bad, coeffs, np.ones(2), np.ones(2))
-    with pytest.raises(ValueError):
-        soe_caputo_known_part(bad, soe, 1e-3, np.ones(2), np.ones(2), 1e-3)
+        propagate_history_with(bad, coeffs, np.ones((2, 2)))
+    with pytest.raises(ValueError, match="dof count"):
+        soe_caputo_known_part(np.zeros(3), soe, 1e-3, np.ones(2), np.ones(2),
+                              1e-3)
 
 
 def test_mittag_leffler_values():
