@@ -14,11 +14,15 @@ Construction stages:
    form one block, made, filtered and scattered in one pass: LAPACK's
    pivoted Cholesky (dpstrf) of the block's Gram matrix, less the part the
    columns kept before it explain, scaled to unit diagonal, drops the
-   near-dependent columns; the kept ones are scattered with their
-   boundary dofs zeroed, and mass and stiffness are projected.
+   near-dependent columns; the kept ones are scattered, and their mass and
+   stiffness products with themselves and with the earlier blocks they
+   overlap, taken with the neighbourhood's local operators, are the
+   entries of the Galerkin matrices, assembled once at their exact size.
 
 Stages 1 and 3 share one Dirichlet solver, _LocalSolver, on a rectangle of
 fine cells: a coarse cell for stage 1, a vertex neighborhood for stage 3.
+All rectangles of one shape share one fem.rectangle_template, so each
+solver only gathers its cells' kappa into the template's patterns.
 
 Only interior coarse vertices generate columns, so every basis function
 vanishes on the domain boundary.
@@ -37,8 +41,8 @@ from scipy.linalg import lapack
 from .mesh import (TwoLevelMesh, NodeRectangle, coarse_neighborhood,
                    node_rectangle)
 from .fem import (CoefficientField, OperatorPair, assemble_operators,
-                  assemble_submesh_operators, triangle_geometry,
-                  factorized_spd)
+                  assemble_submesh_operators, rectangle_template,
+                  triangle_geometry, factorized_spd)
 
 RANK_FILTER_TOL = 1e-10
 
@@ -161,7 +165,13 @@ class _LocalSolver:
     """Shared assembly and factorization for the local solves on one
     rectangle: a vertex neighborhood or, for the partition of unity, a
     coarse cell. Local node numbers are positions in the sorted
-    local_nodes."""
+    local_nodes.
+
+    The rectangle's shape fixes its node pattern, boundary and interior
+    sets and the sub-patterns read from them (fem.rectangle_template), so
+    A_ii and A_ib are index selections into this rectangle's stiffness
+    data.
+    """
 
     def __init__(self, mesh: TwoLevelMesh, kappa: CoefficientField,
                  hood: NodeRectangle):
@@ -169,16 +179,17 @@ class _LocalSolver:
         self.hood = hood
         self.local_nodes, self.M, self.A = assemble_submesh_operators(
             mesh, kappa, hood.fine_cells)
-        self.bnd_nodes = neighborhood_boundary_nodes(hood)
-        self.bnd_local = np.searchsorted(self.local_nodes, self.bnd_nodes)
-        mask = np.ones(self.local_nodes.size, dtype=bool)
-        mask[self.bnd_local] = False
-        self.int_local = np.where(mask)[0]
-        self._A_ii = self.A[self.int_local][:, self.int_local].tocsc()
-        self._A_ib = self.A[self.int_local][:, self.bnd_local]
+        (x0, x1), (y0, y1) = hood.node_range
+        self.template = rectangle_template(mesh.n_fine_per_axis,
+                                           x1 - x0, y1 - y0)
+        self.bnd_local = self.template.boundary
+        self.int_local = self.template.interior
+        self.bnd_nodes = self.local_nodes[self.bnd_local]
+        self._A_ib = self.template.coupling_block.fill(self.A.data)
         # a one-cell rectangle at one refinement has no interior node
-        self._dirichlet = (factorized_spd(self._A_ii) if self.int_local.size
-                           else None)
+        self._dirichlet = (
+            factorized_spd(self.template.interior_block.fill(self.A.data))
+            if self.int_local.size else None)
 
     def lift(self, trace: np.ndarray) -> np.ndarray:
         """Harmonic extension of nodal boundary data into the rectangle.
@@ -200,42 +211,26 @@ class _LocalSolver:
     def corrector(self, kappa_tilde: np.ndarray) -> np.ndarray:
         """Zero-mean solution of the pure Neumann problem with bulk source
         kappa_tilde (normalized to unit integral) and constant outflux
-        balancing it."""
-        mesh = self.mesh
-        h = mesh.h
-        cells = self.hood.fine_cells
-        kt = np.asarray(kappa_tilde, dtype=np.float64)[cells]
+        balancing it.
+
+        The zero mean is a gauge row m = M 1 bordering A; the template holds
+        the bordered pattern, the map from per-cell sources to nodal loads
+        and the outflux's nodal loads, so only the source and A's data are
+        this rectangle's own.
+        """
+        t = self.template
+        h = self.mesh.h
+        kt = np.asarray(kappa_tilde, dtype=np.float64)[self.hood.fine_cells]
         total = float(kt.sum()) * h * h
         if total <= 0:
             raise ValueError("kappa_tilde must have positive mass on omega_i")
-
-        # bulk load: per-triangle constant source, exact P1 integration
-        tri_idx = np.sort(np.concatenate([2 * cells, 2 * cells + 1]))
-        tris_local = np.searchsorted(self.local_nodes,
-                                     mesh.fine_triangles[tri_idx])
-        g_tri = np.repeat(kt / total, 2)
-        area = h * h / 2.0
-        rhs = np.zeros(self.local_nodes.size + 1)    # bordered: gauge row
-        np.add.at(rhs, tris_local.ravel(),
-                  np.repeat(g_tri * area / 3.0, 3))
-
-        # boundary flux: constant 1/|boundary|, trapezoid on the closed loop
-        (x0, x1), (y0, y1) = self.hood.node_range
-        perimeter = 2.0 * ((x1 - x0) + (y1 - y0)) * h
-        q = 1.0 / perimeter
-        for side in self.hood.boundary_edges:
-            side_local = np.searchsorted(self.local_nodes, side)
-            np.add.at(rhs, side_local[:-1], -q * h / 2.0)
-            np.add.at(rhs, side_local[1:], -q * h / 2.0)
-
+        rhs = np.append(t.cell_load @ (kt / total) + t.boundary_flux, 0.0)
         residual = abs(rhs.sum())
         if residual > 1e-10:
             raise ValueError(
                 f"Neumann data incompatible: net load {residual:.3e}")
 
-        # zero-mean gauge through a bordered system
-        m = np.asarray(self.M @ np.ones(self.local_nodes.size))
-        K = sp.bmat([[self.A, m[:, None]], [m[None, :], None]]).tocsc()
+        K = t.bordered.fill(np.concatenate([self.A.data, t.gauge]))
         sol = spla.splu(K).solve(rhs)
         res = np.linalg.norm(K @ sol - rhs)
         if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
@@ -313,8 +308,10 @@ class MultiscaleSpace:
 def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
     """All basis columns of one neighborhood: 4 * 2^level lifts + corrector.
 
-    Returns (local_nodes, block, info): block has one row per column, over
-    local_nodes, and info one entry per column.
+    Returns (solver, block, info): the neighbourhood's _LocalSolver, block
+    with one row per column over solver.local_nodes, and info one entry per
+    column. Every row vanishes on the neighbourhood's boundary, where chi
+    does.
     """
     hood = coarse_neighborhood(mesh, vertex)
     solver = _LocalSolver(mesh, kappa, hood)
@@ -333,7 +330,21 @@ def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
     info.append((vertex, "corrector", -1, 0))
     block = chi_local * np.vstack([solver.lift(traces).T,
                                    solver.corrector(kappa_tilde)])
-    return solver.local_nodes, block, info
+    return solver, block, info
+
+
+def _shared_nodes(a: NodeRectangle, b: NodeRectangle):
+    """Positions, among the local nodes of a and of b, of the nodes of the
+    rectangle they share, or None when they share no cell."""
+    (ax0, ax1), (ay0, ay1) = a.node_range
+    (bx0, bx1), (by0, by1) = b.node_range
+    x0, x1 = max(ax0, bx0), min(ax1, bx1)
+    y0, y1 = max(ay0, by0), min(ay1, by1)
+    if x0 >= x1 or y0 >= y1:
+        return None
+    xs, ys = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
+    return (((ys - ay0) * (ax1 - ax0 + 1) + xs - ax0).ravel(),
+            ((ys - by0) * (bx1 - bx0 + 1) + xs - bx0).ravel())
 
 
 def _pivoted_gram_filter(gram: np.ndarray, tol: float,
@@ -363,12 +374,31 @@ def _pivoted_gram_filter(gram: np.ndarray, tol: float,
     return np.sort(piv[:rank] - 1)
 
 
-def _galerkin(basis: sp.csr_matrix, op: sp.spmatrix) -> sp.csr_matrix:
-    """basis.T @ op @ basis, symmetrized, with entries that cancel dropped."""
-    g = basis.T @ (op @ basis)
-    g = ((g + g.T) * 0.5).tocsr()
-    g.eliminate_zeros()
-    return g
+def _symmetric_csr(pieces: dict, offsets: np.ndarray) -> sp.csr_matrix:
+    """The symmetric CSR matrix whose (i, j) block, between the columns
+    offsets[i]:offsets[i + 1] and offsets[j]:offsets[j + 1], is the dense
+    pieces[i, j] for i <= j (and its transpose below the diagonal, zero
+    where no piece is given). Exact zeros are not stored, and every array
+    is made at its final size, one block row at a time."""
+    rows = [[] for _ in range(offsets.size - 1)]
+    for (i, j), piece in pieces.items():
+        rows[i].append((j, piece))
+        if i != j:
+            rows[j].append((i, piece.T))
+    data, indices, counts = [], [], []
+    for i, row in enumerate(rows):
+        row.sort(key=lambda item: item[0])
+        band = np.hstack([piece for _, piece in row])
+        cols = np.concatenate([np.arange(offsets[j], offsets[j + 1])
+                               for j, _ in row])
+        stored = band != 0.0
+        counts.append(stored.sum(axis=1))
+        data.append(band[stored])
+        indices.append(cols[np.nonzero(stored)[1]])
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    n = int(offsets[-1])
+    return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                          indptr), shape=(n, n))
 
 
 def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
@@ -376,9 +406,11 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
                    workers: int = 1) -> MultiscaleSpace:
     """Global multiscale space over the interior coarse vertices, made in
     one pass: each neighbourhood's block is built, rank filtered against
-    the columns kept before it, and scattered. `workers` is ignored: two
-    threads made the set-up slower than one, and the keyword stays only
-    because perfbench/workloads.py passes it.
+    the columns kept before it, and scattered, and its mass and stiffness
+    products with itself and with the blocks it overlaps become the
+    Galerkin matrices' entries. `workers` is ignored: two threads made the
+    set-up slower than one, and the keyword stays only because
+    perfbench/workloads.py passes it.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -388,54 +420,75 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
     if vertices.size == 0:
         raise ValueError("mesh has no interior coarse vertices")
 
-    interior_mask = np.zeros(mesh.n_nodes, dtype=bool)
-    interior_mask[ops.free_dofs] = True
-    columns, info = [], []
+    info, mass, stiffness = [], {}, {}
+    data, rows, counts, offsets = [], [], [], [0]
     # A near-dependence can span neighbourhoods (at two refinements per
     # coarse cell, or at the finest level a mesh carries), so each block is
     # filtered on the part of its Gram matrix that the columns kept before
     # it leave unexplained: one pivoted Cholesky of the global Gram matrix,
     # a block of pivots at a time. A neighbourhood shares cells only with
     # those of the vertices one coarse step away, the earliest numbered
-    # C + 2 before it (chi_i vanishes, up to rounding, on the lines it
-    # shares with the others). So `factor` holds the global factor's
-    # trailing rows and columns over the `window` of blocks that a later
-    # block can meet: (vertex, nodes, kept rows) per block.
+    # C + 2 before it (chi_i vanishes on the lines it shares with the
+    # others). So `factor` holds the global factor's trailing rows and
+    # columns over the `window` of blocks that a later block can meet:
+    # (vertex, neighbourhood, kept rows, block number) per block.
     window, factor = [], np.zeros((0, 0))
     n_built = 0
     for vertex in vertices:
-        local_nodes, block, block_info = _vertex_columns(
+        solver, block, block_info = _vertex_columns(
             mesh, kappa, pou, level, vertex, kappa_tilde)
-        keep = interior_mask[local_nodes]
-        nodes, block = local_nodes[keep], block[:, keep]
+        hood = solver.hood
         while window and window[0][0] < vertex - mesh.coarse_divisions - 2:
             drop = len(window.pop(0)[2])
             factor = factor[drop:, drop:]
-        m_block = ops.mass[nodes].T @ block.T   # M @ block.T, M symmetric
-        window_gram = [np.zeros((0, len(block)))]
-        window_gram += [b @ m_block[n] for _, n, b in window]
-        cross = scipy.linalg.solve_triangular(factor, np.vstack(window_gram),
-                                              lower=True)
-        gram, explained = block @ m_block[nodes], cross.T @ cross
+        # the block vanishes on the neighbourhood's boundary, so the local
+        # products are the global ones restricted to the neighbourhood
+        m_block = solver.M @ block.T
+        shared = [_shared_nodes(w_hood, hood) for _, w_hood, _, _ in window]
+        window_gram = [np.zeros((len(b), len(block))) if s is None
+                       else b[:, s[0]] @ m_block[s[1]]
+                       for s, (_, _, b, _) in zip(shared, window)]
+        cross = scipy.linalg.solve_triangular(
+            factor, np.vstack([np.zeros((0, len(block)))] + window_gram),
+            lower=True)
+        gram, explained = block @ m_block, cross.T @ cross
         kept = _pivoted_gram_filter(gram, RANK_FILTER_TOL, explained)
         new = np.linalg.cholesky((gram - explained)[np.ix_(kept, kept)])
         factor = np.block([[factor, np.zeros((len(factor), kept.size))],
                            [cross[:, kept].T, new]])
         block = block[kept]
-        window.append((vertex, nodes, block))
+
+        # the Galerkin blocks of these columns with themselves and with
+        # the earlier columns they overlap
+        here = len(offsets) - 1
+        a_block = solver.A @ block.T
+        gram, stiff = gram[np.ix_(kept, kept)], block @ a_block
+        mass[here, here] = 0.5 * (gram + gram.T)
+        stiffness[here, here] = 0.5 * (stiff + stiff.T)
+        for s, w_gram, (_, _, b, there) in zip(shared, window_gram, window):
+            if s is not None:
+                mass[there, here] = w_gram[:, kept]
+                stiffness[there, here] = b[:, s[0]] @ a_block[s[1]]
+        window.append((vertex, hood, block, here))
+
         col, node = np.nonzero(block)       # column by column
-        columns.append(sp.coo_matrix((block[col, node], (nodes[node], col)),
-                                     shape=(mesh.n_nodes, len(block))))
+        data.append(block[col, node])
+        rows.append(solver.local_nodes[node])
+        counts.append(np.bincount(col, minlength=len(block)))
+        offsets.append(offsets[-1] + kept.size)
         info.extend(block_info[i] for i in kept)
         n_built += len(block_info)
     if len(info) < 0.5 * n_built:
         raise RuntimeError(
             f"rank filter kept only {len(info)} of {n_built} columns; "
             "the local problems look degenerate")
-    basis = sp.hstack(columns).tocsr()
+    indptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    basis = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
+                          shape=(mesh.n_nodes, len(info))).tocsr()
+    offsets = np.array(offsets)
     return MultiscaleSpace(level=level, basis=basis,
-                           ms_mass=_galerkin(basis, ops.mass),
-                           ms_stiffness=_galerkin(basis, ops.stiffness),
+                           ms_mass=_symmetric_csr(mass, offsets),
+                           ms_stiffness=_symmetric_csr(stiffness, offsets),
                            column_info=tuple(info), fine_ops=ops, mesh=mesh,
                            kappa=kappa)
 

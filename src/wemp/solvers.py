@@ -174,9 +174,14 @@ def _embed(free_values: np.ndarray, n_nodes: int, free: np.ndarray) -> np.ndarra
 
 def factorized_step(mass, stiffness, tau: float, alpha: float):
     """Solver for the implicit-step matrix M / (tau^alpha Gamma(2 - alpha))
-    + A of the exponential-sum scheme."""
-    return factorized_spd(mass / (tau ** alpha * float(gamma(2 - alpha)))
-                          + stiffness)
+    + A of the exponential-sum scheme.
+
+    scipy's sparse sum keeps room for nnz(M) + nnz(A) entries, and the
+    solver's residual check holds the matrix for its life, so the matrix
+    is copied to its exact size first.
+    """
+    step = mass / (tau ** alpha * float(gamma(2 - alpha))) + stiffness
+    return factorized_spd(step.copy())
 
 
 def use_modes(n_steps: int, n_columns: int) -> bool:

@@ -141,6 +141,36 @@ def test_submesh_assembly_matches_global():
     assert np.allclose(a_loc.toarray(), op.stiffness.toarray())
 
 
+@pytest.mark.parametrize("x_cells,y_cells", [((2, 7), (1, 4)), ((5, 6), (3, 4))],
+                         ids=["5x3", "one-cell"])
+def test_submesh_operators_match_the_dense_oracle(x_cells, y_cells):
+    # the per-shape template against naive assembly of the rectangle's own
+    # triangles, at contrast 1e4; the one-cell rectangle has no interior node
+    mesh = build_mesh(3, 4)
+    n = mesh.n_fine_per_axis
+    rng = np.random.default_rng(5)
+    kappa = CoefficientField(np.where(rng.random(n * n) < 0.3, 1e4, 1.0))
+    cx, cy = np.meshgrid(np.arange(*x_cells), np.arange(*y_cells))
+    cells = np.sort(mesh.cell_index(cx, cy).ravel())
+    local_nodes, m_loc, a_loc = assemble_submesh_operators(mesh, kappa, cells)
+    tri_idx = np.sort(np.concatenate([2 * cells, 2 * cells + 1]))
+    tris = mesh.fine_triangles[tri_idx]
+    assert np.array_equal(local_nodes, np.unique(tris))
+    mass_ref, stiff_ref = dense_p1_operators(
+        mesh.fine_node_coords[local_nodes],
+        np.searchsorted(local_nodes, tris), kappa.values[tri_idx // 2])
+    for matrix, ref in ((m_loc, mass_ref), (a_loc, stiff_ref)):
+        assert np.abs(matrix.toarray() - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_submesh_assembly_rejects_cells_that_are_no_rectangle():
+    mesh = build_mesh(4, 2)
+    kappa = CoefficientField.constant(mesh)
+    for cells in ([0, 1, 8], [0, 2], [0, 2, 8, 9], [1, 0], []):
+        with pytest.raises(ValueError, match="fine_cells"):
+            assemble_submesh_operators(mesh, kappa, np.array(cells, dtype=int))
+
+
 def test_submesh_assembly_subset_area():
     mesh = build_mesh(4, 2)
     kappa = CoefficientField.constant(mesh)

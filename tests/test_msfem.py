@@ -4,7 +4,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from wemp import msfem
+from wemp import fem, msfem
 from wemp.experiments import generate_kappa
 from wemp.fem import (CoefficientField, assemble_operators,
                       assemble_submesh_operators, triangle_geometry, norms)
@@ -161,11 +161,11 @@ def test_vertex_columns_match_per_column_lifts(block_case):
     kt = weighted_coefficient(mesh, kappa, pou)
     for vertex in np.flatnonzero(mesh.coarse_vertex_interior):
         hood = coarse_neighborhood(mesh, vertex)
-        local_nodes, block, info = _vertex_columns(mesh, kappa, pou, level,
-                                                   vertex, kt)
+        solver, block, info = _vertex_columns(mesh, kappa, pou, level,
+                                              vertex, kt)
         n_edge = 4 * 2 ** level
         assert len(block) == len(info) == n_edge + 1
-        assert same_bits(local_nodes, hood.fine_nodes)
+        assert same_bits(solver.local_nodes, hood.fine_nodes)
         assert same_bits(block[:n_edge], edge_columns_per_column(
             mesh, kappa, pou, level, vertex))
         assert info[-1] == (vertex, "corrector", -1, 0)
@@ -255,6 +255,19 @@ def test_vertex_values_match_the_dense_row(block_case):
         for nodes in (every, np.sort(rng.choice(every, 10, replace=False)),
                       every[:0]):
             assert same_bits(pou.vertex_values(vert, nodes), row[nodes])
+
+
+def test_vertex_values_read_a_stored_negative_zero_as_zero():
+    # toarray adds each stored entry to a zero, so a stored -0.0 reads
+    # as 0.0; vertex_values must agree bit for bit
+    chi = sp.csr_matrix((np.array([0.5, -0.0, 0.25]), np.array([1, 3, 4]),
+                         np.array([0, 3])), shape=(1, 6))
+    assert np.signbit(chi.data).sum() == 1
+    pou = msfem.PartitionOfUnity(chi=chi)
+    for nodes in (np.arange(6), np.array([3]), np.array([0, 3, 5])):
+        values = pou.vertex_values(0, nodes)
+        assert same_bits(values, pou.vertex_function(0)[nodes])
+        assert not np.signbit(values).any()
 
 
 def test_pou_is_cellwise_harmonic():
@@ -513,16 +526,6 @@ def test_space_columns_are_local(mesh44, space44):
         assert np.all(dense[outside, col] == 0.0)
 
 
-def test_space_galerkin_matrices(mesh44, ops44, space44):
-    b = space44.basis
-    mass, stiffness = space44.ms_mass.toarray(), space44.ms_stiffness.toarray()
-    assert np.allclose(mass, (b.T @ (ops44.mass @ b)).toarray(), atol=1e-14)
-    assert np.allclose(stiffness, (b.T @ (ops44.stiffness @ b)).toarray(),
-                       atol=1e-13)
-    assert np.linalg.eigvalsh(mass).min() > 0
-    assert np.linalg.eigvalsh(stiffness).min() > 0
-
-
 @pytest.fixture(scope="module")
 def inclusions48():
     """A 4x8 mesh with six 4x4 inclusions of contrast 1e4, at level 2."""
@@ -533,10 +536,80 @@ def inclusions48():
     return mesh, kappa, build_partition_of_unity(mesh, kappa), 2
 
 
-def test_space_matrices_are_symmetric_csr(space44, inclusions48):
+@pytest.fixture(scope="module")
+def inclusions48_space(inclusions48):
+    return assemble_space(*inclusions48)
+
+
+def test_space_galerkin_matrices(mesh44, ops44, space44):
+    b = space44.basis
+    mass, stiffness = space44.ms_mass.toarray(), space44.ms_stiffness.toarray()
+    assert np.allclose(mass, (b.T @ (ops44.mass @ b)).toarray(), atol=1e-14)
+    assert np.allclose(stiffness, (b.T @ (ops44.stiffness @ b)).toarray(),
+                       atol=1e-13)
+    assert np.linalg.eigvalsh(mass).min() > 0
+    assert np.linalg.eigvalsh(stiffness).min() > 0
+
+
+@pytest.mark.parametrize("case,stiffness_rtol", [
+    ("space44", 1e-14),
+    # at contrast 1e4 the global product's own rounding leaves it
+    # asymmetric by 8e-13 of its largest entry
+    ("inclusions48_space", 1e-11)])
+def test_space_galerkin_matrices_relative_to_the_largest_entry(
+        request, case, stiffness_rtol):
+    # gathered block by block from the local operators, they are the
+    # global products basis^T M basis and basis^T A basis
+    space = request.getfixturevalue(case)
+    b = space.basis
+    for matrix, op, rtol in ((space.ms_mass, space.fine_ops.mass, 1e-14),
+                             (space.ms_stiffness, space.fine_ops.stiffness,
+                              stiffness_rtol)):
+        ref = (b.T @ (op @ b)).toarray()
+        assert (np.abs(matrix.toarray() - ref).max()
+                <= rtol * np.abs(ref).max())
+
+
+def stores_exactly_nnz(matrix):
+    """Its data and index arrays hold nnz entries, and no larger buffer
+    stands behind them."""
+    return all(a.size == matrix.nnz
+               and (a.base is None or a.base.nbytes == a.nbytes)
+               for a in (matrix.data, matrix.indices))
+
+
+def test_space_matrices_store_exactly_nnz(space44, inclusions48_space):
+    for space in (space44, inclusions48_space):
+        for matrix in (space.ms_mass, space.ms_stiffness):
+            assert stores_exactly_nnz(matrix)
+
+
+def test_one_template_per_rectangle_shape(mesh44, kappa44):
+    # a set-up builds the coarse cell's template and the neighbourhood's,
+    # once each, and a second set-up of the same mesh builds none
+    fem.rectangle_template.cache_clear()
+    for _ in range(2):
+        assemble_space(mesh44, kappa44,
+                       build_partition_of_unity(mesh44, kappa44), 1)
+        info = fem.rectangle_template.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+
+
+def test_blocks_vanish_on_the_neighbourhood_boundary(block_case):
+    # so that the local mass and stiffness products of a block are the
+    # global ones restricted to its neighbourhood
+    mesh, kappa, pou, level = block_case
+    kt = weighted_coefficient(mesh, kappa, pou)
+    for vertex in np.flatnonzero(mesh.coarse_vertex_interior):
+        solver, block, _ = _vertex_columns(mesh, kappa, pou, level, vertex,
+                                           kt)
+        assert np.all(block[:, solver.bnd_local] == 0.0)
+
+
+def test_space_matrices_are_symmetric_csr(space44, inclusions48_space):
     # the symmetric-mode factorization of fem.factorized_spd takes them
     # as they are stored
-    for space in (space44, assemble_space(*inclusions48)):
+    for space in (space44, inclusions48_space):
         for matrix in (space.ms_mass, space.ms_stiffness):
             assert matrix.format == "csr"
             assert abs(matrix - matrix.T).nnz == 0
@@ -594,10 +667,10 @@ def global_filter_count(mesh, kappa, pou, level, tol):
     kt = weighted_coefficient(mesh, kappa, pou)
     blocks = []
     for vertex in np.flatnonzero(mesh.coarse_vertex_interior):
-        local_nodes, block, _ = _vertex_columns(mesh, kappa, pou, level,
-                                                vertex, kt)
+        solver, block, _ = _vertex_columns(mesh, kappa, pou, level,
+                                           vertex, kt)
         full = np.zeros((len(block), mesh.n_nodes))
-        full[:, local_nodes] = block
+        full[:, solver.local_nodes] = block
         blocks.append(full)
     raw = np.vstack(blocks)[:, ops.free_dofs]
     M = ops.mass[ops.free_dofs][:, ops.free_dofs]

@@ -5,7 +5,8 @@ import pytest
 
 from wemp import solvers
 from wemp.experiments import generate_kappa, source_rough, source_smooth, u0_standard
-from wemp.fem import CoefficientField, assemble_load, assemble_operators
+from wemp.fem import (CoefficientField, assemble_load, assemble_operators,
+                      factorized_spd)
 from wemp.mesh import build_mesh
 from wemp.msfem import assemble_space, build_partition_of_unity
 from wemp.soe import build_soe, build_soe_for_terms, step_coefficients
@@ -291,6 +292,25 @@ def test_multiscale_level_sweep_error_floor():
 def modal_spec(kappa, **kw):
     # 128 steps over the 81 columns of space44: the modal path
     return make_spec(kappa=kappa, tau_f=1.0 / 128.0, tau_c=0.125, **kw)
+
+
+def test_step_matrices_store_exactly_nnz(monkeypatch, space44, ops44):
+    # the residual check keeps each step matrix for the solver's life, so
+    # it holds no room left over from the sparse sum
+    held = []
+
+    def spy(matrix):
+        held.append(matrix)
+        return factorized_spd(matrix)
+    monkeypatch.setattr(solvers, "factorized_spd", spy)
+    for mass, stiffness in ((space44.ms_mass, space44.ms_stiffness),
+                            (ops44.mass_free, ops44.stiffness_free)):
+        solvers.factorized_step(mass, stiffness, 1e-3, 0.5)
+    assert len(held) == 2
+    for matrix in held:
+        assert all(a.size == matrix.nnz
+                   and (a.base is None or a.base.nbytes == a.nbytes)
+                   for a in (matrix.data, matrix.indices))
 
 
 def test_modal_rule():
