@@ -1,9 +1,10 @@
 """P1 finite elements on the fine triangulation.
 
-Assembly of mass and heterogeneous stiffness matrices (exact P1 quadrature),
-over the whole mesh or, from one template per rectangle shape, over a
-rectangle of fine cells; nodal load vectors, Dirichlet elimination to free
-dofs, SPD solves, and the L2 / energy norms. The diffusivity is one
+Assembly of mass and heterogeneous stiffness matrices (exact P1 quadrature)
+over a rectangle of fine cells, the whole mesh included, from one template
+per rectangle shape; nodal load vectors, Dirichlet elimination to free
+dofs, SPD solves through the program's one factorization, factorized_spd,
+and the L2 / energy norms. The diffusivity is one
 positive value per fine square cell, shared by its two triangles.
 """
 
@@ -102,38 +103,6 @@ def triangle_geometry(coords: np.ndarray, triangles: np.ndarray):
     return 0.5 * np.abs(area2), g
 
 
-def _p1_matrices(coords: np.ndarray, triangles: np.ndarray,
-                 kappa_per_tri: np.ndarray, n_nodes: int):
-    """Vectorized COO assembly of P1 mass and stiffness over a triangle set."""
-    area, g = triangle_geometry(coords, triangles)
-
-    m_ref = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
-    m_loc = area[:, None, None] * m_ref[None, :, :]
-    a_loc = (kappa_per_tri * area)[:, None, None] * np.einsum("tik,tjk->tij", g, g)
-
-    rows = np.repeat(triangles, 3, axis=1).ravel()
-    cols = np.tile(triangles, (1, 3)).ravel()
-    M = sp.coo_matrix((m_loc.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    A = sp.coo_matrix((a_loc.ravel(), (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    M.sum_duplicates()
-    A.sum_duplicates()
-    # symmetrize exactly (assembly is symmetric up to float add order)
-    M = (M + M.T) * 0.5
-    A = (A + A.T) * 0.5
-    return M, A
-
-
-def assemble_operators(mesh: TwoLevelMesh, kappa: CoefficientField) -> OperatorPair:
-    n_cells = mesh.n_fine_per_axis ** 2
-    if kappa.values.size != n_cells:
-        raise ValueError(f"kappa has {kappa.values.size} values, mesh has {n_cells} cells")
-    kappa_per_tri = np.repeat(kappa.values, 2)   # two triangles per cell
-    M, A = _p1_matrices(mesh.fine_node_coords, mesh.fine_triangles,
-                        kappa_per_tri, mesh.n_nodes)
-    free = np.setdiff1d(np.arange(mesh.n_nodes), mesh.boundary_fine_nodes)
-    return OperatorPair(mass=M, stiffness=A, free_dofs=free)
-
-
 def _cell_map(corners: np.ndarray, element: np.ndarray, n_nodes: int):
     """The CSR pattern that the nonzero entries of one 4 x 4 cell matrix
     span over the cells' corners, and the sparse map from per-cell weights
@@ -194,7 +163,7 @@ class RectangleTemplate:
     cell_load: sp.csr_matrix    # per-cell constant source -> P1 nodal loads
     boundary_flux: np.ndarray   # nodal loads of a unit total outflux, uniform on the boundary
     gauge: np.ndarray           # mass @ 1
-    bordered: Selection         # [[A, gauge], [gauge^T, 0]], CSC, from concat(A.data, gauge)
+    pinned: Selection           # A without local node 0, CSC
 
 
 @functools.lru_cache(maxsize=4)
@@ -202,9 +171,13 @@ def rectangle_template(n_per_axis: int, nx: int, ny: int) -> RectangleTemplate:
     """The template of the nx x ny rectangles of fine cells on the uniform
     mesh with n_per_axis cells per axis.
 
+    The P1 element matrices are computed on one reference cell only;
+    every rectangle, the whole mesh included, sums them in cell order.
     The cache holds the last four shapes, so it does not grow with the
-    number of set-ups: a set-up uses two shapes, the coarse cell and the
-    vertex neighbourhood (37 and 141 KB at 8 refinements per coarse cell).
+    number of set-ups: a set-up uses three shapes, the coarse cell, the
+    vertex neighbourhood and the whole mesh, whose entry keeps the global
+    mass matrix, stiffness pattern and free dofs (2.2 MB at 8 x 8 coarse
+    cells and 8.6 MB at 16 x 16, 8 refinements per coarse cell).
     """
     h = 1.0 / n_per_axis
     jy, jx = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
@@ -213,9 +186,13 @@ def rectangle_template(n_per_axis: int, nx: int, ny: int) -> RectangleTemplate:
     corners = np.column_stack([v00, v00 + 1, v00 + nx + 1, v00 + nx + 2])
     # one cell at unit kappa, split as build_mesh splits it: corners
     # (0,0) (1,0) (0,1) (1,1) are 0 1 2 3
-    cell_mass, cell_stiffness = (m.toarray() for m in _p1_matrices(
-        np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]]),
-        np.array([[0, 1, 3], [0, 3, 2]]), np.ones(2), 4))
+    triangles = np.array([[0, 1, 3], [0, 3, 2]])
+    area, g = triangle_geometry(
+        np.array([[0.0, 0.0], [h, 0.0], [0.0, h], [h, h]]), triangles)
+    cell_mass, cell_stiffness = np.zeros((4, 4)), np.zeros((4, 4))
+    for tri, a, grad in zip(triangles, area, g):
+        cell_mass[np.ix_(tri, tri)] += a * ((np.ones((3, 3)) + np.eye(3)) / 12.0)
+        cell_stiffness[np.ix_(tri, tri)] += a * np.einsum("ik,jk->ij", grad, grad)
 
     n_nodes = jx.size
     m_indices, m_indptr, m_map = _cell_map(corners, cell_mass, n_nodes)
@@ -237,9 +214,6 @@ def rectangle_template(n_per_axis: int, nx: int, ny: int) -> RectangleTemplate:
          (corners.ravel(), np.repeat(np.arange(nx * ny), 4))),
         shape=(n_nodes, nx * ny))
     gauge = mass @ np.ones(n_nodes)
-    g_pos = a_indices.size + 1 + np.arange(n_nodes, dtype=np.float64)
-    bordered = sp.bmat([[positions, g_pos[:, None]],
-                        [g_pos[None, :], None]], format="csc")
     # a constant outflux 1 / |boundary|, trapezoid on the closed loop: each
     # boundary node gets half a segment from each side of it
     flux = np.where(on_boundary, -h / (2.0 * (nx + ny) * h), 0.0)
@@ -252,9 +226,10 @@ def rectangle_template(n_per_axis: int, nx: int, ny: int) -> RectangleTemplate:
         interior_block=Selection.of(rows[:, interior].tocsc()),
         coupling_block=Selection.of(rows[:, boundary]),
         cell_load=cell_load, boundary_flux=flux, gauge=gauge,
-        bordered=Selection.of(bordered))
-    # every rectangle of the shape hands out this one mass matrix
-    for array in (mass.data, mass.indices, mass.indptr):
+        pinned=Selection.of(positions[1:, 1:].tocsc()))
+    # every rectangle of the shape hands out this one mass matrix, and
+    # assemble_operators the whole mesh's interior as its free dofs
+    for array in (mass.data, mass.indices, mass.indptr, interior):
         array.flags.writeable = False
     return template
 
@@ -290,6 +265,19 @@ def assemble_submesh_operators(mesh: TwoLevelMesh, kappa: CoefficientField,
     return mesh.node_index(cx0, cy0) + t.node_offsets, t.mass, A
 
 
+def assemble_operators(mesh: TwoLevelMesh, kappa: CoefficientField) -> OperatorPair:
+    """M_h and A_h over the whole mesh: the rectangle of all its cells, so
+    that every local operator is this one, bit for bit, on its
+    rectangle's interior rows. The mass matrix and free_dofs are the
+    whole-mesh template's own, read-only arrays."""
+    n = mesh.n_fine_per_axis
+    if kappa.values.size != n * n:
+        raise ValueError(f"kappa has {kappa.values.size} values, mesh has {n * n} cells")
+    _, M, A = assemble_submesh_operators(mesh, kappa, np.arange(n * n))
+    return OperatorPair(mass=M, stiffness=A,
+                        free_dofs=rectangle_template(n, n, n).interior)
+
+
 def assemble_load(mesh: TwoLevelMesh, op: OperatorPair, f, t: float) -> np.ndarray:
     """Load vector by nodal quadrature: M_h times the nodal interpolant of f(., t)."""
     x = mesh.fine_node_coords[:, 0]
@@ -319,7 +307,7 @@ def solve_spd(matrix, rhs: np.ndarray) -> np.ndarray:
 def factorized_spd(matrix):
     """Factorize once, return a solver closed over the factorization.
 
-    Takes a scipy sparse SPD matrix only. SuperLU factors it in symmetric
+    The program's one factorization. Takes a scipy sparse SPD matrix only. SuperLU factors it in symmetric
     mode: a minimum-degree ordering of A + A^T with the diagonal as
     pivots, since an SPD matrix factors stably without row interchanges.
     Every solve verifies the residual to SOLVE_RTOL relative.

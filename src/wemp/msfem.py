@@ -9,7 +9,8 @@ Construction stages:
    orthonormal in L2 of the edge;
 3. harmonic lifts of the edge data into omega_i, one block solve per
    neighborhood, and one Neumann corrector per neighborhood driven by the
-   weighted coefficient kappa_tilde;
+   weighted coefficient kappa_tilde: one node pinned, the rest solved,
+   and the result shifted to zero mean;
 4. global space: the columns chi_i * (local function) of each neighborhood
    form one block, made, filtered and scattered in one pass: LAPACK's
    pivoted Cholesky (dpstrf) of the block's Gram matrix, less the part the
@@ -22,7 +23,8 @@ Construction stages:
 Stages 1 and 3 share one Dirichlet solver, _LocalSolver, on a rectangle of
 fine cells: a coarse cell for stage 1, a vertex neighborhood for stage 3.
 All rectangles of one shape share one fem.rectangle_template, so each
-solver only gathers its cells' kappa into the template's patterns.
+solver only gathers its cells' kappa into the template's patterns. Every
+factorization, the corrector's included, is fem.factorized_spd.
 
 Only interior coarse vertices generate columns, so every basis function
 vanishes on the domain boundary.
@@ -35,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from .mesh import (TwoLevelMesh, NodeRectangle, coarse_neighborhood,
@@ -213,10 +214,12 @@ class _LocalSolver:
         kappa_tilde (normalized to unit integral) and constant outflux
         balancing it.
 
-        The zero mean is a gauge row m = M 1 bordering A; the template holds
-        the bordered pattern, the map from per-cell sources to nodal loads
-        and the outflux's nodal loads, so only the source and A's data are
-        this rectangle's own.
+        A's kernel is the constants, so local node 0 is pinned at zero,
+        the other rows are solved through fem.factorized_spd, and the
+        result is shifted to zero mean against the gauge m = M 1; the
+        template holds the pinned pattern, the per-cell load map and the
+        outflux loads. Since 1^T A = 0, the pinned row's residual is minus
+        the others' sum, less the net load: the two checks bound it.
         """
         t = self.template
         h = self.mesh.h
@@ -224,18 +227,15 @@ class _LocalSolver:
         total = float(kt.sum()) * h * h
         if total <= 0:
             raise ValueError("kappa_tilde must have positive mass on omega_i")
-        rhs = np.append(t.cell_load @ (kt / total) + t.boundary_flux, 0.0)
+        rhs = t.cell_load @ (kt / total) + t.boundary_flux
         residual = abs(rhs.sum())
         if residual > 1e-10:
             raise ValueError(
                 f"Neumann data incompatible: net load {residual:.3e}")
 
-        K = t.bordered.fill(np.concatenate([self.A.data, t.gauge]))
-        sol = spla.splu(K).solve(rhs)
-        res = np.linalg.norm(K @ sol - rhs)
-        if res > 1e-10 * max(np.linalg.norm(rhs), 1.0):
-            raise RuntimeError(f"Neumann solve residual {res:.3e} too large")
-        return sol[:-1]
+        v = np.zeros(rhs.size)
+        v[1:] = factorized_spd(t.pinned.fill(self.A.data))(rhs[1:])
+        return v - (t.gauge @ v) / t.gauge.sum()
 
 
 def weighted_coefficient(mesh: TwoLevelMesh, kappa: CoefficientField,

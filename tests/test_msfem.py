@@ -585,14 +585,103 @@ def test_space_matrices_store_exactly_nnz(space44, inclusions48_space):
 
 
 def test_one_template_per_rectangle_shape(mesh44, kappa44):
-    # a set-up builds the coarse cell's template and the neighbourhood's,
-    # once each, and a second set-up of the same mesh builds none
+    # a set-up builds the coarse cell's template, the neighbourhood's and
+    # the whole mesh's, once each, and a second set-up of the same mesh
+    # builds none
     fem.rectangle_template.cache_clear()
     for _ in range(2):
         assemble_space(mesh44, kappa44,
                        build_partition_of_unity(mesh44, kappa44), 1)
         info = fem.rectangle_template.cache_info()
-        assert (info.misses, info.currsize) == (2, 2)
+        assert (info.misses, info.currsize) == (3, 3)
+
+
+def local_rectangles(mesh):
+    """Every coarse cell and every interior coarse vertex's neighbourhood."""
+    C, R = mesh.coarse_divisions, mesh.refinements_per_coarse
+    cells = [node_rectangle(mesh, (cx * R, (cx + 1) * R),
+                            (cy * R, (cy + 1) * R))
+             for cy in range(C) for cx in range(C)]
+    return cells + [coarse_neighborhood(mesh, v)
+                    for v in np.flatnonzero(mesh.coarse_vertex_interior)]
+
+
+def check_local_operators_are_the_global_ones_restricted(mesh, kappa):
+    ops = assemble_operators(mesh, kappa)
+    n = mesh.n_fine_per_axis
+    nodes, M, A = assemble_submesh_operators(mesh, kappa, np.arange(n * n))
+    assert same_bits(nodes, np.arange(mesh.n_nodes))
+    assert same_bits(ops.free_dofs, np.setdiff1d(np.arange(mesh.n_nodes),
+                                                 mesh.boundary_fine_nodes))
+    for whole, glob in ((M, ops.mass), (A, ops.stiffness)):
+        for name in ("data", "indices", "indptr"):
+            assert same_bits(getattr(whole, name), getattr(glob, name))
+    for rect in local_rectangles(mesh):
+        nodes, M, A = assemble_submesh_operators(mesh, kappa, rect.fine_cells)
+        (x0, x1), (y0, y1) = rect.node_range
+        interior = fem.rectangle_template(n, x1 - x0, y1 - y0).interior
+        for loc, glob in ((M, ops.mass), (A, ops.stiffness)):
+            loc, glob = loc[interior], glob[nodes[interior]]
+            assert np.array_equal(loc.indptr, glob.indptr)
+            assert np.array_equal(nodes[loc.indices], glob.indices)
+            assert same_bits(loc.data, glob.data)
+
+
+def test_local_operators_are_the_global_ones_restricted(block_case):
+    check_local_operators_are_the_global_ones_restricted(*block_case[:2])
+
+
+def test_desk_local_operators_are_the_global_ones_restricted():
+    mesh = build_mesh(8, 8)
+    check_local_operators_are_the_global_ones_restricted(mesh, generate_kappa(
+        "contrast-inclusions", {"contrast": 1e4, "count": 16, "size": 4},
+        mesh, seed=7))
+
+
+def test_every_factorization_goes_through_factorized_spd(monkeypatch,
+                                                         mesh44, kappa44):
+    # the 16 coarse cells, and per interior vertex one Dirichlet solve and
+    # one corrector
+    inside, calls = [0], []
+    splu, factorized_spd = spla.splu, fem.factorized_spd
+
+    def spy_splu(*args, **kwargs):
+        calls.append(inside[0] > 0)
+        return splu(*args, **kwargs)
+
+    def spy_factorized_spd(matrix):
+        inside[0] += 1
+        try:
+            return factorized_spd(matrix)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(spla, "splu", spy_splu)
+    for module in (fem, msfem):
+        monkeypatch.setattr(module, "factorized_spd", spy_factorized_spd)
+    assemble_space(mesh44, kappa44,
+                   build_partition_of_unity(mesh44, kappa44), 1)
+    assert calls == [True] * 34
+
+
+def test_corrector_solves_the_whole_neumann_system(inclusions48):
+    # the residual over every local node, the pinned one included, in the
+    # form of fem._check_residual, and the zero mean against m = M 1
+    mesh, kappa, pou, _ = inclusions48
+    kt = weighted_coefficient(mesh, kappa, pou)
+    for vertex in np.flatnonzero(mesh.coarse_vertex_interior):
+        solver = _LocalSolver(mesh, kappa, coarse_neighborhood(mesh, vertex))
+        v = solver.corrector(kt)
+        t, A = solver.template, solver.A
+        cells = solver.hood.fine_cells
+        rhs = (t.cell_load @ (kt[cells] / (kt[cells].sum() * mesh.h ** 2))
+               + t.boundary_flux)
+        anorm = float(np.abs(A).sum(axis=1).max())
+        backward = np.linalg.norm(A @ v - rhs) / (
+            anorm * np.linalg.norm(v) + np.linalg.norm(rhs))
+        assert backward <= fem.SOLVE_RTOL
+        m = t.gauge
+        assert abs(m @ v) <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(v)
 
 
 def test_blocks_vanish_on_the_neighbourhood_boundary(block_case):
