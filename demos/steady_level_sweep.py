@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from wemp.experiments import generate_kappa
-from wemp.fem import assemble_load, assemble_operators, solve_spd
+from wemp.fem import assemble_load, assemble_operators, factorized_spd
 from wemp.mesh import build_mesh
 from wemp.msfem import (assemble_space, build_partition_of_unity,
                         eta_indicator, weighted_coefficient)
@@ -46,7 +46,7 @@ def main():
     free = ops.free_dofs
     A = ops.stiffness_free
     load = assemble_load(mesh, ops, unit_load, 0.0)
-    u = solve_spd(A, load[free])
+    u = factorized_spd(A)(load[free])
     energy = float(np.sqrt(u @ (A @ u)))
     print(f"fine problem: {free.size} unknowns, energy norm {energy:.5f}\n")
 
@@ -61,8 +61,8 @@ def main():
         t0 = time.perf_counter()
         space = assemble_space(mesh, kappa, pou, level)
         dt = time.perf_counter() - t0
-        coeff = solve_spd(space.ms_stiffness,
-                          np.asarray(space.basis.T @ load).ravel())
+        coeff = factorized_spd(space.ms_stiffness)(
+            np.asarray(space.basis.T @ load).ravel())
         diff = u - np.asarray(space.basis @ coeff).ravel()[free]
         err = 100.0 * float(np.sqrt(diff @ (A @ diff))) / energy
         eta = eta_indicator(H, level, kappa, ktilde)

@@ -5,7 +5,7 @@ over a rectangle of fine cells, the whole mesh included, from one template
 per rectangle shape; nodal load vectors, Dirichlet elimination to free
 dofs, SPD solves through the program's one factorization, factorized_spd,
 and the L2 / energy norms. The diffusivity is one
-positive value per fine square cell, shared by its two triangles.
+positive, finite value per fine square cell, shared by its two triangles.
 """
 
 from __future__ import annotations
@@ -32,8 +32,9 @@ class CoefficientField:
         v = np.asarray(self.values, dtype=np.float64)
         if v.ndim != 1:
             raise ValueError("kappa values must be a flat per-cell array")
-        if not np.all(v > 0):
-            raise ValueError("kappa values must all be positive")
+        # inf > 0, but an infinite kappa makes the stiffness matrix singular
+        if not np.all(np.isfinite(v) & (v > 0)):
+            raise ValueError("kappa values must all be finite and positive")
         object.__setattr__(self, "values", v)
 
     @staticmethod
@@ -42,18 +43,8 @@ class CoefficientField:
         return CoefficientField(np.full(n * n, float(value)))
 
 
-def write_kappa_raster(field: CoefficientField, path, nx: int, ny: int) -> None:
-    """Plain-text raster: header "kappa <nx> <ny>", then nx*ny row-major values."""
-    if nx * ny != field.values.size:
-        raise ValueError("raster shape does not match value count")
-    with open(path, "w") as fh:
-        fh.write(f"kappa {nx} {ny}\n")
-        for iy in range(ny):
-            row = field.values[iy * nx:(iy + 1) * nx]
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
-
-
 def read_kappa_raster(path) -> CoefficientField:
+    """Plain-text raster: header "kappa <nx> <ny>", then nx*ny row-major values."""
     with open(path) as fh:
         tokens = fh.read().split()
     if len(tokens) < 3 or tokens[0] != "kappa":
@@ -297,11 +288,6 @@ def assemble_loads(mesh: TwoLevelMesh, op: OperatorPair, f,
     y = mesh.fine_node_coords[:, 1:]
     t = np.asarray(times, dtype=np.float64)
     return op.mass @ np.broadcast_to(f(x, y, t), (x.shape[0], t.size))
-
-
-def solve_spd(matrix, rhs: np.ndarray) -> np.ndarray:
-    """Solve an SPD system with a checked direct factorization."""
-    return factorized_spd(matrix)(rhs)
 
 
 def factorized_spd(matrix):

@@ -4,7 +4,9 @@ The coarse grid has `coarse_divisions` quadrilateral cells per axis (size H),
 each refined into `refinements_per_coarse` fine squares per axis (size h), and
 every fine square is split into two right triangles along the same diagonal.
 Node positions are kept as integer grid coordinates so conformity and boundary
-checks are exact; floats are derived on demand.
+checks are exact; floats are derived on demand. A rectangle of fine cells, a
+coarse cell or a coarse vertex's neighbourhood, is a NodeRectangle: its
+cells, its integer node bounds and its four sides.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ class TwoLevelMesh:
     refinements_per_coarse: int
     fine_node_coords: np.ndarray      # (n_nodes, 2) float64 in [0,1]^2
     fine_triangles: np.ndarray        # (n_tri, 3) int node indices, CCW
-    boundary_fine_nodes: np.ndarray   # sorted int indices on the boundary
-    coarse_vertices: np.ndarray       # (n_cv, 2) float64
     coarse_vertex_interior: np.ndarray  # (n_cv,) bool
 
     @property
@@ -64,19 +64,9 @@ class NodeRectangle:
     fine-node indices.
     """
 
-    fine_nodes: np.ndarray       # sorted fine-node indices covering the closure
     fine_cells: np.ndarray       # sorted fine-cell indices inside
     boundary_edges: tuple        # four arrays of fine-node indices (ordered along each side)
     node_range: tuple            # ((ix0, ix1), (iy0, iy1)) inclusive integer node bounds
-
-
-@dataclass(frozen=True)
-class CoarseNeighborhood(NodeRectangle):
-    """Union of the coarse cells touching one coarse vertex: always a
-    rectangle of 1, 2, or 4 cells."""
-
-    center_vertex: int
-    cells: np.ndarray            # coarse-cell indices (cy * C + cx)
 
 
 def build_mesh(coarse_divisions: int, refinements_per_coarse: int) -> TwoLevelMesh:
@@ -108,30 +98,21 @@ def build_mesh(coarse_divisions: int, refinements_per_coarse: int) -> TwoLevelMe
     triangles[0::2] = lower
     triangles[1::2] = upper
 
-    on_boundary = (ix == 0) | (ix == n) | (iy == 0) | (iy == n)
-    boundary_nodes = np.flatnonzero(on_boundary)
-
-    C = coarse_divisions
-    gx, gy = np.meshgrid(np.arange(C + 1), np.arange(C + 1), indexing="xy")
-    gx = gx.ravel()
-    gy = gy.ravel()
-    coarse_vertices = np.column_stack([gx / C, gy / C]).astype(np.float64)
-    coarse_interior = (gx > 0) & (gx < C) & (gy > 0) & (gy < C)
+    g = np.arange(coarse_divisions + 1)
+    inner = (g > 0) & (g < coarse_divisions)
 
     return TwoLevelMesh(
         coarse_divisions=coarse_divisions,
         refinements_per_coarse=refinements_per_coarse,
         fine_node_coords=coords,
         fine_triangles=triangles,
-        boundary_fine_nodes=boundary_nodes,
-        coarse_vertices=coarse_vertices,
-        coarse_vertex_interior=coarse_interior,
+        coarse_vertex_interior=(inner[:, None] & inner[None, :]).ravel(),
     )
 
 
-def coarse_neighborhood(mesh: TwoLevelMesh, vertex: int) -> CoarseNeighborhood:
-    """Coarse cells sharing coarse vertex `vertex`, with the four boundary
-    sides of the (rectangular) neighborhood ordered counterclockwise."""
+def coarse_neighborhood(mesh: TwoLevelMesh, vertex: int) -> NodeRectangle:
+    """The union of the coarse cells sharing coarse vertex `vertex`: a
+    rectangle of 1, 2 or 4 cells, its four sides ordered counterclockwise."""
     C = mesh.coarse_divisions
     R = mesh.refinements_per_coarse
     if not (0 <= vertex < (C + 1) ** 2):
@@ -142,22 +123,16 @@ def coarse_neighborhood(mesh: TwoLevelMesh, vertex: int) -> CoarseNeighborhood:
     # the coarse cells touching the vertex span [cx0, cx1) x [cy0, cy1)
     cx0, cx1 = max(gx - 1, 0), min(gx + 1, C)
     cy0, cy1 = max(gy - 1, 0), min(gy + 1, C)
-    cells = np.array([cy * C + cx for cy in range(cy0, cy1)
-                      for cx in range(cx0, cx1)], dtype=np.int64)
-    rect = node_rectangle(mesh, (cx0 * R, cx1 * R), (cy0 * R, cy1 * R))
-    return CoarseNeighborhood(**vars(rect), center_vertex=vertex, cells=cells)
+    return node_rectangle(mesh, (cx0 * R, cx1 * R), (cy0 * R, cy1 * R))
 
 
 def node_rectangle(mesh: TwoLevelMesh, x_range: tuple,
                    y_range: tuple) -> NodeRectangle:
-    """Fine nodes, fine cells and the four counterclockwise sides of the
-    rectangle between inclusive integer node bounds x_range and y_range."""
+    """Fine cells and the four counterclockwise sides of the rectangle
+    between inclusive integer node bounds x_range and y_range."""
     (x0, x1), (y0, y1) = x_range, y_range
     xs = np.arange(x0, x1 + 1)
     ys = np.arange(y0, y1 + 1)
-    IX, IY = np.meshgrid(xs, ys, indexing="xy")
-    fine_nodes = np.sort(mesh.node_index(IX.ravel(), IY.ravel()))
-
     CX, CY = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1), indexing="xy")
     fine_cells = np.sort(mesh.cell_index(CX.ravel(), CY.ravel()))
 
@@ -167,6 +142,6 @@ def node_rectangle(mesh: TwoLevelMesh, x_range: tuple,
     top = mesh.node_index(xs[::-1], np.full_like(xs, y1))
     left = mesh.node_index(np.full_like(ys, x0), ys[::-1])
 
-    return NodeRectangle(fine_nodes=fine_nodes, fine_cells=fine_cells,
+    return NodeRectangle(fine_cells=fine_cells,
                          boundary_edges=(bottom, right, top, left),
                          node_range=((x0, x1), (y0, y1)))

@@ -21,7 +21,9 @@ Construction stages:
    entries of the Galerkin matrices, assembled once at their exact size.
 
 Stages 1 and 3 share one Dirichlet solver, _LocalSolver, on a rectangle of
-fine cells: a coarse cell for stage 1, a vertex neighborhood for stage 3.
+fine cells (a mesh.NodeRectangle): a coarse cell for stage 1, a vertex
+neighborhood (mesh.coarse_neighborhood) for stage 3; stage 3 reads chi_i at
+the rectangle's nodes through PartitionOfUnity.vertex_values.
 All rectangles of one shape share one fem.rectangle_template, so each
 solver only gathers its cells' kappa into the template's patterns. Every
 factorization, the corrector's included, is fem.factorized_spd.
@@ -54,12 +56,9 @@ class PartitionOfUnity:
 
     chi: sp.csr_matrix
 
-    def vertex_function(self, vertex: int) -> np.ndarray:
-        return self.chi[vertex].toarray().ravel()
-
     def vertex_values(self, vertex: int, nodes: np.ndarray) -> np.ndarray:
-        """vertex_function(vertex)[nodes] for sorted nodes, read from the
-        stored entries of the row without densifying it."""
+        """chi_vertex at the sorted fine nodes `nodes`, read from the
+        stored entries of its row without densifying it."""
         lo, hi = self.chi.indptr[vertex], self.chi.indptr[vertex + 1]
         cols = self.chi.indices[lo:hi]
         pos = np.searchsorted(nodes, cols)
@@ -155,11 +154,6 @@ def segments_to_nodes(seg_values: np.ndarray) -> np.ndarray:
     seg = np.asarray(seg_values, dtype=np.float64)
     padded = np.pad(seg, [(0, 0)] * (seg.ndim - 1) + [(1, 1)])
     return 0.5 * (padded[..., :-1] + padded[..., 1:])
-
-
-def neighborhood_boundary_nodes(hood: NodeRectangle) -> np.ndarray:
-    """Sorted global node indices of a rectangle's outer boundary."""
-    return np.unique(np.concatenate(hood.boundary_edges))
 
 
 class _LocalSolver:
@@ -296,10 +290,6 @@ class MultiscaleSpace:
     @property
     def n_columns(self) -> int:
         return self.basis.shape[1]
-
-    def lift(self, coeffs: np.ndarray) -> np.ndarray:
-        """Fine-nodal view of an ms-coefficient vector (or stack of them)."""
-        return self.basis @ coeffs
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return edge_projection(self, v)

@@ -43,14 +43,6 @@ def _log1p_exp(s):
     return out
 
 
-def weight_function(s, t: float, alpha: float):
-    """Integrand F(s; t) of the kernel representation (without 1/Gamma(alpha+1))."""
-    ls = _log1p_exp(s)
-    # 1/(1+e^{-s}) = e^s/(1+e^s); evaluate via exp(-ls + s) to avoid overflow
-    sigma = np.exp(np.asarray(s, dtype=np.float64) - ls)
-    return np.exp(-t * ls) * ls ** alpha * sigma
-
-
 def soe_error_bound(alpha: float, tau_f: float, n_half: int) -> float:
     """Kernel error bound on [tau_f, inf) for 2*n_half+1 quadrature terms.
 

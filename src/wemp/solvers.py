@@ -503,9 +503,9 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
     """Exponential-sum scheme in multiscale coordinates: chain(fine, ...) of
     march_context, from u0 with zero history.
 
-    States are ms-coefficient vectors; lift with space.lift for fine-space
-    error measurement. The initial state is the mass-orthogonal projection
-    of u0. Raises if a stored state is not finite.
+    States are ms-coefficient vectors; lift with space.basis @ for
+    fine-space error measurement. The initial state is the mass-orthogonal
+    projection of u0. Raises if a stored state is not finite.
     """
     ctx = march_context(spec, space, soe, (spec.tau_f,))
     _, states, _ = ctx.chain(ctx.fine, "multiscale state")

@@ -1,4 +1,5 @@
-"""Shared fixtures and a reference dense P1 assembler used as a test oracle."""
+"""Shared fixtures, and test oracles: a reference dense P1 assembler and
+the domain boundary read from node coordinates."""
 
 import numpy as np
 import pytest
@@ -31,6 +32,12 @@ def dense_p1_operators(coords, triangles, kappa_per_tri):
                 mass[tri[a], tri[b]] += area / 12.0 * (2.0 if a == b else 1.0)
                 stiff[tri[a], tri[b]] += kap * area * grads[a] @ grads[b]
     return mass, stiff
+
+
+def domain_boundary(mesh):
+    """Sorted fine nodes on the boundary of the unit square."""
+    xy = mesh.fine_node_coords
+    return np.flatnonzero(((xy == 0.0) | (xy == 1.0)).any(axis=1))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ import numpy as np
 
 from wemp.experiments import generate_kappa, source_smooth, u0_standard
 from wemp.fem import (CoefficientField, assemble_load, assemble_operators,
-                      solve_spd)
+                      factorized_spd)
 from wemp.mesh import build_mesh
 from wemp.msfem import assemble_space, build_partition_of_unity, edge_wavelets
 from wemp.parareal import (build_context, fine_propagate, hybrid_fixed_point,
@@ -279,13 +279,13 @@ def test_criterion_7_property_suites():
     free = ops8.free_dofs
     A = ops8.stiffness_free
     load = assemble_load(mesh8, ops8, lambda x, y, t: np.ones_like(x), 0.0)
-    u = solve_spd(A, load[free])
+    u = factorized_spd(A)(load[free])
     en = float(np.sqrt(u @ (A @ u)))
     steady = []
     for level in (0, 1, 2, 3):
         space = assemble_space(mesh8, kappa8, pou8, level)
-        coeff = solve_spd(space.ms_stiffness,
-                          np.asarray(space.basis.T @ load).ravel())
+        coeff = factorized_spd(space.ms_stiffness)(
+            np.asarray(space.basis.T @ load).ravel())
         d = u - np.asarray(space.basis @ coeff).ravel()[free]
         steady.append(100.0 * float(np.sqrt(d @ (A @ d))) / en)
     check("steady-energy-monotone",

@@ -1,16 +1,21 @@
-"""The names perfbench binds in wemp still resolve.
+"""The names perfbench binds in wemp still resolve, and every public name
+of wemp has a caller.
 
 perfbench/spans.py rebinds wemp functions by name and perfbench/workloads.py
 calls into wemp by attribute, so a renamed or deleted function breaks the
-benchmark only when it runs. This checks the names here instead.
+benchmark only when it runs. This checks the names here instead. The other
+way round, a public function or class that nothing in the program, the
+demos or the benchmark reads is dead code, however many tests call it.
 """
 
+import ast
 import dataclasses
 import importlib
 import importlib.util
 import inspect
 import json
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -18,7 +23,14 @@ import pytest
 from wemp import experiments, fem, msfem, parareal, soe, solvers
 from wemp import mesh as wmesh
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
+
+# public names that only tests read, each with the reason it stays
+TEST_ONLY = {
+    "hybrid_fixed_point": "the fixed point that criterion 6 checks "
+                          "wemp_solve against",
+}
 
 
 def load_spans(monkeypatch):
@@ -141,3 +153,35 @@ def test_traced_pass_yields_every_per_layer_metric(monkeypatch):
         solvers.multiscale_soe_solve(spec, space, approx)
     missing = wanted - set(spans.layer_metrics(tracer.take(), 1))
     assert not missing, sorted(missing)
+
+
+def names_read(path):
+    """(name, owner) for every name and attribute read in a file, owner
+    being the module-level def or class it is read in, or None."""
+    for stmt in ast.parse(path.read_text()).body:
+        owner = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                yield node.id, owner
+            elif isinstance(node, ast.Attribute):
+                yield node.attr, owner
+
+
+def test_every_public_name_has_a_caller(monkeypatch):
+    # an import alone is no caller, and a def reading its own name is none
+    modules = sorted((ROOT / "src" / "wemp").glob("*.py"))
+    readers = defaultdict(set)
+    for path in modules + sorted((ROOT / "demos").glob("*.py")) \
+            + sorted((ROOT / "perfbench").glob("*.py")):
+        for name, owner in names_read(path):
+            readers[name].add((path, owner))
+    for _, names in load_spans(monkeypatch).TARGETS:
+        for name in names:
+            readers[name].add((SPANS, None))
+    dead = [f"{path.stem}.{stmt.name}"
+            for path in modules for stmt in ast.parse(path.read_text()).body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+            and not stmt.name.startswith("_")
+            and stmt.name not in TEST_ONLY
+            and not readers[stmt.name] - {(path, stmt.name)}]
+    assert not dead, dead

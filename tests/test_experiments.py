@@ -8,7 +8,6 @@ from wemp.cli import main
 from wemp.experiments import (ConfigError, SOURCES, generate_kappa,
                               parse_config, run_experiment, run_unit_oracles,
                               source_rough, source_smooth, u0_standard)
-from wemp.fem import CoefficientField, write_kappa_raster
 from wemp.mesh import build_mesh
 from wemp.soe import build_soe
 
@@ -205,14 +204,14 @@ def test_generate_kappa_raster_roundtrip(tmp_path):
     rng = np.random.default_rng(5)
     values = rng.uniform(0.5, 2.0, size=16)
     path = tmp_path / "field.txt"
-    write_kappa_raster(CoefficientField(values), path, 4, 4)
+    path.write_text("kappa 4 4\n" + " ".join(map(repr, values.tolist())))
     field = generate_kappa("raster-file", {"path": str(path)}, mesh, seed=0)
     assert np.array_equal(field.values, values)
 
 
 def test_generate_kappa_raster_size_mismatch(tmp_path):
     path = tmp_path / "field.txt"
-    write_kappa_raster(CoefficientField(np.ones(16)), path, 4, 4)
+    path.write_text("kappa 4 4\n" + " ".join(["1.0"] * 16))
     with pytest.raises(ValueError, match="raster has"):
         generate_kappa("raster-file", {"path": str(path)}, build_mesh(4, 2),
                        seed=0)
@@ -461,6 +460,19 @@ def test_cli_l1_history_over_budget(tmp_path, capsys):
     overrides["run"]["reference"] = "soe"
     assert parse_config(write_config(tmp_path / "c.ini", overrides)).tau_f \
         == 1e-5
+
+
+def test_cli_infinite_contrast(tmp_path, capsys):
+    # inf > 0, so a positivity check alone would pass an infinite kappa on
+    # to a singular factorization, after the output directory was made
+    overrides = {"mesh": {"refinements": "4"},
+                 "kappa": {"kind": "contrast-inclusions", "contrast": "inf",
+                           "count": "1", "size": "2"}}
+    path = write_config(tmp_path / "a.ini", overrides)
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite and positive" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_negative_k_max(tmp_path, capsys):

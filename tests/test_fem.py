@@ -11,12 +11,10 @@ from wemp.fem import (
     factorized_spd,
     norms,
     read_kappa_raster,
-    solve_spd,
-    write_kappa_raster,
 )
 from wemp.mesh import build_mesh
 
-from conftest import dense_p1_operators
+from conftest import dense_p1_operators, domain_boundary
 
 
 def test_against_dense_assembly():
@@ -65,8 +63,8 @@ def test_kappa_scaling():
 
 
 def test_free_dofs_are_interior(ops44, mesh44):
-    assert np.intersect1d(ops44.free_dofs, mesh44.boundary_fine_nodes).size == 0
-    assert ops44.free_dofs.size + mesh44.boundary_fine_nodes.size == mesh44.n_nodes
+    assert np.array_equal(ops44.free_dofs, np.setdiff1d(
+        np.arange(mesh44.n_nodes), domain_boundary(mesh44)))
     nf = ops44.free_dofs.size
     assert ops44.mass_free.shape == (nf, nf)
     assert ops44.stiffness_free.shape == (nf, nf)
@@ -87,9 +85,9 @@ def test_load_integrates_linear_source(mesh44, ops44):
     assert load.sum() == pytest.approx(0.5 + 1.0 + 0.25, rel=1e-12)
 
 
-def test_solve_spd_sparse():
+def test_factorized_spd_sparse():
     a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    x = solve_spd(a, np.array([1.0, 1.0]))
+    x = factorized_spd(a)(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0])
 
 
@@ -126,7 +124,7 @@ def test_solve_rejects_nonfinite_rhs(bad):
 def test_solve_singular_raises():
     singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
     with pytest.raises(RuntimeError):
-        solve_spd(singular, np.array([1.0, 2.0]))
+        factorized_spd(singular)(np.array([1.0, 2.0]))
 
 
 def test_submesh_assembly_matches_global():
@@ -181,8 +179,9 @@ def test_submesh_assembly_subset_area():
 
 
 def test_coefficient_field_validation():
-    with pytest.raises(ValueError):
-        CoefficientField(np.array([1.0, -2.0]))
+    for bad in (-2.0, 0.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CoefficientField(np.array([1.0, bad]))
     with pytest.raises(ValueError):
         CoefficientField(np.ones((2, 2)))
     mesh = build_mesh(2, 2)
@@ -192,17 +191,13 @@ def test_coefficient_field_validation():
 
 def test_kappa_raster_roundtrip(tmp_path):
     values = np.array([1.0, 10000.0, 0.5, np.pi, 2.0, 3.0])
-    field = CoefficientField(values)
     path = tmp_path / "field.txt"
-    write_kappa_raster(field, path, 3, 2)
+    path.write_text(f"kappa 3 2\n1.0 10000.0 0.5\n{np.pi!r} 2.0 3.0\n")
     back = read_kappa_raster(path)
     assert np.array_equal(back.values, values)
 
 
 def test_kappa_raster_errors(tmp_path):
-    field = CoefficientField(np.ones(6))
-    with pytest.raises(ValueError):
-        write_kappa_raster(field, tmp_path / "bad.txt", 4, 2)
     p = tmp_path / "header.txt"
     p.write_text("raster 2 2\n1 2 3 4\n")
     with pytest.raises(ValueError):
@@ -211,3 +206,7 @@ def test_kappa_raster_errors(tmp_path):
     q.write_text("kappa 2 2\n1 2 3\n")
     with pytest.raises(ValueError):
         read_kappa_raster(q)
+    r = tmp_path / "infinite.txt"
+    r.write_text("kappa 2 1\n1.0 inf\n")
+    with pytest.raises(ValueError, match="finite"):
+        read_kappa_raster(r)

@@ -3,12 +3,14 @@ import pytest
 
 from wemp.mesh import NODE_BUDGET, build_mesh, coarse_neighborhood
 
+from conftest import domain_boundary
+
 
 def test_single_cell_mesh():
     mesh = build_mesh(1, 1)
     assert mesh.n_nodes == 4
     assert mesh.fine_triangles.shape == (2, 3)
-    assert mesh.boundary_fine_nodes.size == 4
+    assert not mesh.coarse_vertex_interior.any()
     assert mesh.H == 1.0
     assert mesh.h == 1.0
 
@@ -25,10 +27,8 @@ def test_two_by_two_counts():
     mesh = build_mesh(2, 2)
     assert mesh.n_nodes == 25
     assert mesh.fine_triangles.shape[0] == 32
-    assert mesh.boundary_fine_nodes.size == 16
-    interior = np.setdiff1d(np.arange(25), mesh.boundary_fine_nodes)
-    assert interior.size == 9
-    assert mesh.coarse_vertices.shape == (9, 2)
+    assert domain_boundary(mesh).size == 16
+    assert mesh.coarse_vertex_interior.shape == (9,)
     assert mesh.coarse_vertex_interior.sum() == 1
 
 
@@ -70,37 +70,27 @@ def test_triangle_layout_and_areas():
     assert np.allclose(0.5 * cross, h * h / 2.0)
 
 
-def test_boundary_nodes_on_boundary():
-    mesh = build_mesh(4, 2)
-    n = mesh.n_fine_per_axis
-    assert mesh.boundary_fine_nodes.size == 4 * n
-    xy = mesh.fine_node_coords[mesh.boundary_fine_nodes]
-    on_edge = ((xy == 0.0) | (xy == 1.0)).any(axis=1)
-    assert on_edge.all()
-
-
 def test_coarse_vertex_layout():
     mesh = build_mesh(3, 4)
     c = mesh.coarse_divisions
-    assert mesh.coarse_vertices.shape == ((c + 1) ** 2, 2)
+    assert mesh.coarse_vertex_interior.shape == ((c + 1) ** 2,)
     # interior flags exclude the outer ring
     flags = mesh.coarse_vertex_interior.reshape(c + 1, c + 1)
     assert not flags[0].any() and not flags[-1].any()
     assert not flags[:, 0].any() and not flags[:, -1].any()
     assert flags[1:-1, 1:-1].all()
-    # coarse vertices sit on fine nodes at multiples of R
+    # coarse vertex (gx, gy) is the fine node (gx R, gy R), at (gx H, gy H)
     r = mesh.refinements_per_coarse
-    vid = mesh.coarse_vertex_index(1, 2)
-    xy = mesh.coarse_vertices[vid]
-    assert np.allclose(xy, mesh.fine_node_coords[mesh.node_index(r, 2 * r)])
+    assert mesh.coarse_vertex_index(1, 2) == 2 * (c + 1) + 1
+    assert np.allclose(mesh.fine_node_coords[mesh.node_index(r, 2 * r)],
+                       [mesh.H, 2 * mesh.H])
 
 
 def test_neighborhood_full_domain():
     mesh = build_mesh(2, 2)
     center = mesh.coarse_vertex_index(1, 1)
     hood = coarse_neighborhood(mesh, center)
-    assert hood.cells.size == 4
-    assert hood.fine_nodes.size == mesh.n_nodes
+    assert hood.fine_cells.size == mesh.n_fine_per_axis ** 2
     (ix0, ix1), (iy0, iy1) = hood.node_range
     assert (ix0, ix1) == (0, 4) and (iy0, iy1) == (0, 4)
 
@@ -110,9 +100,11 @@ def test_neighborhood_edges_ccw():
     r = mesh.refinements_per_coarse
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(2, 2))
     bottom, right, top, left = hood.boundary_edges
+    (ix0, ix1), (iy0, iy1) = hood.node_range
     for edge in hood.boundary_edges:
         assert edge.size == 2 * r + 1
-        assert np.isin(edge, hood.fine_nodes).all()
+        iy, ix = np.divmod(edge, mesh.n_fine_per_axis + 1)
+        assert np.all((ix0 <= ix) & (ix <= ix1) & (iy0 <= iy) & (iy <= iy1))
     coords = mesh.fine_node_coords
     # bottom runs left to right, then ccw around
     assert np.all(np.diff(coords[bottom][:, 0]) > 0)
@@ -130,8 +122,8 @@ def test_neighborhood_cell_multiplicity():
     # every coarse cell appears in exactly the neighborhoods of its 4 corners
     mesh = build_mesh(3, 1)
     total = 0
-    for v in range(mesh.coarse_vertices.shape[0]):
-        total += coarse_neighborhood(mesh, v).cells.size
+    for v in range((mesh.coarse_divisions + 1) ** 2):
+        total += coarse_neighborhood(mesh, v).fine_cells.size
     assert total == 4 * mesh.coarse_divisions ** 2
 
 
@@ -140,7 +132,8 @@ def test_neighborhood_fine_cells():
     r = mesh.refinements_per_coarse
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(1, 3))
     assert hood.fine_cells.size == 4 * r * r
-    assert hood.fine_nodes.size == (2 * r + 1) ** 2
+    (ix0, ix1), (iy0, iy1) = hood.node_range
+    assert (ix1 - ix0 + 1) * (iy1 - iy0 + 1) == (2 * r + 1) ** 2
 
 
 def test_node_budget_guard():

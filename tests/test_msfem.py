@@ -18,12 +18,11 @@ from wemp.msfem import (
     edge_projection,
     edge_wavelets,
     eta_indicator,
-    neighborhood_boundary_nodes,
     segments_to_nodes,
     weighted_coefficient,
 )
 
-from conftest import dense_p1_operators
+from conftest import dense_p1_operators, domain_boundary
 
 
 def contrast_field(mesh, contrast, seed=2):
@@ -43,12 +42,29 @@ def contrast_field(mesh, contrast, seed=2):
 # with dict remaps; the block code must reproduce them bit for bit.
 
 
+def rectangle_boundary(rect):
+    """Sorted global nodes of a rectangle's outer boundary."""
+    return np.unique(np.concatenate(rect.boundary_edges))
+
+
+def rectangle_nodes(mesh, rect):
+    """Sorted global nodes of a rectangle's closure, from its node bounds."""
+    (x0, x1), (y0, y1) = rect.node_range
+    ix, iy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+    return np.sort(mesh.node_index(ix.ravel(), iy.ravel()))
+
+
+def chi_row(pou, vertex):
+    """chi_vertex as a dense vector over all fine nodes."""
+    return pou.chi[vertex].toarray().ravel()
+
+
 def lift_per_column(mesh, kappa, rect, traces):
     """Harmonic extension of each trace column by its own solve."""
     local_nodes, _, A = assemble_submesh_operators(mesh, kappa,
                                                    rect.fine_cells)
     remap = {g: i for i, g in enumerate(local_nodes)}
-    bnd = np.array([remap[g] for g in neighborhood_boundary_nodes(rect)])
+    bnd = np.array([remap[g] for g in rectangle_boundary(rect)])
     inner = np.setdiff1d(np.arange(local_nodes.size), bnd)
     # the factorization settings of fem.factorized_spd
     lu = spla.splu(A[inner][:, inner].tocsc(), permc_spec="MMD_AT_PLUS_A",
@@ -71,7 +87,7 @@ def pou_per_vertex(mesh, kappa):
         for cx in range(C):
             cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
                                   (cy * R, (cy + 1) * R))
-            iy, ix = np.divmod(neighborhood_boundary_nodes(cell),
+            iy, ix = np.divmod(rectangle_boundary(cell),
                                mesh.n_fine_per_axis + 1)
             xi = (ix - cx * R) / R
             eta = (iy - cy * R) / R
@@ -80,7 +96,7 @@ def pou_per_vertex(mesh, kappa):
             data = ((1 - xi) * (1 - eta), xi * (1 - eta), (1 - xi) * eta,
                     xi * eta)
             for vert, d in zip(corners, data):
-                per_nodes[vert].append(cell.fine_nodes)
+                per_nodes[vert].append(rectangle_nodes(mesh, cell))
                 per_vals[vert].append(
                     lift_per_column(mesh, kappa, cell, d[:, None])[:, 0])
     rows, cols, vals = [], [], []
@@ -98,9 +114,9 @@ def pou_per_vertex(mesh, kappa):
 def edge_columns_per_column(mesh, kappa, pou, level, vertex):
     """The 4 * 2^level edge columns of one neighborhood, trace by trace."""
     hood = coarse_neighborhood(mesh, vertex)
-    bnd = neighborhood_boundary_nodes(hood)
+    bnd = rectangle_boundary(hood)
     bnd_pos = {g: i for i, g in enumerate(bnd)}
-    chi_local = pou.vertex_function(vertex)[hood.fine_nodes]
+    chi_local = chi_row(pou, vertex)[rectangle_nodes(mesh, hood)]
     cols = []
     for side in hood.boundary_edges:
         for w in edge_wavelets(level, mesh.fine_node_coords[side]):
@@ -117,7 +133,7 @@ def weighted_coefficient_per_vertex(mesh, kappa, pou):
     _, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
     sum_sq = np.zeros(mesh.fine_triangles.shape[0])
     for vert in range(pou.chi.shape[0]):
-        nodal = pou.vertex_function(vert)[mesh.fine_triangles]
+        nodal = chi_row(pou, vert)[mesh.fine_triangles]
         active = np.any(nodal != 0.0, axis=1)
         vec = np.einsum("ti,tik->tk", nodal[active], grads[active])
         sum_sq[active] += vec[:, 0] ** 2 + vec[:, 1] ** 2
@@ -165,7 +181,7 @@ def test_vertex_columns_match_per_column_lifts(block_case):
                                               vertex, kt)
         n_edge = 4 * 2 ** level
         assert len(block) == len(info) == n_edge + 1
-        assert same_bits(solver.local_nodes, hood.fine_nodes)
+        assert same_bits(solver.local_nodes, rectangle_nodes(mesh, hood))
         assert same_bits(block[:n_edge], edge_columns_per_column(
             mesh, kappa, pou, level, vertex))
         assert info[-1] == (vertex, "corrector", -1, 0)
@@ -176,7 +192,7 @@ def test_block_lift_matches_per_column_lifts(block_case):
     rng = np.random.default_rng(4)
     hood = coarse_neighborhood(mesh, int(np.flatnonzero(
         mesh.coarse_vertex_interior)[0]))
-    traces = rng.standard_normal((neighborhood_boundary_nodes(hood).size, 17))
+    traces = rng.standard_normal((rectangle_boundary(hood).size, 17))
     assert same_bits(_LocalSolver(mesh, kappa, hood).lift(traces),
                      lift_per_column(mesh, kappa, hood, traces))
 
@@ -211,7 +227,7 @@ def test_pou_linear_along_coarse_edges(mesh44, pou44):
     # chi varies linearly on the skeleton, e.g. along y = H between vertices
     r = mesh44.refinements_per_coarse
     vert = mesh44.coarse_vertex_index(1, 1)
-    chi = pou44.vertex_function(vert)
+    chi = chi_row(pou44, vert)
     nodes = mesh44.node_index(np.arange(2 * r + 1), np.full(2 * r + 1, r))
     expected = np.concatenate([np.linspace(0, 1, r + 1),
                                np.linspace(1, 0, r + 1)[1:]])
@@ -221,8 +237,9 @@ def test_pou_linear_along_coarse_edges(mesh44, pou44):
 def test_pou_support_is_neighborhood(mesh44, pou44):
     vert = mesh44.coarse_vertex_index(1, 2)
     hood = coarse_neighborhood(mesh44, vert)
-    chi = pou44.vertex_function(vert)
-    outside = np.setdiff1d(np.arange(mesh44.n_nodes), hood.fine_nodes)
+    chi = chi_row(pou44, vert)
+    outside = np.setdiff1d(np.arange(mesh44.n_nodes),
+                           rectangle_nodes(mesh44, hood))
     assert np.all(chi[outside] == 0.0)
 
 
@@ -234,7 +251,7 @@ def test_pou_vanishes_exactly_off_its_neighborhood_when_h_is_no_power_of_two():
     kappa = CoefficientField.constant(mesh)
     pou = build_partition_of_unity(mesh, kappa)
     for vert in np.flatnonzero(mesh.coarse_vertex_interior):
-        bnd = neighborhood_boundary_nodes(coarse_neighborhood(mesh, vert))
+        bnd = rectangle_boundary(coarse_neighborhood(mesh, vert))
         assert np.all(pou.vertex_values(vert, bnd) == 0.0)
     space = assemble_space(mesh, kappa, pou, 1)
     grid = np.array([divmod(info[0], mesh.coarse_divisions + 1)
@@ -251,7 +268,7 @@ def test_vertex_values_match_the_dense_row(block_case):
     rng = np.random.default_rng(3)
     every = np.arange(mesh.n_nodes)
     for vert in range(pou.chi.shape[0]):
-        row = pou.vertex_function(vert)
+        row = chi_row(pou, vert)
         for nodes in (every, np.sort(rng.choice(every, 10, replace=False)),
                       every[:0]):
             assert same_bits(pou.vertex_values(vert, nodes), row[nodes])
@@ -266,7 +283,7 @@ def test_vertex_values_read_a_stored_negative_zero_as_zero():
     pou = msfem.PartitionOfUnity(chi=chi)
     for nodes in (np.arange(6), np.array([3]), np.array([0, 3, 5])):
         values = pou.vertex_values(0, nodes)
-        assert same_bits(values, pou.vertex_function(0)[nodes])
+        assert same_bits(values, chi_row(pou, 0)[nodes])
         assert not np.signbit(values).any()
 
 
@@ -285,7 +302,7 @@ def test_pou_is_cellwise_harmonic():
     iy_grid, ix_grid = np.divmod(np.arange(mesh.n_nodes), mesh.n_fine_per_axis + 1)
     mask = strict[ix_grid] & strict[iy_grid]
     for vert in range(pou.chi.shape[0]):
-        res = op.stiffness @ pou.vertex_function(vert)
+        res = op.stiffness @ chi_row(pou, vert)
         assert np.max(np.abs(res[mask])) < 1e-11
 
 
@@ -294,7 +311,7 @@ def test_pou_center_value_closed_form():
     # interior node gives exactly 1/4, matching the bilinear corner function
     mesh = build_mesh(1, 2)
     pou = build_partition_of_unity(mesh, CoefficientField.constant(mesh))
-    chi = pou.vertex_function(mesh.coarse_vertex_index(0, 0))
+    chi = chi_row(pou, mesh.coarse_vertex_index(0, 0))
     assert chi[mesh.node_index(1, 1)] == pytest.approx(0.25, abs=1e-14)
 
 
@@ -357,7 +374,7 @@ def test_harmonic_lift_reproduces_harmonic_data():
     mesh = build_mesh(4, 4)
     kappa = CoefficientField.constant(mesh)
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(2, 2))
-    bnd = neighborhood_boundary_nodes(hood)
+    bnd = rectangle_boundary(hood)
     x = mesh.fine_node_coords[:, 0]
 
     solver = _LocalSolver(mesh, kappa, hood)
@@ -365,7 +382,7 @@ def test_harmonic_lift_reproduces_harmonic_data():
     assert np.allclose(ones, 1.0, atol=1e-12)
 
     lin = solver.lift(x[bnd])
-    assert np.allclose(lin, x[np.sort(hood.fine_nodes)], atol=1e-12)
+    assert np.allclose(lin, x[rectangle_nodes(mesh, hood)], atol=1e-12)
 
 
 def test_harmonic_lift_interior_residual():
@@ -375,7 +392,7 @@ def test_harmonic_lift_interior_residual():
     rng = np.random.default_rng(9)
     kappa = CoefficientField(rng.uniform(1.0, 100.0, mesh.n_fine_per_axis ** 2))
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(1, 1))
-    bnd = neighborhood_boundary_nodes(hood)
+    bnd = rectangle_boundary(hood)
     trace = rng.standard_normal(bnd.size)
     lift = _LocalSolver(mesh, kappa, hood).lift(trace)
 
@@ -398,7 +415,7 @@ def test_harmonic_lift_antisymmetry():
     mesh = build_mesh(4, 4)
     kappa = CoefficientField.constant(mesh)
     hood = coarse_neighborhood(mesh, mesh.coarse_vertex_index(2, 2))
-    bnd = neighborhood_boundary_nodes(hood)
+    bnd = rectangle_boundary(hood)
     bottom = hood.boundary_edges[0]
     w = edge_wavelets(1, mesh.fine_node_coords[bottom])[1]
     trace = np.zeros(bnd.size)
@@ -407,7 +424,7 @@ def test_harmonic_lift_antisymmetry():
         trace[pos[node]] += val
     lift = _LocalSolver(mesh, kappa, hood).lift(trace)
 
-    nodes = np.sort(hood.fine_nodes)
+    nodes = rectangle_nodes(mesh, hood)
     coords = mesh.fine_node_coords[nodes]
     value = {(round(c[0] * 16), round(c[1] * 16)): v
              for c, v in zip(coords, lift)}
@@ -439,7 +456,7 @@ def test_neumann_corrector_zero_mean_and_symmetry():
     # constant kappa, symmetric neighborhood: the corrector inherits the
     # symmetries of the triangulation (transpose and half-turn; the axis
     # mirrors flip the diagonal split, so only discrete near-symmetry there)
-    nodes = np.sort(hood.fine_nodes)
+    nodes = rectangle_nodes(mesh, hood)
     coords = mesh.fine_node_coords[nodes]
     value = {(round(c[0] * 16), round(c[1] * 16)): v
              for c, v in zip(coords, corr)}
@@ -515,14 +532,15 @@ def test_space_column_count_and_layout(mesh44, space44):
 
 def test_space_columns_vanish_on_boundary(mesh44, space44):
     dense = space44.basis.toarray()
-    assert np.all(dense[mesh44.boundary_fine_nodes] == 0.0)
+    assert np.all(dense[domain_boundary(mesh44)] == 0.0)
 
 
 def test_space_columns_are_local(mesh44, space44):
     dense = space44.basis.toarray()
     for col, meta in enumerate(space44.column_info):
         hood = coarse_neighborhood(mesh44, meta[0])
-        outside = np.setdiff1d(np.arange(mesh44.n_nodes), hood.fine_nodes)
+        outside = np.setdiff1d(np.arange(mesh44.n_nodes),
+                               rectangle_nodes(mesh44, hood))
         assert np.all(dense[outside, col] == 0.0)
 
 
@@ -612,7 +630,7 @@ def check_local_operators_are_the_global_ones_restricted(mesh, kappa):
     nodes, M, A = assemble_submesh_operators(mesh, kappa, np.arange(n * n))
     assert same_bits(nodes, np.arange(mesh.n_nodes))
     assert same_bits(ops.free_dofs, np.setdiff1d(np.arange(mesh.n_nodes),
-                                                 mesh.boundary_fine_nodes))
+                                                 domain_boundary(mesh)))
     for whole, glob in ((M, ops.mass), (A, ops.stiffness)):
         for name in ("data", "indices", "indptr"):
             assert same_bits(getattr(whole, name), getattr(glob, name))
@@ -814,7 +832,7 @@ def test_space_degenerate_refinement_limit():
 def test_projection_is_identity_on_span(space44):
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(space44.n_columns)
-    v = space44.lift(coeffs)
+    v = space44.basis @ coeffs
     back = edge_projection(space44, v)
     assert np.allclose(back, coeffs, atol=1e-9)
 
@@ -822,8 +840,8 @@ def test_projection_is_identity_on_span(space44):
 def test_projection_idempotent(mesh44, space44):
     rng = np.random.default_rng(2)
     v = rng.standard_normal(mesh44.n_nodes)
-    p1 = space44.lift(space44.project(v))
-    p2 = space44.lift(space44.project(p1))
+    p1 = space44.basis @ space44.project(v)
+    p2 = space44.basis @ space44.project(p1)
     assert np.allclose(p1, p2, atol=1e-10)
 
 
@@ -836,12 +854,12 @@ def test_projection_error_decreases_with_level():
     y = mesh.fine_node_coords[:, 1]
     v = (np.sin(3 * np.pi * x) * np.sin(2 * np.pi * y)
          + 0.3 * np.sign(np.sin(5 * np.pi * x)) * np.sin(np.pi * y))
-    v[mesh.boundary_fine_nodes] = 0.0
+    v[domain_boundary(mesh)] = 0.0
     v_norm, _ = norms(ops, v)
     errs = []
     for level in (0, 1, 2):
         space = assemble_space(mesh, kappa, pou, level)
-        w = space.lift(edge_projection(space, v))
+        w = space.basis @ edge_projection(space, v)
         e, _ = norms(ops, v - w)
         errs.append(e / v_norm)
     assert errs[0] == pytest.approx(0.16, abs=0.02)

@@ -16,7 +16,7 @@ from wemp.soe import (
     soe_residual,
     step_coefficients,
     validate_epsilon,
-    weight_function,
+    _log1p_exp,
 )
 
 
@@ -28,24 +28,54 @@ def synthetic_soe(rates, alpha=0.5, tau_f=1e-3):
                             n_terms=rates.size)
 
 
-def test_weight_function_closed_form():
+def kernel_integrand(s, t, alpha):
+    """F(s; t) of the kernel representation in soe.py, without
+    1/Gamma(alpha+1): e^(-t ln(1+e^s)) (ln(1+e^s))^alpha / (1 + e^(-s))."""
+    ls = _log1p_exp(s)
+    # 1/(1+e^(-s)) = e^s/(1+e^s), taken as exp(s - ls) so it cannot overflow
+    sigma = np.exp(np.asarray(s, dtype=np.float64) - ls)
+    return np.exp(-t * ls) * ls ** alpha * sigma
+
+
+def test_kernel_integrand_closed_form():
     # at s = 0, alpha = 1: e^(-t ln 2) (ln 2)^1 * 1/2, so ln(2)/4 for t = 1
-    val = weight_function(np.array([0.0]), 1.0, 1.0)[0]
-    assert val == pytest.approx(0.17328679513998632735, rel=1e-15)
+    assert kernel_integrand(0.0, 1.0, 1.0) == pytest.approx(
+        0.17328679513998632735, rel=1e-15)
 
 
-def test_weight_function_overflow_safe():
-    # far tails must not overflow or go negative
-    vals = weight_function(np.array([-800.0, -40.0, 40.0, 800.0]), 1.0, 0.5)
-    assert np.all(np.isfinite(vals))
-    assert np.all(vals >= 0.0)
+@pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("n_terms", [3, 57, 201])
+def test_build_terms_are_scaled_integrand_samples(alpha, n_terms):
+    # the weights are the sinc samples of F(s; 0) at s_m = m pi / sqrt(n),
+    # scaled to u = (alpha+1) t / tau_f, and the rates ln(1+e^s_m) so scaled
+    tau_f = 1e-3
+    n_half = (n_terms - 1) // 2
+    step = np.pi / np.sqrt(n_half)
+    s = np.arange(-n_half, n_half + 1) * step
+    soe = build_soe_for_terms(alpha, tau_f, n_terms)
+    scale = tau_f ** (-1.0 - alpha) * (alpha + 1.0) ** (1.0 + alpha)
+    np.testing.assert_allclose(
+        soe.weights, scale * step / gamma(alpha + 1.0)
+        * kernel_integrand(s, 0.0, alpha), rtol=1e-15, atol=0.0)
+    np.testing.assert_allclose(
+        soe.rates, (alpha + 1.0) / tau_f * np.logaddexp(0.0, s),
+        rtol=1e-15, atol=0.0)
+
+
+def test_build_terms_finite_past_the_overflow_switch():
+    # 201 terms put the outer nodes at |s| = 10 pi > 30, where ln(1+e^s)
+    # is taken as s + ln(1+e^(-s)) so that e^s cannot overflow
+    soe = build_soe_for_terms(0.5, 1e-3, 201)
+    assert np.pi * np.sqrt((soe.n_terms - 1) // 2) > 30.0
+    assert np.all(np.isfinite(soe.weights)) and np.all(soe.weights > 0.0)
+    assert np.all(np.isfinite(soe.rates)) and np.all(np.diff(soe.rates) > 0.0)
 
 
 @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
 def test_kernel_integral_identity(alpha, t):
     # 1/Gamma(alpha+1) * int F(s; t) ds = t^(-1-alpha)
-    integral, err = quad(weight_function, -np.inf, np.inf, args=(t, alpha))
+    integral, err = quad(kernel_integrand, -np.inf, np.inf, args=(t, alpha))
     assert err < 1e-7
     assert integral / gamma(alpha + 1.0) == pytest.approx(
         t ** (-1.0 - alpha), rel=1e-12)

@@ -281,7 +281,7 @@ def test_multiscale_level_sweep_error_floor():
     for level in (1, 2, 3):
         space = assemble_space(mesh, kappa, pou, level)
         ms = multiscale_soe_solve(spec, space, soe)
-        lift = space.lift(ms.states.T).T
+        lift = (space.basis @ ms.states.T).T
         rl2, _ = relative_errors_percent(lift[1:], ref.states[1:], ops)
         errs[level] = rl2.max()
     assert errs[2] <= 10.0
