@@ -149,26 +149,27 @@ class RectangleTemplate:
     kappa_to_stiffness: sp.csr_matrix   # per-cell kappa -> stiffness data
     boundary: np.ndarray        # sorted local nodes on the rectangle's boundary
     interior: np.ndarray        # the others, sorted
-    interior_block: Selection   # A[interior][:, interior], CSC
-    coupling_block: Selection   # A[interior][:, boundary], CSR
-    cell_load: sp.csr_matrix    # per-cell constant source -> P1 nodal loads
-    boundary_flux: np.ndarray   # nodal loads of a unit total outflux, uniform on the boundary
-    gauge: np.ndarray           # mass @ 1
-    pinned: Selection           # A without local node 0, CSC
+    # the local solves' blocks and loads, None unless built `local`
+    interior_block: Selection = None    # A[interior][:, interior], CSC
+    coupling_block: Selection = None    # A[interior][:, boundary], CSR
+    cell_load: sp.csr_matrix = None     # per-cell constant source -> P1 nodal loads
+    boundary_flux: np.ndarray = None    # nodal loads of a unit total outflux, uniform on the boundary
+    gauge: np.ndarray = None            # mass @ 1
+    pinned: Selection = None            # A without local node 0, CSC
 
 
 @functools.lru_cache(maxsize=4)
-def rectangle_template(n_per_axis: int, nx: int, ny: int) -> RectangleTemplate:
+def rectangle_template(n_per_axis: int, nx: int, ny: int,
+                       local: bool = True) -> RectangleTemplate:
     """The template of the nx x ny rectangles of fine cells on the uniform
-    mesh with n_per_axis cells per axis.
+    mesh with n_per_axis cells per axis; the local solves' fields only if
+    `local`.
 
     The P1 element matrices are computed on one reference cell only;
     every rectangle, the whole mesh included, sums them in cell order.
-    The cache holds the last four shapes, so it does not grow with the
-    number of set-ups: a set-up uses three shapes, the coarse cell, the
-    vertex neighbourhood and the whole mesh, whose entry keeps the global
-    mass matrix, stiffness pattern and free dofs (2.2 MB at 8 x 8 coarse
-    cells and 8.6 MB at 16 x 16, 8 refinements per coarse cell).
+    The cache holds four entries, so it does not grow with the number of
+    set-ups, which use two: the vertex neighbourhood's, and the whole
+    mesh's, which assemble_operators builds without the local fields.
     """
     h = 1.0 / n_per_axis
     jy, jx = np.divmod(np.arange((nx + 1) * (ny + 1)), nx + 1)
@@ -193,31 +194,33 @@ def rectangle_template(n_per_axis: int, nx: int, ny: int) -> RectangleTemplate:
 
     on_boundary = (jx == 0) | (jx == nx) | (jy == 0) | (jy == ny)
     boundary, interior = np.flatnonzero(on_boundary), np.flatnonzero(~on_boundary)
-    positions = sp.csr_matrix(
-        (np.arange(1.0, a_indices.size + 1), a_indices, a_indptr),
-        shape=(n_nodes, n_nodes))
-    rows = positions[interior]
-
-    # a per-cell constant source, integrated exactly: the cell's mass
-    # matrix row sums at its corners
-    cell_load = sp.csr_matrix(
-        (np.tile(cell_mass.sum(axis=1), nx * ny),
-         (corners.ravel(), np.repeat(np.arange(nx * ny), 4))),
-        shape=(n_nodes, nx * ny))
-    gauge = mass @ np.ones(n_nodes)
-    # a constant outflux 1 / |boundary|, trapezoid on the closed loop: each
-    # boundary node gets half a segment from each side of it
-    flux = np.where(on_boundary, -h / (2.0 * (nx + ny) * h), 0.0)
+    fields = {}
+    if local:
+        positions = sp.csr_matrix(
+            (np.arange(1.0, a_indices.size + 1), a_indices, a_indptr),
+            shape=(n_nodes, n_nodes))
+        rows = positions[interior]
+        fields = dict(
+            interior_block=Selection.of(rows[:, interior].tocsc()),
+            coupling_block=Selection.of(rows[:, boundary]),
+            # a per-cell constant source, integrated exactly: the cell's
+            # mass matrix row sums at its corners
+            cell_load=sp.csr_matrix(
+                (np.tile(cell_mass.sum(axis=1), nx * ny),
+                 (corners.ravel(), np.repeat(np.arange(nx * ny), 4))),
+                shape=(n_nodes, nx * ny)),
+            # a constant outflux 1 / |boundary|, trapezoid on the closed
+            # loop: each boundary node gets half a segment from each side
+            boundary_flux=np.where(on_boundary, -h / (2.0 * (nx + ny) * h), 0.0),
+            gauge=mass @ np.ones(n_nodes),
+            pinned=Selection.of(positions[1:, 1:].tocsc()))
 
     template = RectangleTemplate(
         node_offsets=jy * (n_per_axis + 1) + jx,
         cell_offsets=cy * n_per_axis + cx, mass=mass,
         stiffness_indices=a_indices, stiffness_indptr=a_indptr,
         kappa_to_stiffness=a_map, boundary=boundary, interior=interior,
-        interior_block=Selection.of(rows[:, interior].tocsc()),
-        coupling_block=Selection.of(rows[:, boundary]),
-        cell_load=cell_load, boundary_flux=flux, gauge=gauge,
-        pinned=Selection.of(positions[1:, 1:].tocsc()))
+        **fields)
     # every rectangle of the shape hands out this one mass matrix, and
     # assemble_operators the whole mesh's interior as its free dofs
     for array in (mass.data, mass.indices, mass.indptr, interior):
@@ -264,9 +267,11 @@ def assemble_operators(mesh: TwoLevelMesh, kappa: CoefficientField) -> OperatorP
     n = mesh.n_fine_per_axis
     if kappa.values.size != n * n:
         raise ValueError(f"kappa has {kappa.values.size} values, mesh has {n * n} cells")
-    _, M, A = assemble_submesh_operators(mesh, kappa, np.arange(n * n))
-    return OperatorPair(mass=M, stiffness=A,
-                        free_dofs=rectangle_template(n, n, n).interior)
+    t = rectangle_template(n, n, n, local=False)
+    A = sp.csr_matrix((t.kappa_to_stiffness @ kappa.values,
+                       t.stiffness_indices, t.stiffness_indptr),
+                      shape=t.mass.shape)
+    return OperatorPair(mass=t.mass, stiffness=A, free_dofs=t.interior)
 
 
 def assemble_load(mesh: TwoLevelMesh, op: OperatorPair, f, t: float) -> np.ndarray:
@@ -290,40 +295,43 @@ def assemble_loads(mesh: TwoLevelMesh, op: OperatorPair, f,
     return op.mass @ np.broadcast_to(f(x, y, t), (x.shape[0], t.size))
 
 
-def factorized_spd(matrix):
+def factorized_spd(matrix, blocks: int = 1):
     """Factorize once, return a solver closed over the factorization.
 
     The program's one factorization. Takes a scipy sparse SPD matrix only. SuperLU factors it in symmetric
     mode: a minimum-degree ordering of A + A^T with the diagonal as
     pivots, since an SPD matrix factors stably without row interchanges.
-    Every solve verifies the residual to SOLVE_RTOL relative.
+    Every solve verifies the residual to SOLVE_RTOL relative, block by
+    block, each against its own norm, for `blocks` equal diagonal blocks.
     """
-    anorm = float(np.abs(matrix).sum(axis=1).max()) if matrix.shape[0] else 0.0
-    lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    a = matrix.tocsc()
+    row_sums = np.bincount(a.indices, np.abs(a.data), a.shape[0])
+    anorm = np.max(row_sums.reshape(blocks, -1), axis=1, initial=0.0)
+    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = lu.solve(rhs)
-        _check_residual(matrix, anorm, x, rhs)
+        _check_residual(matrix, anorm, x, rhs, blocks)
         return x
 
     return solve
 
 
-def _check_residual(matrix, anorm, x, rhs):
+def _check_residual(matrix, anorm, x, rhs, blocks=1):
     # normwise backward error |Ax-b| / (|A| |x| + |b|) of each right-hand
-    # side column, robust to the scale spread that high-contrast
-    # coefficients put into A; a zero right-hand side is solved exactly
-    res = np.atleast_1d(np.linalg.norm(matrix @ x - rhs, axis=0))
-    rhs_norm = np.atleast_1d(np.linalg.norm(rhs, axis=0))
-    denom = anorm * np.atleast_1d(np.linalg.norm(x, axis=0)) + rhs_norm
-    failed = np.flatnonzero((rhs_norm != 0.0)
-                            & ~(res <= SOLVE_RTOL * denom))
+    # side column on each of `blocks` equal runs of rows (one anorm each),
+    # robust to high-contrast scale spread; a zero rhs is solved exactly
+    res, rhs_norm, x_norm = (
+        np.linalg.norm(np.reshape(v, (blocks, -1) + x.shape[1:]), axis=1)
+        for v in (matrix @ x - rhs, rhs, x))
+    denom = np.reshape(anorm, (-1,) + (1,) * (x.ndim - 1)) * x_norm + rhs_norm
+    failed = np.flatnonzero((rhs_norm != 0.0) & ~(res <= SOLVE_RTOL * denom))
     if failed.size:
         j = failed[0]
         raise RuntimeError(
-            f"SPD solve failed the residual check: |Ax-b| = {res[j]:.3e}, "
-            f"|A||x|+|b| = {denom[j]:.3e}, rtol = {SOLVE_RTOL:.1e}")
+            f"SPD solve failed the residual check: |Ax-b| = {res.flat[j]:.3e}, "
+            f"|A||x|+|b| = {denom.flat[j]:.3e}, rtol = {SOLVE_RTOL:.1e}")
 
 
 def norms(op: OperatorPair, v: np.ndarray) -> tuple:

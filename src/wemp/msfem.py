@@ -2,9 +2,9 @@
 
 Construction stages:
 
-1. partition of unity: per coarse cell, diffusivity-harmonic extensions of the
-   four affine corner data in one block solve, assembled into global
-   hat-like functions chi_i;
+1. partition of unity: diffusivity-harmonic extensions of the affine
+   corner data into every coarse cell, four colour fields in one
+   block-diagonal solve, from which each hat-like chi_i is read;
 2. Haar functions on the four edges of each vertex neighborhood omega_i,
    orthonormal in L2 of the edge;
 3. harmonic lifts of the edge data into omega_i, one block solve per
@@ -20,13 +20,12 @@ Construction stages:
    overlap, taken with the neighbourhood's local operators, are the
    entries of the Galerkin matrices, assembled once at their exact size.
 
-Stages 1 and 3 share one Dirichlet solver, _LocalSolver, on a rectangle of
-fine cells (a mesh.NodeRectangle): a coarse cell for stage 1, a vertex
-neighborhood (mesh.coarse_neighborhood) for stage 3; stage 3 reads chi_i at
-the rectangle's nodes through PartitionOfUnity.vertex_values.
-All rectangles of one shape share one fem.rectangle_template, so each
-solver only gathers its cells' kappa into the template's patterns. Every
-factorization, the corrector's included, is fem.factorized_spd.
+Stage 3 solves on each vertex neighbourhood (mesh.coarse_neighborhood)
+through a _LocalSolver and reads chi_i there through
+PartitionOfUnity.vertex_values. The neighbourhoods share one
+fem.rectangle_template, so each solver only gathers its cells' kappa into
+the template's patterns; the edge traces and overlaps, which depend only
+on shapes, are computed once. Every factorization is fem.factorized_spd.
 
 Only interior coarse vertices generate columns, so every basis function
 vanishes on the domain boundary.
@@ -34,6 +33,7 @@ vanishes on the domain boundary.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +41,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.linalg import lapack
 
-from .mesh import (TwoLevelMesh, NodeRectangle, coarse_neighborhood,
-                   node_rectangle)
+from .mesh import TwoLevelMesh, NodeRectangle, coarse_neighborhood
 from .fem import (CoefficientField, OperatorPair, assemble_operators,
                   assemble_submesh_operators, rectangle_template,
                   triangle_geometry, factorized_spd)
@@ -72,41 +71,44 @@ class PartitionOfUnity:
 
 def build_partition_of_unity(mesh: TwoLevelMesh,
                              kappa: CoefficientField) -> PartitionOfUnity:
-    """Harmonic extensions of the affine corner data, cell by cell.
+    """Harmonic extensions of the affine corner data, all cells in one solve.
 
-    On each coarse cell the four corner functions take value 1 at one corner,
-    0 at the others, vary linearly along the cell edges, and extend
-    kappa-harmonically inside (_LocalSolver.lift on the one-cell rectangle).
-    Their sum has boundary data 1, so it extends to the constant 1: the chi_i
-    form a partition of unity.
+    Coarse vertex (vx, vy) has colour (vx mod 2) + 2 (vy mod 2), so chi_i
+    of one colour meet only where both vanish, and column c of G is the
+    sum of the colour-c chi_i. On the skeleton (fine nodes on coarse grid
+    lines) G holds the corner data, 1 at the vertex, 0 at the others and
+    linear along cell sides; one factorization extends its four columns
+    kappa-harmonically into every cell. Their sum has data 1, so it is 1:
+    the chi_i, each its colour's column on its closed neighbourhood, form
+    a partition of unity.
     """
-    C = mesh.coarse_divisions
-    R = mesh.refinements_per_coarse
-    keys, vals = [], []                  # key: vertex * n_nodes + node
-    for cy in range(C):
-        for cx in range(C):
-            cell = node_rectangle(mesh, (cx * R, (cx + 1) * R),
-                                  (cy * R, (cy + 1) * R))
-            solver = _LocalSolver(mesh, kappa, cell)
-            # integer node offsets put xi and eta exactly on 0 and 1 at the
-            # cell's sides, whatever H is
-            iy, ix = np.divmod(solver.bnd_nodes, mesh.n_fine_per_axis + 1)
-            xi = (ix - cx * R) / R
-            eta = (iy - cy * R) / R
-            corners = mesh.coarse_vertex_index(cx + np.array([0, 1, 0, 1]),
-                                               cy + np.array([0, 0, 1, 1]))
-            data = np.column_stack([(1 - xi) * (1 - eta), xi * (1 - eta),
-                                    (1 - xi) * eta, xi * eta])
-            keys.append((corners * mesh.n_nodes
-                         + solver.local_nodes[:, None]).ravel())
-            vals.append(solver.lift(data).ravel())
+    C, R, n = (mesh.coarse_divisions, mesh.refinements_per_coarse,
+               mesh.n_fine_per_axis)
+    iy, ix = np.divmod(np.arange(mesh.n_nodes), n + 1)
+    cx, cy = np.minimum(ix // R, C - 1), np.minimum(iy // R, C - 1)
+    # integer node offsets put xi and eta exactly on 0 and 1 at the cell's
+    # sides, whatever H is
+    xi, eta = (ix - cx * R) / R, (iy - cy * R) / R
+    G = np.zeros((mesh.n_nodes, 4))
+    for a, b in ((0, 0), (1, 0), (0, 1), (1, 1)):
+        G[np.arange(mesh.n_nodes), (cx + a) % 2 + 2 * ((cy + b) % 2)] = (
+            (xi if a else 1 - xi) * (eta if b else 1 - eta))
+    if R > 1:
+        # the interior nodes cell by cell, so that each cell's rows are one
+        # run of the block-diagonal system and checked on their own
+        inner = np.flatnonzero((ix % R != 0) & (iy % R != 0))
+        inner = inner[np.argsort(cy[inner] * C + cx[inner], kind="stable")]
+        rows = assemble_operators(mesh, kappa).stiffness[inner]
+        G[inner] = 0.0
+        G[inner] = factorized_spd(rows[:, inner], C * C)(-(rows @ G))
 
-    # cells sharing an edge contribute identical values there; keep the
-    # first in cell order
-    uniq, first = np.unique(np.concatenate(keys), return_index=True)
-    vertex, node = np.divmod(uniq, mesh.n_nodes)
-    chi = sp.coo_matrix((np.concatenate(vals)[first], (vertex, node)),
-                        shape=((C + 1) ** 2, mesh.n_nodes)).tocsr()
+    # vertex v x node i is vertex (vx, vy) x node (ix, iy), and the closed
+    # neighbourhood is |ix - R vx| <= R and |iy - R vy| <= R
+    near = np.abs(np.arange(n + 1) - R * np.arange(C + 1)[:, None]) <= R
+    chi = sp.kron(near, near, format="csr").astype(np.float64)
+    vy, vx = np.divmod(np.repeat(np.arange((C + 1) ** 2),
+                                 np.diff(chi.indptr)), C + 1)
+    chi.data = G[chi.indices, vx % 2 + 2 * (vy % 2)]
     return PartitionOfUnity(chi=chi)
 
 
@@ -157,10 +159,9 @@ def segments_to_nodes(seg_values: np.ndarray) -> np.ndarray:
 
 
 class _LocalSolver:
-    """Shared assembly and factorization for the local solves on one
-    rectangle: a vertex neighborhood or, for the partition of unity, a
-    coarse cell. Local node numbers are positions in the sorted
-    local_nodes.
+    """Assembly and factorizations for the local solves on one vertex
+    neighbourhood, which always has interior nodes. Local node numbers are
+    positions in the sorted local_nodes.
 
     The rectangle's shape fixes its node pattern, boundary and interior
     sets and the sub-patterns read from them (fem.rectangle_template), so
@@ -181,10 +182,8 @@ class _LocalSolver:
         self.int_local = self.template.interior
         self.bnd_nodes = self.local_nodes[self.bnd_local]
         self._A_ib = self.template.coupling_block.fill(self.A.data)
-        # a one-cell rectangle at one refinement has no interior node
-        self._dirichlet = (
-            factorized_spd(self.template.interior_block.fill(self.A.data))
-            if self.int_local.size else None)
+        self._dirichlet = factorized_spd(
+            self.template.interior_block.fill(self.A.data))
 
     def lift(self, trace: np.ndarray) -> np.ndarray:
         """Harmonic extension of nodal boundary data into the rectangle.
@@ -199,8 +198,7 @@ class _LocalSolver:
             raise ValueError("trace length does not match the boundary nodes")
         v = np.zeros((self.local_nodes.size,) + trace.shape[1:])
         v[self.bnd_local] = trace
-        if self.int_local.size:
-            v[self.int_local] = self._dirichlet(-(self._A_ib @ trace))
+        v[self.int_local] = self._dirichlet(-(self._A_ib @ trace))
         return v
 
     def corrector(self, kappa_tilde: np.ndarray) -> np.ndarray:
@@ -236,24 +234,16 @@ def weighted_coefficient(mesh: TwoLevelMesh, kappa: CoefficientField,
                          pou: PartitionOfUnity) -> np.ndarray:
     """Per-fine-cell field H^2 kappa sum_i |grad chi_i|^2.
 
-    Gradients of the P1 chi_i are per-triangle constants; the two triangle
-    values of each cell are averaged.
+    On each triangle one chi_i of each colour is nonzero, so the sum runs
+    over the colour fields G = chi^T (one-hot vertex colour), whose P1
+    gradients are per-triangle constants; a cell averages its two triangles.
     """
     _, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
-    tri = mesh.fine_triangles
-    chi = pou.chi.tocsr()
-
-    def derivative(j):
-        # d chi_i / d x_j per (vertex, triangle), corner terms added in order
-        terms = [chi[:, tri[:, k]].multiply(grads[:, k, j]) for k in range(3)]
-        return terms[0] + terms[1] + terms[2]
-
-    gx, gy = derivative(0), derivative(1)
-    sq = (gx.multiply(gx) + gy.multiply(gy)).tocsr()
-    # CSR data runs vertex by vertex, so each triangle sums in vertex order
-    sum_sq = np.bincount(sq.indices, weights=sq.data, minlength=tri.shape[0])
-    kappa_tri = np.repeat(kappa.values, 2)
-    val_tri = mesh.H ** 2 * kappa_tri * sum_sq
+    vy, vx = np.divmod(np.arange(pou.chi.shape[0]), mesh.coarse_divisions + 1)
+    G = pou.chi.T @ np.eye(4)[vx % 2 + 2 * (vy % 2)]
+    grad_g = np.einsum("tkc,tkd->tcd", G[mesh.fine_triangles], grads)
+    sum_sq = np.einsum("tcd,tcd->t", grad_g, grad_g)
+    val_tri = mesh.H ** 2 * np.repeat(kappa.values, 2) * sum_sq
     return 0.5 * (val_tri[0::2] + val_tri[1::2])
 
 
@@ -309,32 +299,44 @@ def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
 
     n_wav = 2 ** level
     traces = np.zeros((solver.bnd_nodes.size, 4 * n_wav))
-    info = []
     for side_idx, side in enumerate(hood.boundary_edges):
-        nodal = segments_to_nodes(
-            edge_wavelets(level, mesh.fine_node_coords[side]))
+        nodal = _nodal_wavelets(level, side.size - 1, mesh.h)
         rows = np.searchsorted(solver.bnd_nodes, side)
         traces[rows, side_idx * n_wav:(side_idx + 1) * n_wav] = nodal.T
-        info.extend((vertex, "edge", side_idx, w_idx)
-                    for w_idx in range(n_wav))
-    info.append((vertex, "corrector", -1, 0))
+    info = [(vertex, "edge", side_idx, w_idx) for side_idx in range(4)
+            for w_idx in range(n_wav)] + [(vertex, "corrector", -1, 0)]
     block = chi_local * np.vstack([solver.lift(traces).T,
                                    solver.corrector(kappa_tilde)])
     return solver, block, info
 
 
+@functools.lru_cache(maxsize=16)
+def _nodal_wavelets(level: int, n_seg: int, h: float) -> np.ndarray:
+    """The nodal traces of edge_wavelets, the same on every side of n_seg
+    fine segments of length h."""
+    return segments_to_nodes(
+        edge_wavelets(level, np.outer(np.arange(n_seg + 1), [h, 0.0])))
+
+
 def _shared_nodes(a: NodeRectangle, b: NodeRectangle):
     """Positions, among the local nodes of a and of b, of the nodes of the
-    rectangle they share, or None when they share no cell."""
+    rectangle they share, or None when they share no cell: a function of
+    their shapes and of b's offset from a, and cached on those."""
     (ax0, ax1), (ay0, ay1) = a.node_range
     (bx0, bx1), (by0, by1) = b.node_range
-    x0, x1 = max(ax0, bx0), min(ax1, bx1)
-    y0, y1 = max(ay0, by0), min(ay1, by1)
+    return _overlap(ax1 - ax0, ay1 - ay0, bx1 - bx0, by1 - by0,
+                    bx0 - ax0, by0 - ay0)
+
+
+@functools.lru_cache(maxsize=256)
+def _overlap(anx, any_, bnx, bny, dx, dy):
+    x0, x1 = max(0, dx), min(anx, dx + bnx)
+    y0, y1 = max(0, dy), min(any_, dy + bny)
     if x0 >= x1 or y0 >= y1:
         return None
     xs, ys = np.arange(x0, x1 + 1), np.arange(y0, y1 + 1)[:, None]
-    return (((ys - ay0) * (ax1 - ax0 + 1) + xs - ax0).ravel(),
-            ((ys - by0) * (bx1 - bx0 + 1) + xs - bx0).ravel())
+    return ((ys * (anx + 1) + xs).ravel(),
+            ((ys - dy) * (bnx + 1) + xs - dx).ravel())
 
 
 def _pivoted_gram_filter(gram: np.ndarray, tol: float,
