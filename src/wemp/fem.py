@@ -4,8 +4,10 @@ Assembly of mass and heterogeneous stiffness matrices (exact P1 quadrature)
 over a rectangle of fine cells, the whole mesh included, from one template
 per rectangle shape; nodal load vectors, Dirichlet elimination to free
 dofs, SPD solves through the program's one factorization, factorized_spd,
-and the L2 / energy norms. The diffusivity is one
-positive, finite value per fine square cell, shared by its two triangles.
+and the L2 / energy norms. factorized_spd factors a narrow band with
+LAPACK's band Cholesky and anything else with SuperLU. The diffusivity is
+one positive, finite value per fine square cell, shared by its two
+triangles.
 """
 
 from __future__ import annotations
@@ -16,10 +18,19 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .mesh import TwoLevelMesh
 
 SOLVE_RTOL = 1e-10
+# factorized_spd takes the band kernel when the band, (b + 1) n floats,
+# holds at most this many times the matrix's stored entries. It sits
+# between the two fine step matrices (seed 7, 2-core Xeon, OpenBLAS,
+# medians; a solve includes its residual check): at 63^2 free nodes the
+# band is 9.5 times nnz, factors in 3.4 ms against SuperLU's 8.3 and
+# solves in 0.33 against 0.44 ms; at 127^2 it is 18.6 times nnz, and its
+# 4.6 ms solves lose to SuperLU's 4.2 ms, which a march pays every step.
+BAND_FILL_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -298,20 +309,61 @@ def assemble_loads(mesh: TwoLevelMesh, op: OperatorPair, f,
 def factorized_spd(matrix, blocks: int = 1):
     """Factorize once, return a solver closed over the factorization.
 
-    The program's one factorization. Takes a scipy sparse SPD matrix only. SuperLU factors it in symmetric
-    mode: a minimum-degree ordering of A + A^T with the diagonal as
-    pivots, since an SPD matrix factors stably without row interchanges.
-    Every solve verifies the residual to SOLVE_RTOL relative, block by
-    block, each against its own norm, for `blocks` equal diagonal blocks.
+    The program's one factorization. Takes a scipy sparse SPD matrix,
+    read as stored when CSR or CSC, and factors it with one of two kernels,
+    chosen from what the matrix shows: n, the lower half-bandwidth b of its
+    stored pattern in its own order, and its stored entries nnz.
+
+    * When (b + 1) n <= BAND_FILL_LIMIT nnz, LAPACK's band Cholesky
+      (dpbtrf, dpbtrs) in that order: no fill-reducing ordering, blocked
+      BLAS, and (b + 1) n floats of storage. Every set-up matrix, every
+      multiscale step and mass matrix and the fine step up to 63^2 free
+      nodes take it: neighbourhoods and the fine grid number their nodes
+      row by row, the partition of unity its interiors cell by cell, the
+      multiscale space its columns vertex by vertex.
+    * Otherwise SuperLU in symmetric mode: a minimum-degree ordering of
+      A + A^T with the diagonal as pivots, since an SPD matrix factors
+      stably without row interchanges.
+
+    A band factor that meets a non-positive pivot raises RuntimeError, as
+    a singular SuperLU factor does. Every solve verifies the residual to
+    SOLVE_RTOL relative, block by block, each against its own norm, for
+    `blocks` equal diagonal blocks.
     """
-    a = matrix.tocsc()
-    row_sums = np.bincount(a.indices, np.abs(a.data), a.shape[0])
+    if matrix.format not in ("csr", "csc"):
+        matrix = matrix.tocsc()
+    n = matrix.shape[0]
+    major = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    rows = major if matrix.format == "csr" else matrix.indices
+    row_sums = np.bincount(rows, np.abs(matrix.data), n)
     anorm = np.max(row_sums.reshape(blocks, -1), axis=1, initial=0.0)
-    lu = spla.splu(a, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
+    # (indices, major) is (row, column) in CSC and (column, row) in CSR;
+    # the matrix is symmetric, so in either format the entries with
+    # indices >= major are its lower triangle, `depth` below the diagonal
+    depth = matrix.indices - major
+    b = int(depth.max(initial=0))
+    if (b + 1) * n <= BAND_FILL_LIMIT * matrix.nnz:
+        # LAPACK's lower band storage, ab[i - j, j] = a[i, j], built in
+        # Fortran order so that dpbtrf factors it in place
+        lower = depth >= 0
+        band = np.bincount(major[lower] * (b + 1) + depth[lower],
+                           matrix.data[lower], (b + 1) * n)
+        factor, info = lapack.dpbtrf(band.reshape(n, b + 1).T, lower=1,
+                                     overwrite_ab=1)
+        if info:
+            raise RuntimeError(
+                f"SPD factorization failed: the leading minor of order "
+                f"{info} is not positive definite")
+
+        def kernel(rhs):
+            return lapack.dpbtrs(factor, rhs, lower=1)[0]
+    else:
+        kernel = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           diag_pivot_thresh=0.0,
+                           options={"SymmetricMode": True}).solve
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x = lu.solve(rhs)
+        x = kernel(rhs)
         _check_residual(matrix, anorm, x, rhs, blocks)
         return x
 

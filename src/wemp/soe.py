@@ -25,7 +25,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma
+from scipy.special import expit, gamma
 
 log = logging.getLogger(__name__)
 
@@ -81,7 +81,8 @@ def _build_terms(alpha: float, tau_f: float, n_half: int):
     step = np.pi / np.sqrt(n_half)
     m = np.arange(-n_half, n_half + 1, dtype=np.float64)
     ls = _log1p_exp(m * step)
-    sigma = np.exp(m * step - ls)
+    # 1/(1+e^(-s)) to about 1 ulp
+    sigma = expit(m * step)
     scale = (alpha + 1.0) ** (1.0 + alpha)
     weights = (tau_f ** (-1.0 - alpha) * scale * step / gamma(alpha + 1.0)
                * ls ** alpha * sigma)

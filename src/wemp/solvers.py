@@ -35,11 +35,13 @@ parareal iterate. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
 context, at its first step, and checks it once; in c = V^T M u each step
 divides by 1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the
 mass and V^T b for a load, and a solution leaves modal coordinates once, as
-V c. The decomposition costs about 260 sparse steps at 833 columns and 1800
-at 3825, and a modal step saves about 0.66 and 0.79 of a sparse one (2
-OpenBLAS threads, medians of 5 and 3). So modes pay for themselves from
-about 0.5 to 0.6 n_columns steps, and at n_columns steps the decomposition
-costs under half the sparse march it replaces.
+V c. Against band-factorized sparse steps the decomposition costs about 380
+sparse steps at 833 columns and 2800 at 3825, and a modal step saves about
+0.63 and 0.47 of a sparse one (per-step march times, 2 OpenBLAS threads,
+medians of 5 and 3). So modes pay for themselves from about 0.7 n_columns
+steps at 833 columns, where at n_columns steps the decomposition costs
+under half the sparse march it replaces, but only from about 1.6
+n_columns steps at 3825.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.

@@ -1,8 +1,11 @@
-"""Shared fixtures, and test oracles: a reference dense P1 assembler and
-the domain boundary read from node coordinates."""
+"""Shared fixtures, and test oracles: a reference dense P1 assembler, the
+domain boundary read from node coordinates, and a spy on the two kernels
+of fem.factorized_spd."""
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from wemp.fem import CoefficientField, assemble_operators
 from wemp.mesh import build_mesh
@@ -38,6 +41,24 @@ def domain_boundary(mesh):
     """Sorted fine nodes on the boundary of the unit square."""
     xy = mesh.fine_node_coords
     return np.flatnonzero(((xy == 0.0) | (xy == 1.0)).any(axis=1))
+
+
+def kernel_spy(monkeypatch) -> list:
+    """The kernel of each factorization from now on, "band" or "superlu",
+    in the list returned."""
+    used = []
+
+    def spy(module, name, kernel):
+        run = getattr(module, name)
+
+        def spied(*args, **kwargs):
+            used.append(kernel)
+            return run(*args, **kwargs)
+        monkeypatch.setattr(module, name, spied)
+
+    spy(lapack, "dpbtrf", "band")
+    spy(spla, "splu", "superlu")
+    return used
 
 
 @pytest.fixture(scope="session")

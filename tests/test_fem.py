@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from wemp import fem
+from wemp.experiments import generate_kappa
 from wemp.fem import (
     CoefficientField,
     _check_residual,
@@ -13,8 +15,10 @@ from wemp.fem import (
     read_kappa_raster,
 )
 from wemp.mesh import build_mesh
+from wemp.msfem import assemble_space, build_partition_of_unity
+from wemp.solvers import factorized_step
 
-from conftest import dense_p1_operators, domain_boundary
+from conftest import dense_p1_operators, domain_boundary, kernel_spy
 
 
 def test_against_dense_assembly():
@@ -121,10 +125,63 @@ def test_solve_rejects_nonfinite_rhs(bad):
         solve(np.array([1.0, bad, 2.0]))
 
 
-def test_solve_singular_raises():
-    singular = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
-    with pytest.raises(RuntimeError):
-        factorized_spd(singular)(np.array([1.0, 2.0]))
+def test_solve_singular_raises(monkeypatch):
+    # a singular and an indefinite matrix, both on the band side
+    used = kernel_spy(monkeypatch)
+    for matrix in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            factorized_spd(sp.csc_matrix(np.array(matrix)))(
+                np.array([1.0, 2.0]))
+    assert used == ["band", "band"]
+
+
+@pytest.mark.parametrize("kernel,limit", [("band", 10 ** 9), ("superlu", 0)])
+def test_both_kernels_solve_one_spd_matrix(monkeypatch, kernel, limit):
+    # the fine step matrix of a 4x4 mesh with 4 refinements (b = 16,
+    # (b + 1) n / nnz = 2.6), put on either side of the cut-off; both
+    # solutions lie within 1e-14 of a dense solve, relative to its largest
+    # entry (6.8e-16 band and 5.4e-16 SuperLU measured)
+    mesh = build_mesh(4, 4)
+    rng = np.random.default_rng(8)
+    op = assemble_operators(mesh, CoefficientField(
+        rng.uniform(1.0, 3.0, mesh.n_fine_per_axis ** 2)))
+    step = (op.mass_free * 1e3 + op.stiffness_free).copy()
+    rhs = rng.standard_normal((step.shape[0], 3))
+    monkeypatch.setattr(fem, "BAND_FILL_LIMIT", limit)
+    used = kernel_spy(monkeypatch)
+    solve = factorized_spd(step)
+    assert used == [kernel]
+    dense = np.linalg.solve(step.toarray(), rhs)
+    for b, ref in ((rhs, dense), (rhs[:, 1], dense[:, 1])):
+        x = solve(b)
+        assert x.shape == b.shape
+        assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("coarse,inclusions,fine_kernel",
+                         [(8, 16, "band"), (16, 64, "superlu")],
+                         ids=["desk", "scale"])
+def test_kernel_selection_on_the_workload_shapes(monkeypatch, coarse,
+                                                 inclusions, fine_kernel):
+    # the benchmark's problems (seed 7): every partition-of-unity,
+    # Dirichlet, corrector, ms step and ms mass matrix takes the band, and
+    # so does the desk's fine step; the scale fine step, whose band is
+    # 18.6 times its nnz, takes SuperLU
+    mesh = build_mesh(coarse, 8)
+    kappa = generate_kappa("contrast-inclusions", {
+        "contrast": 1e4, "count": inclusions, "size": 4}, mesh, seed=7)
+    used = kernel_spy(monkeypatch)
+    space = assemble_space(mesh, kappa, build_partition_of_unity(mesh, kappa),
+                           2)
+    assert used == ["band"] * (1 + 2 * np.count_nonzero(
+        mesh.coarse_vertex_interior))
+    used.clear()
+    op = assemble_operators(mesh, kappa)
+    factorized_spd(space.ms_mass)
+    for tau in (1e-3, 1e-2):
+        factorized_step(space.ms_mass, space.ms_stiffness, tau, 0.5)
+    factorized_step(op.mass_free, op.stiffness_free, 1e-3, 0.5)
+    assert used == ["band"] * 3 + [fine_kernel]
 
 
 def test_submesh_assembly_matches_global():

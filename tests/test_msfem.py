@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from wemp import fem, msfem
@@ -22,7 +21,7 @@ from wemp.msfem import (
     weighted_coefficient,
 )
 
-from conftest import dense_p1_operators, domain_boundary
+from conftest import dense_p1_operators, domain_boundary, kernel_spy
 
 
 def contrast_field(mesh, contrast, seed=2):
@@ -66,15 +65,16 @@ def lift_per_column(mesh, kappa, rect, traces):
     remap = {g: i for i, g in enumerate(local_nodes)}
     bnd = np.array([remap[g] for g in rectangle_boundary(rect)])
     inner = np.setdiff1d(np.arange(local_nodes.size), bnd)
-    # the factorization settings of fem.factorized_spd
-    lu = spla.splu(A[inner][:, inner].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                   diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True}) if inner.size else None
+    # the band kernel solves column by column (dpbtrs runs one pair of
+    # triangular band solves per column), so one column at a time
+    # reproduces a block solve bit for bit
+    solve = fem.factorized_spd(A[inner][:, inner].tocsc()) if inner.size \
+        else None
     out = np.zeros((local_nodes.size, traces.shape[1]))
     for j in range(traces.shape[1]):
         out[bnd, j] = traces[:, j]
         if inner.size:
-            out[inner, j] = lu.solve(-(A[inner][:, bnd] @ traces[:, j]))
+            out[inner, j] = solve(-(A[inner][:, bnd] @ traces[:, j]))
     return out
 
 
@@ -375,26 +375,26 @@ def test_pou_checks_each_cell_against_its_own_norm(monkeypatch):
                                  mesh.coarse_divisions, R)
     plain = int(np.flatnonzero(cells.max(axis=(1, 3)).ravel() == 1.0)[0])
     rows = slice(plain * (R - 1) ** 2, (plain + 1) * (R - 1) ** 2)
-    splu, seen = spla.splu, {}
+    factorized_spd, dpbtrs, seen = fem.factorized_spd, lapack.dpbtrs, {}
 
-    class Corrupted:
-        def __init__(self, matrix, lu):
-            self.matrix, self.lu = matrix, lu
+    def spy_factorized_spd(matrix, *args):
+        seen["matrix"] = matrix
+        return factorized_spd(matrix, *args)
 
-        def solve(self, rhs):
-            x = self.lu.solve(rhs)
-            a = abs(self.matrix).sum(axis=1).A.ravel()
-            bound = (a[rows].max() * np.linalg.norm(x[rows], axis=0)
-                     + np.linalg.norm(rhs[rows], axis=0))
-            column = self.matrix[:, rows.start].toarray().ravel()
-            x[rows.start] += 1e-8 * bound.max() / np.linalg.norm(column)
-            seen.update(matrix=self.matrix, anorm=a.max(), x=x, rhs=rhs)
-            return x
+    # the cells' interiors are a band: the band kernel solves them
+    def corrupted_dpbtrs(factor, rhs, **kwargs):
+        x, info = dpbtrs(factor, rhs, **kwargs)
+        matrix = seen["matrix"]
+        a = abs(matrix).sum(axis=1).A.ravel()
+        bound = (a[rows].max() * np.linalg.norm(x[rows], axis=0)
+                 + np.linalg.norm(rhs[rows], axis=0))
+        column = matrix[:, rows.start].toarray().ravel()
+        x[rows.start] += 1e-8 * bound.max() / np.linalg.norm(column)
+        seen.update(anorm=a.max(), x=x, rhs=rhs)
+        return x, info
 
-    def corrupted_splu(matrix, **kwargs):
-        return Corrupted(matrix, splu(matrix, **kwargs))
-
-    monkeypatch.setattr(spla, "splu", corrupted_splu)
+    monkeypatch.setattr(msfem, "factorized_spd", spy_factorized_spd)
+    monkeypatch.setattr(lapack, "dpbtrs", corrupted_dpbtrs)
     with pytest.raises(RuntimeError, match="residual check"):
         build_partition_of_unity(mesh, kappa)
     assert seen["matrix"].shape[0] == mesh.coarse_divisions ** 2 * (R - 1) ** 2
@@ -797,27 +797,19 @@ def test_desk_local_operators_are_the_global_ones_restricted():
 def test_every_factorization_goes_through_factorized_spd(monkeypatch,
                                                          mesh44, kappa44):
     # one for the partition of unity's cell interiors, and per interior
-    # vertex one Dirichlet solve and one corrector
-    inside, calls = [0], []
-    splu, factorized_spd = spla.splu, fem.factorized_spd
-
-    def spy_splu(*args, **kwargs):
-        calls.append(inside[0] > 0)
-        return splu(*args, **kwargs)
+    # vertex one Dirichlet solve and one corrector, each by the band kernel
+    used = kernel_spy(monkeypatch)
+    factorized_spd = fem.factorized_spd
 
     def spy_factorized_spd(matrix, *args):
-        inside[0] += 1
-        try:
-            return factorized_spd(matrix, *args)
-        finally:
-            inside[0] -= 1
+        used.append("factorized_spd")
+        return factorized_spd(matrix, *args)
 
-    monkeypatch.setattr(spla, "splu", spy_splu)
     for module in (fem, msfem):
         monkeypatch.setattr(module, "factorized_spd", spy_factorized_spd)
     assemble_space(mesh44, kappa44,
                    build_partition_of_unity(mesh44, kappa44), 1)
-    assert calls == [True] * 19
+    assert used == ["factorized_spd", "band"] * 19
 
 
 def test_corrector_solves_the_whole_neumann_system(inclusions48):
@@ -852,8 +844,9 @@ def test_blocks_vanish_on_the_neighbourhood_boundary(block_case):
 
 
 def test_space_matrices_are_symmetric_csr(space44, inclusions48_space):
-    # the symmetric-mode factorization of fem.factorized_spd takes them
-    # as they are stored
+    # fem.factorized_spd takes them as they are stored: its band kernel
+    # reads one triangle of the CSR pattern, and SuperLU's symmetric mode
+    # orders A + A^T
     for space in (space44, inclusions48_space):
         for matrix in (space.ms_mass, space.ms_stiffness):
             assert matrix.format == "csr"
