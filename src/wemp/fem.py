@@ -25,11 +25,21 @@ from .mesh import TwoLevelMesh
 SOLVE_RTOL = 1e-10
 # factorized_spd takes the band kernel when the band, (b + 1) n floats,
 # holds at most this many times the matrix's stored entries. It sits
-# between the two fine step matrices (seed 7, 2-core Xeon, OpenBLAS,
-# medians; a solve includes its residual check): at 63^2 free nodes the
-# band is 9.5 times nnz, factors in 3.4 ms against SuperLU's 8.3 and
-# solves in 0.33 against 0.44 ms; at 127^2 it is 18.6 times nnz, and its
-# 4.6 ms solves lose to SuperLU's 4.2 ms, which a march pays every step.
+# between the fine step matrices of the benchmark's two grids, measured
+# end to end with this limit moved to put each on the other kernel
+# (seed 7, 2-core Xeon, OpenBLAS at its default threads, medians of 10
+# alternating pairs of perfbench/run.py):
+# * 63^2 free nodes, band 9.5 times nnz: on the band, sequential-march's
+#   fine exponential-sum march takes 0.82 s against SuperLU's 1.15 s,
+#   and its L1 march 0.83 against 1.18 s (band faster in 10 of 10).
+# * 127^2 free nodes, band 18.6 times nnz: on SuperLU, scale-setup's
+#   fine march (one factorization, 50 solves) takes 0.39 s against the
+#   band's 0.49 s (SuperLU faster in 10 of 10). The band factors faster
+#   (37 against 76 ms), but its solves inside the march are slower (4.8
+#   against 4.1 ms median, 8.8 against 4.6 ms at the 90th percentile).
+# At 255^2 free nodes (a 32 x 8 mesh), band 36.9 times nnz, SuperLU wins
+# even on the kernels alone from the 20th solve of one factor on: it
+# factors in 570 ms and solves in 21 ms against the band's 380 and 31 ms.
 BAND_FILL_LIMIT = 12
 
 

@@ -95,15 +95,24 @@ def test_factorized_spd_sparse():
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0])
 
 
-def test_block_solve_equals_column_solves():
+# BAND_FILL_LIMIT values that put any matrix on one kernel of
+# factorized_spd
+KERNELS = (("band", 10 ** 9), ("superlu", 0))
+
+
+def test_block_solve_equals_column_solves(monkeypatch):
     rng = np.random.default_rng(6)
     b = rng.standard_normal((30, 30))
     a = b @ b.T + 30.0 * np.eye(30)
-    solve = factorized_spd(sp.csc_matrix(a))
     rhs = rng.standard_normal((30, 5)) * np.logspace(-3, 3, 5)
-    block = solve(rhs)
-    for j in range(5):
-        assert np.array_equal(block[:, j], solve(rhs[:, j]))
+    used = kernel_spy(monkeypatch)
+    for kernel, limit in KERNELS:
+        monkeypatch.setattr(fem, "BAND_FILL_LIMIT", limit)
+        solve = factorized_spd(sp.csc_matrix(a))
+        assert used.pop() == kernel
+        block = solve(rhs)
+        for j in range(5):
+            assert np.array_equal(block[:, j], solve(rhs[:, j]))
 
 
 def test_residual_check_is_per_column():
@@ -118,24 +127,35 @@ def test_residual_check_is_per_column():
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_solve_rejects_nonfinite_rhs(bad):
+def test_solve_rejects_nonfinite_rhs(monkeypatch, bad):
     a = np.array([[4.0, 1.0, 0.0], [1.0, 4.0, 1.0], [0.0, 1.0, 4.0]])
-    solve = factorized_spd(sp.csc_matrix(a))
-    with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
-        solve(np.array([1.0, bad, 2.0]))
+    used = kernel_spy(monkeypatch)
+    for kernel, limit in KERNELS:
+        monkeypatch.setattr(fem, "BAND_FILL_LIMIT", limit)
+        solve = factorized_spd(sp.csc_matrix(a))
+        assert used.pop() == kernel
+        with np.errstate(invalid="ignore"), pytest.raises(RuntimeError):
+            solve(np.array([1.0, bad, 2.0]))
 
 
 def test_solve_singular_raises(monkeypatch):
-    # a singular and an indefinite matrix, both on the band side
+    # a singular matrix on either kernel, and an indefinite one on the band
+    # side (SuperLU, pivoting on the diagonal, factors an indefinite
+    # nonsingular matrix without complaint)
+    singular, indefinite = [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]
     used = kernel_spy(monkeypatch)
-    for matrix in ([[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]):
-        with pytest.raises(RuntimeError, match="not positive definite"):
+    for kernel, matrix, message in (
+            ("superlu", singular, "singular"),
+            ("band", singular, "not positive definite"),
+            ("band", indefinite, "not positive definite")):
+        monkeypatch.setattr(fem, "BAND_FILL_LIMIT", dict(KERNELS)[kernel])
+        with pytest.raises(RuntimeError, match=message):
             factorized_spd(sp.csc_matrix(np.array(matrix)))(
                 np.array([1.0, 2.0]))
-    assert used == ["band", "band"]
+        assert used.pop() == kernel
 
 
-@pytest.mark.parametrize("kernel,limit", [("band", 10 ** 9), ("superlu", 0)])
+@pytest.mark.parametrize("kernel,limit", KERNELS)
 def test_both_kernels_solve_one_spd_matrix(monkeypatch, kernel, limit):
     # the fine step matrix of a 4x4 mesh with 4 refinements (b = 16,
     # (b + 1) n / nnz = 2.6), put on either side of the cut-off; both
