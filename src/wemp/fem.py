@@ -335,22 +335,18 @@ def factorized_spd(matrix, blocks: int = 1):
       A + A^T with the diagonal as pivots, since an SPD matrix factors
       stably without row interchanges.
 
-    A band factor that meets a non-positive pivot raises RuntimeError, as
-    a singular SuperLU factor does. Every solve verifies the residual to
-    SOLVE_RTOL relative, block by block, each against its own norm, for
-    `blocks` equal diagonal blocks.
+    A factor that meets a non-positive pivot, on either kernel, raises
+    RuntimeError, so a matrix that is not SPD is refused. Every solve
+    verifies the residual to SOLVE_RTOL relative, block by block, each
+    against its own norm, for `blocks` equal diagonal blocks.
     """
     if matrix.format not in ("csr", "csc"):
         matrix = matrix.tocsc()
     n = matrix.shape[0]
-    major = np.repeat(np.arange(n), np.diff(matrix.indptr))
+    major, depth = _depths(matrix)
     rows = major if matrix.format == "csr" else matrix.indices
     row_sums = np.bincount(rows, np.abs(matrix.data), n)
     anorm = np.max(row_sums.reshape(blocks, -1), axis=1, initial=0.0)
-    # (indices, major) is (row, column) in CSC and (column, row) in CSR;
-    # the matrix is symmetric, so in either format the entries with
-    # indices >= major are its lower triangle, `depth` below the diagonal
-    depth = matrix.indices - major
     b = int(depth.max(initial=0))
     if (b + 1) * n <= BAND_FILL_LIMIT * matrix.nnz:
         # LAPACK's lower band storage, ab[i - j, j] = a[i, j], built in
@@ -360,17 +356,23 @@ def factorized_spd(matrix, blocks: int = 1):
                            matrix.data[lower], (b + 1) * n)
         factor, info = lapack.dpbtrf(band.reshape(n, b + 1).T, lower=1,
                                      overwrite_ab=1)
-        if info:
-            raise RuntimeError(
-                f"SPD factorization failed: the leading minor of order "
-                f"{info} is not positive definite")
 
         def kernel(rhs):
             return lapack.dpbtrs(factor, rhs, lower=1)[0]
     else:
-        kernel = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           diag_pivot_thresh=0.0,
-                           options={"SymmetricMode": True}).solve
+        lu = spla.splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                       diag_pivot_thresh=0.0,
+                       options={"SymmetricMode": True})
+        # with diagonal pivots perm_r is perm_c, so U's diagonal is the D
+        # of the permuted matrix's LDL^T, all positive exactly when it is
+        # SPD; info is then dpbtrf's, in the permuted order
+        positive = lu.U.diagonal() > 0.0
+        info = 0 if positive.all() else int(np.argmin(positive)) + 1
+        kernel = lu.solve
+    if info:
+        raise RuntimeError(
+            f"SPD factorization failed: the leading minor of order "
+            f"{info} is not positive definite")
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = kernel(rhs)
@@ -378,6 +380,20 @@ def factorized_spd(matrix, blocks: int = 1):
         return x
 
     return solve
+
+
+def _depths(matrix):
+    """(major, indices - major) of each stored entry of a symmetric CSR or
+    CSC matrix, major its row in CSR and column in CSC: in either format
+    the entries of depth >= 0 are its lower triangle."""
+    major = np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))
+    return major, matrix.indices - major
+
+
+def half_bandwidth(matrix) -> int:
+    """factorized_spd's b: the lower half-bandwidth of a symmetric CSR or
+    CSC matrix's stored pattern in its own order."""
+    return int(_depths(matrix)[1].max(initial=0))
 
 
 def _check_residual(matrix, anorm, x, rhs, blocks=1):

@@ -29,6 +29,9 @@ on shapes, are computed once. Every factorization is fem.factorized_spd.
 
 Only interior coarse vertices generate columns, so every basis function
 vanishes on the domain boundary.
+
+fine_space gives the free fine dofs as a space of the same type, so every
+march and parareal run on the fine grid through the same code.
 """
 
 from __future__ import annotations
@@ -268,14 +271,13 @@ def eta_indicator(H: float, level: int, kappa: CoefficientField,
 
 @dataclass(frozen=True)
 class MultiscaleSpace:
-    level: int
     basis: sp.csr_matrix            # fine dofs x ms dofs
     ms_mass: sp.csr_matrix          # basis.T M basis, SPD after filtering
     ms_stiffness: sp.csr_matrix     # basis.T A basis
-    column_info: tuple              # (vertex, kind, side, wavelet index) per column
+    # (vertex, kind, side, wavelet index) per column; () for a fine space
+    column_info: tuple
     fine_ops: OperatorPair
     mesh: TwoLevelMesh
-    kappa: CoefficientField
 
     @property
     def n_columns(self) -> int:
@@ -283,6 +285,25 @@ class MultiscaleSpace:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return edge_projection(self, v)
+
+
+class FineSpace(MultiscaleSpace):
+    """The free fine dofs as a space (fine_space); it projects exactly, by
+    restriction."""
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        return np.asarray(v)[self.fine_ops.free_dofs]
+
+
+def fine_space(mesh: TwoLevelMesh, ops: OperatorPair) -> FineSpace:
+    """The free dofs of ops as a space: its basis selects them, so its
+    Galerkin matrices are ops.mass_free and ops.stiffness_free."""
+    free = ops.free_dofs
+    basis = sp.csr_matrix((np.ones(free.size), (free, np.arange(free.size))),
+                          shape=(ops.mass.shape[0], free.size))
+    return FineSpace(basis=basis, ms_mass=ops.mass_free,
+                     ms_stiffness=ops.stiffness_free, column_info=(),
+                     fine_ops=ops, mesh=mesh)
 
 
 def _vertex_columns(mesh, kappa, pou, level, vertex, kappa_tilde):
@@ -478,11 +499,10 @@ def assemble_space(mesh: TwoLevelMesh, kappa: CoefficientField,
     basis = sp.csc_matrix((np.concatenate(data), np.concatenate(rows), indptr),
                           shape=(mesh.n_nodes, len(info))).tocsr()
     offsets = np.array(offsets)
-    return MultiscaleSpace(level=level, basis=basis,
+    return MultiscaleSpace(basis=basis,
                            ms_mass=_symmetric_csr(mass, offsets),
                            ms_stiffness=_symmetric_csr(stiffness, offsets),
-                           column_info=tuple(info), fine_ops=ops, mesh=mesh,
-                           kappa=kappa)
+                           column_info=tuple(info), fine_ops=ops, mesh=mesh)
 
 
 def edge_projection(space: MultiscaleSpace, v: np.ndarray) -> np.ndarray:

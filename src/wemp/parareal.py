@@ -1,4 +1,5 @@
-"""Parareal iteration over the multiscale exponential-sum scheme.
+"""Parareal iteration over the exponential-sum scheme, on a multiscale
+space or on the fine grid (msfem.fine_space), through the same code.
 
 The time axis splits into M_c slabs of width tau_c. The coarse propagator G
 is one implicit tau_c step, to (n + 1) tau_c; the fine propagator F runs
@@ -16,7 +17,9 @@ forms the jumps S = F_1 - G_1, then sweeps sequentially:
 A history Phi is a plain (n_terms, dof) array of the exponential-sum
 integrals (see stepping.propagate_history_with). Every iterate, like the
 sequential march (F chained), is one PropagatorContext.chain of slab steps
-(U, Phi) -> (U', Phi'), which also lifts it and checks it is finite. Iterate
+(U, Phi) -> (U', Phi'), which also lifts it and checks it is finite. The
+chain holds one history at a time; each sweep records the boundary
+histories its step returns, which the next iteration's jumps read. Iterate
 0 chains G with the histories G returns; every update (S + G) and the
 hybrid fixed point (F) rebuild Phi with the tau_c recurrence (_rebuilt):
 propagate_history_with over the 2-state stack (U, U'), the update that ends
@@ -101,13 +104,20 @@ class PararealState:
 def _sweep(ctx: PropagatorContext, iteration: int, step: Callable,
            prev: Optional[PararealState] = None) -> PararealState:
     """The state of the chain (U^{n+1}, Phi^{n+1}) = step(n, U^n, Phi^n)
-    (PropagatorContext.chain); err is measured against prev."""
-    U, solutions, histories = ctx.chain(
-        step, f"solution at iteration {iteration}")
+    (PropagatorContext.chain), with the boundary histories the step
+    returns; err is measured against prev."""
+    histories = [ctx.fresh_history()]
+
+    def recorded(n, U, Phi):
+        v, phi = step(n, U, Phi)
+        histories.append(phi)
+        return v, phi
+    U, solutions = ctx.chain(recorded, f"solution at iteration {iteration}")
     err = np.inf if prev is None else float(np.mean(
         np.linalg.norm(solutions[1:] - prev.solutions[1:], axis=1)))
     return PararealState(iteration=iteration, solutions=solutions,
-                         histories=histories, err=err, step_solutions=U)
+                         histories=tuple(histories), err=err,
+                         step_solutions=U)
 
 
 def _rebuilt(ctx: PropagatorContext, advance: Callable) -> Callable:

@@ -4,7 +4,8 @@ Three end-to-end integrators:
 
 * reference_l1_solve: fine-space Galerkin with the full-history L1 derivative
   (the reference solution for all error studies);
-* fine_soe_solve: fine-space Galerkin with the exponential-sum history;
+* fine_soe_solve: fine-space Galerkin with the exponential-sum history,
+  the march of multiscale_soe_solve on the fine space (msfem.fine_space);
 * multiscale_soe_solve: the exponential-sum scheme in multiscale coordinates.
 
 All run on uniform steps of size tau_f, slab by slab on one clock: slab n
@@ -23,25 +24,28 @@ slab's weight rows with every earlier state, plus the slab's own states.
 Homogeneous Dirichlet data is eliminated: the fine solvers work on free
 dofs and the trajectories embed zeros back at boundary nodes.
 
-A multiscale march, sequential or parareal, steps through one
-PropagatorContext, the one owner of how it steps; march_context builds it,
-projects u0 once and picks the path for the march's total step count: modal
-coordinates when it takes at least as many steps as the space has columns
-(use_modes), else ms coordinates with one sparse factorization
-(fem.factorized_spd) per step size, made when the context is built. Its fine
-propagator F marches one slab, and its chain is the one loop over the slabs
-of a trajectory: of F for the sequential march, of its own step for each
-parareal iterate. ms_modes solves K V = M V diag(mu), V^T M V = I, once per
-context, at its first step, and checks it once; in c = V^T M u each step
-divides by 1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the
-mass and V^T b for a load, and a solution leaves modal coordinates once, as
-V c. Against band-factorized sparse steps the decomposition costs about 380
+Every exponential-sum march, sequential or parareal, on a multiscale space
+or the fine one, steps through one PropagatorContext, the one owner of how
+it steps; march_context builds it, projects u0 once and picks the path from
+the march's total step count and the half-bandwidth b of its step matrix:
+modal coordinates when it takes at least max(n, n^2 / (8 (b + 1))) steps
+over n columns (use_modes), else ms coordinates with one sparse
+factorization (fem.factorized_spd) per step size, made when the context is
+built. Its fine propagator F marches one slab, and its chain is the one
+loop over the slabs of a trajectory: of F for the sequential march, of its
+own step for each parareal iterate. The chain holds one history at a time;
+only parareal, whose next iteration reads them, keeps every boundary
+history (parareal._sweep). ms_modes solves K V = M V diag(mu),
+V^T M V = I, once per context, at its first step, and checks it once; in
+c = V^T M u each step divides by 1/(tau^alpha Gamma(2 - alpha)) + mu_i,
+with the identity for the mass and V^T b for a load, and a solution leaves
+modal coordinates once, as V c. Against band-factorized sparse steps the decomposition costs about 380
 sparse steps at 833 columns and 2800 at 3825, and a modal step saves about
 0.63 and 0.47 of a sparse one (per-step march times, 2 OpenBLAS threads,
 medians of 5 and 3). So modes pay for themselves from about 0.7 n_columns
-steps at 833 columns, where at n_columns steps the decomposition costs
-under half the sparse march it replaces, but only from about 1.6
-n_columns steps at 3825.
+steps at 833 columns, but only from about 1.6 n_columns steps at 3825. A
+fine grid's step is narrow (b = 64 at the desk's 3969 free dofs), so a
+fine march turns modal only from 30,295 steps there.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
@@ -68,11 +72,11 @@ import scipy.sparse as sp
 from scipy.special import gamma
 
 from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
-                  assemble_loads, factorized_spd, norms)
+                  assemble_loads, factorized_spd, half_bandwidth, norms)
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .stepping import (history_weights, l1_coefficients, l1_known_weights,
                        propagate_history_with, soe_caputo_known_part)
-from .msfem import MultiscaleSpace
+from .msfem import MultiscaleSpace, fine_space
 
 log = logging.getLogger(__name__)
 
@@ -186,10 +190,19 @@ def factorized_step(mass, stiffness, tau: float, alpha: float):
     return factorized_spd(step.copy())
 
 
-def use_modes(n_steps: int, n_columns: int) -> bool:
-    """Whether a multiscale march of n_steps steps over n_columns columns
-    runs in modal coordinates: when it takes at least n_columns steps."""
-    return n_steps >= n_columns
+def use_modes(n_steps: int, n_columns: int, half_band: int) -> bool:
+    """Whether a march of n_steps steps over n = n_columns columns, whose
+    step matrix has lower half-bandwidth b = half_band, runs in modal
+    coordinates: when n_steps >= max(n, n^2 / (8 (b + 1))).
+
+    The decomposition costs O(n^3) and a band-factorized step O(n b); the
+    band term puts the crossover at 567 steps for 833 columns (b = 152;
+    measured 596) and 6329 for 3825 (b = 288; measured about 5960). The
+    floor n keeps a march shorter than its space is wide factorized on
+    narrow bands, where no measurement backs the band term.
+    """
+    return (n_steps >= n_columns
+            and 8 * (half_band + 1) * n_steps >= n_columns ** 2)
 
 
 def ms_modes(space: MultiscaleSpace) -> tuple:
@@ -222,8 +235,9 @@ def ms_modes(space: MultiscaleSpace) -> tuple:
 
 @dataclass(frozen=True)
 class PropagatorContext:
-    """How a multiscale march of one problem steps, in its step coordinates:
-    ms coordinates, or modal ones when `modal` (see the module docstring).
+    """How a march of one problem on a space steps, in its step
+    coordinates: ms coordinates, or modal ones when `modal` (see the module
+    docstring).
 
     The march runs n_slabs slabs of m_sub fine steps. fine(n, ...) is the
     fine propagator F over slab n, and the sequential march is
@@ -318,25 +332,24 @@ class PropagatorContext:
                          self.load_block(instants))
 
     def chain(self, step: Callable, what: str) -> tuple:
-        """(U, solutions, histories) of (U[n + 1], Phi[n + 1]) = step(n, U[n],
-        Phi[n]) over every slab from u0 and the zero history, in step
-        coordinates; solutions is U lifted to ms ones, with the exact u0 in
-        row 0. Raises, naming `what`, if a boundary value is not finite.
-        It holds all n_slabs + 1 histories, 4.2 MB on the desk problem,
-        where the L1 reference march still sets the peak memory."""
+        """(U, solutions) of (U[n + 1], Phi[n + 1]) = step(n, U[n], Phi[n])
+        over every slab from u0 and the zero history, in step coordinates;
+        solutions is U lifted to ms ones, with the exact u0 in row 0.
+        Raises, naming `what`, if a boundary value is not finite. It holds
+        one history at a time: a step whose caller needs every boundary
+        history records them (parareal._sweep)."""
         U = np.empty((self.n_slabs + 1, self.u0.size))
         U[0] = self._u0_step
-        histories = [self.fresh_history()]
+        phi = self.fresh_history()
         for n in range(self.n_slabs):
-            U[n + 1], phi = step(n, U[n], histories[n])
-            histories.append(phi)
+            U[n + 1], phi = step(n, U[n], phi)
         bad = np.flatnonzero(~np.isfinite(U).all(axis=1))
         if bad.size:
             raise RuntimeError(f"non-finite {what}, slab boundary {bad[0]} "
                                f"(t = {bad[0] * self.tau_c:.6g})")
         solutions = self.to_ms(U)
         solutions[0] = self.u0
-        return U, solutions, tuple(histories)
+        return U, solutions
 
     def fine_end(self, n: int, U: np.ndarray, Phi: np.ndarray) -> np.ndarray:
         """The solution of fine(n, U, Phi): read off the slab map on the
@@ -381,13 +394,15 @@ class PropagatorContext:
 
 def march_context(spec: ProblemSpec, space: MultiscaleSpace,
                   soe: SOEApproximation, taus) -> PropagatorContext:
-    """The context of a multiscale march of spec on space, from the
-    mass-orthogonal projection of u0, on the path use_modes picks for its
-    n_fine_total steps. The factorized path factorizes each distinct step
-    size in taus once, here; the modal path defers its eigendecomposition
-    to first use."""
+    """The context of a march of spec on space, from space.project(u0),
+    on the path use_modes picks for its n_fine_total steps and the step
+    matrix's half-bandwidth, that of ms_mass and ms_stiffness together.
+    The factorized path factorizes each distinct step size in taus once,
+    here; the modal path defers its eigendecomposition to first use."""
     u0 = space.project(spec.nodal_u0(space.mesh))
-    modal = use_modes(spec.n_fine_total, space.n_columns)
+    half_band = max(half_bandwidth(space.ms_mass),
+                    half_bandwidth(space.ms_stiffness))
+    modal = use_modes(spec.n_fine_total, space.n_columns, half_band)
     solves = {} if modal else {
         tau: factorized_step(space.ms_mass, space.ms_stiffness, tau, soe.alpha)
         for tau in dict.fromkeys(taus)}
@@ -482,22 +497,14 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
 def fine_soe_solve(spec: ProblemSpec, mesh, ops: OperatorPair,
                    soe: SOEApproximation) -> Trajectory:
     """Fine Galerkin solution with the exponential-sum history: O(N_exp)
-    state vectors instead of the full history. One soe_march per slab, from
-    u0 with zero history."""
-    free = ops.free_dofs
-    mass = ops.mass_free.tocsr()
-    solve = factorized_step(mass, ops.stiffness_free, spec.tau_f, spec.alpha)
-    coeffs = step_coefficients(soe, spec.tau_f)
-    states = np.empty((spec.n_coarse + 1, free.size))
-    states[0] = v = v0 = spec.nodal_u0(mesh)[free]
-    psi = np.zeros((soe.n_terms, free.size))
-    for n in range(spec.n_coarse):
-        instants = slab_instants(n, spec.m_sub, spec.tau_f)
-        v, psi = soe_march(solve, mass, soe, coeffs, v, v0, psi, instants,
-                           (_load_free(spec, mesh, ops, t) for t in instants))
-        states[n + 1] = v
+    state vectors instead of the full history. The march of
+    multiscale_soe_solve on the fine space (msfem.fine_space), from u0 at
+    the free dofs with zero history, embedded with zeros at the boundary
+    nodes. Raises if a stored state is not finite."""
+    ctx = march_context(spec, fine_space(mesh, ops), soe, (spec.tau_f,))
+    _, states = ctx.chain(ctx.fine, "fine state")
     return Trajectory(times=_boundary_times(spec),
-                      states=_embed(states, ops.mass.shape[0], free))
+                      states=_embed(states, ops.mass.shape[0], ops.free_dofs))
 
 
 def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
@@ -510,7 +517,7 @@ def multiscale_soe_solve(spec: ProblemSpec, space: MultiscaleSpace,
     projection of u0. Raises if a stored state is not finite.
     """
     ctx = march_context(spec, space, soe, (spec.tau_f,))
-    _, states, _ = ctx.chain(ctx.fine, "multiscale state")
+    _, states = ctx.chain(ctx.fine, "multiscale state")
     return Trajectory(times=_boundary_times(spec), states=states)
 
 

@@ -182,10 +182,10 @@ def test_criterion_5_wemp_convergence():
     assert elapsed < 600.0
 
 
-def test_criterion_6_chaining_and_fixed_point(space44):
+def test_criterion_6_chaining_and_fixed_point(space44, kappa44):
     t0 = time.perf_counter()
     spec = ProblemSpec(alpha=0.5, T=1.0, tau_f=1.0 / 64.0, tau_c=0.125,
-                       u0=u0_standard, f=source_smooth, kappa=space44.kappa,
+                       u0=u0_standard, f=source_smooth, kappa=kappa44,
                        level=1, epsilon=1e-2)
     soe = build_soe(0.5, spec.tau_f, 1e-2)
     ctx = build_context(spec, space44, soe)

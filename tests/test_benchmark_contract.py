@@ -83,13 +83,13 @@ def test_workload_keywords_and_attributes():
     assert {"times", "states"} <= fields
 
 
-def test_context_attributes(space44):
+def test_context_attributes(space44, kappa44):
     # perfbench/workloads.py check() reads ctx.u0 and ctx.fresh_history()
     # and passes them to fine_propagate; perfbench/selftest.py reads
     # ctx.n_slabs and ctx.m_sub
     spec = solvers.ProblemSpec(alpha=0.5, T=0.5, tau_f=1.0 / 32, tau_c=0.125,
                                u0=experiments.u0_standard, f=None,
-                               kappa=space44.kappa, level=1, epsilon=1e-2)
+                               kappa=kappa44, level=1, epsilon=1e-2)
     ctx = parareal.build_context(spec, space44,
                                  soe.build_soe(0.5, spec.tau_f, 1e-2))
     assert (ctx.n_slabs, ctx.m_sub) == (4, 4)
@@ -101,7 +101,7 @@ def test_context_attributes(space44):
 
 
 @pytest.mark.parametrize("tau_f", [1.0 / 32, 1.0 / 128])
-def test_iteration_calls_jump_once_per_slab(space44, monkeypatch, tau_f):
+def test_iteration_calls_jump_once_per_slab(space44, kappa44, monkeypatch, tau_f):
     # perfbench/spans.py times the slab phase from the parareal.jump spans
     # under each wemp_iteration span, and its layer_metrics raises without
     # them: wemp_iteration must call the module attribute once per slab, on
@@ -109,7 +109,7 @@ def test_iteration_calls_jump_once_per_slab(space44, monkeypatch, tau_f):
     spec = solvers.ProblemSpec(alpha=0.5, T=1.0, tau_f=tau_f, tau_c=0.125,
                                u0=experiments.u0_standard,
                                f=experiments.source_smooth,
-                               kappa=space44.kappa, level=1, epsilon=1e-2)
+                               kappa=kappa44, level=1, epsilon=1e-2)
     ctx = parareal.build_context(spec, space44,
                                  soe.build_soe(0.5, spec.tau_f, 1e-2))
     assert ctx.modal == (tau_f == 1.0 / 128)

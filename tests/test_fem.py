@@ -11,6 +11,7 @@ from wemp.fem import (
     assemble_operators,
     assemble_submesh_operators,
     factorized_spd,
+    half_bandwidth,
     norms,
     read_kappa_raster,
 )
@@ -139,13 +140,14 @@ def test_solve_rejects_nonfinite_rhs(monkeypatch, bad):
 
 
 def test_solve_singular_raises(monkeypatch):
-    # a singular matrix on either kernel, and an indefinite one on the band
-    # side (SuperLU, pivoting on the diagonal, factors an indefinite
-    # nonsingular matrix without complaint)
+    # a singular and an indefinite matrix on either kernel: SuperLU, which
+    # pivots on the diagonal, refuses an exactly zero pivot itself, and
+    # factorized_spd refuses a negative one
     singular, indefinite = [[1.0, 1.0], [1.0, 1.0]], [[1.0, 2.0], [2.0, 1.0]]
     used = kernel_spy(monkeypatch)
     for kernel, matrix, message in (
             ("superlu", singular, "singular"),
+            ("superlu", indefinite, "not positive definite"),
             ("band", singular, "not positive definite"),
             ("band", indefinite, "not positive definite")):
         monkeypatch.setattr(fem, "BAND_FILL_LIMIT", dict(KERNELS)[kernel])
@@ -178,15 +180,18 @@ def test_both_kernels_solve_one_spd_matrix(monkeypatch, kernel, limit):
         assert np.abs(x - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-@pytest.mark.parametrize("coarse,inclusions,fine_kernel",
-                         [(8, 16, "band"), (16, 64, "superlu")],
+@pytest.mark.parametrize("coarse,inclusions,fine_kernel,bands",
+                         [(8, 16, "band", (152, 64)),
+                          (16, 64, "superlu", (288, 128))],
                          ids=["desk", "scale"])
 def test_kernel_selection_on_the_workload_shapes(monkeypatch, coarse,
-                                                 inclusions, fine_kernel):
+                                                 inclusions, fine_kernel,
+                                                 bands):
     # the benchmark's problems (seed 7): every partition-of-unity,
     # Dirichlet, corrector, ms step and ms mass matrix takes the band, and
     # so does the desk's fine step; the scale fine step, whose band is
-    # 18.6 times its nnz, takes SuperLU
+    # 18.6 times its nnz, takes SuperLU. The ms and fine steps' half-
+    # bandwidths, which solvers.use_modes reads, are `bands`
     mesh = build_mesh(coarse, 8)
     kappa = generate_kappa("contrast-inclusions", {
         "contrast": 1e4, "count": inclusions, "size": 4}, mesh, seed=7)
@@ -202,6 +207,9 @@ def test_kernel_selection_on_the_workload_shapes(monkeypatch, coarse,
         factorized_step(space.ms_mass, space.ms_stiffness, tau, 0.5)
     factorized_step(op.mass_free, op.stiffness_free, 1e-3, 0.5)
     assert used == ["band"] * 3 + [fine_kernel]
+    assert tuple(max(half_bandwidth(m) for m in pair) for pair in (
+        (space.ms_mass, space.ms_stiffness),
+        (op.mass_free, op.stiffness_free))) == bands
 
 
 def test_submesh_assembly_matches_global():

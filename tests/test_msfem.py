@@ -17,6 +17,7 @@ from wemp.msfem import (
     edge_projection,
     edge_wavelets,
     eta_indicator,
+    fine_space,
     segments_to_nodes,
     weighted_coefficient,
 )
@@ -974,6 +975,22 @@ def test_projection_idempotent(mesh44, space44):
     p1 = space44.basis @ space44.project(v)
     p2 = space44.basis @ space44.project(p1)
     assert np.allclose(p1, p2, atol=1e-10)
+
+
+def test_fine_space_is_the_free_dofs(mesh44, ops44):
+    # its Galerkin matrices are the free-dof operators, which the basis
+    # selects exactly, and its projection restricts
+    space = fine_space(mesh44, ops44)
+    free = ops44.free_dofs
+    assert space.n_columns == free.size and space.column_info == ()
+    for ms, full in ((space.ms_mass, ops44.mass),
+                     (space.ms_stiffness, ops44.stiffness)):
+        assert (ms != space.basis.T @ full @ space.basis).nnz == 0
+    v = np.random.default_rng(3).standard_normal(mesh44.n_nodes)
+    assert np.array_equal(space.project(v), v[free])
+    lifted = space.basis @ space.project(v)
+    assert np.array_equal(lifted[free], v[free])
+    assert not np.delete(lifted, free).any()
 
 
 def test_projection_error_decreases_with_level():

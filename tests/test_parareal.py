@@ -4,13 +4,12 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from scipy.special import gamma
 
 from wemp import fem, msfem, parareal, solvers
 from wemp.experiments import source_smooth, u0_standard
 from wemp.fem import assemble_load
-from wemp.msfem import MultiscaleSpace
+from wemp.msfem import MultiscaleSpace, fine_space
 from wemp.parareal import (
     PropagatorContext,
     build_context,
@@ -36,25 +35,15 @@ def make_spec(**kw):
     return ProblemSpec(**base)
 
 
-def scalar_space(rate=1.0):
-    """Single-dof stand-in space so the slab machinery runs scalar tests."""
-    mesh, ops = single_dof_setup(rate)
-    return MultiscaleSpace(level=0, basis=sp.identity(1, format="csr"),
-                           ms_mass=sp.identity(1, format="csr"),
-                           ms_stiffness=rate * sp.identity(1, format="csr"),
-                           column_info=((0, "corrector", -1, 0),),
-                           fine_ops=ops, mesh=mesh, kappa=None)
-
-
 @pytest.fixture(scope="module")
-def ctx44(space44):
-    spec = make_spec(kappa=space44.kappa)
+def ctx44(space44, kappa44):
+    spec = make_spec(kappa=kappa44)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
     return build_context(spec, space44, soe)
 
 
-def test_context_fields(space44, ctx44):
-    spec = make_spec(kappa=space44.kappa)
+def test_context_fields(space44, kappa44, ctx44):
+    spec = make_spec(kappa=kappa44)
     assert ctx44.n_slabs == spec.n_coarse == 8
     assert ctx44.m_sub == spec.m_sub == 8
     assert ctx44.coarse_coeffs.tau == spec.tau_c
@@ -67,8 +56,8 @@ def test_context_fields(space44, ctx44):
     assert not psi.any()
 
 
-def test_zero_data_iterates_stay_zero(space44):
-    spec = make_spec(kappa=space44.kappa,
+def test_zero_data_iterates_stay_zero(space44, kappa44):
+    spec = make_spec(kappa=kappa44,
                      u0=lambda x, y: np.zeros_like(x), f=None)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
     ctx = build_context(spec, space44, soe)
@@ -79,10 +68,10 @@ def test_zero_data_iterates_stay_zero(space44):
     assert state.err == 0.0
 
 
-def test_equal_steps_make_zero_jumps(space44):
+def test_equal_steps_make_zero_jumps(space44, kappa44):
     # tau_f = tau_c: fine and coarse propagators coincide, the first
     # correction leaves the coarse sweep untouched
-    spec = make_spec(kappa=space44.kappa, tau_f=0.125)
+    spec = make_spec(kappa=kappa44, tau_f=0.125)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
     ctx = build_context(spec, space44, soe)
     state0 = initial_coarse_sweep(ctx)
@@ -96,7 +85,7 @@ def test_jump_is_linear_without_data():
     spec = make_spec(u0=lambda x, y: np.zeros_like(x), f=None,
                      tau_c=0.5, tau_f=0.125)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
-    ctx = build_context(spec, scalar_space(), soe)
+    ctx = build_context(spec, fine_space(*single_dof_setup()), soe)
     phi = ctx.fresh_history()
     u = np.array([1.3])
     j1 = jump(ctx, 1, u, phi)
@@ -110,7 +99,7 @@ def test_coarse_propagate_hand_recurrence():
     spec = make_spec(alpha=alpha, u0=lambda x, y: np.ones_like(x), f=None,
                      tau_c=0.25, tau_f=0.25 / 4)
     soe = build_soe(alpha, spec.tau_f, 1e-2)
-    ctx = build_context(spec, scalar_space(rate), soe)
+    ctx = build_context(spec, fine_space(*single_dof_setup(rate)), soe)
     u0 = ctx.u0[0]
     assert u0 == 1.0
 
@@ -134,7 +123,7 @@ def test_first_slab_jump_order_scalar():
         spec = make_spec(u0=lambda x, y: np.ones_like(x), f=None,
                          tau_c=tau_c, tau_f=1.0 / 64.0)
         soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
-        ctx = build_context(spec, scalar_space(), soe)
+        ctx = build_context(spec, fine_space(*single_dof_setup()), soe)
         norms[tau_c] = np.linalg.norm(jump(ctx, 0, ctx.u0, ctx.fresh_history()))
     order = np.log2(norms[0.5] / norms[0.25])
     assert order > 0.1
@@ -215,10 +204,10 @@ def test_replay_histories(ctx44):
         assert np.array_equal(a, b)
 
 
-def test_chained_fine_propagation_is_sequential_solve(space44, ctx44):
+def test_chained_fine_propagation_is_sequential_solve(space44, kappa44, ctx44):
     # driving fine_propagate through all slabs reproduces the sequential
     # multiscale solver at the slab boundaries
-    spec = make_spec(kappa=space44.kappa)
+    spec = make_spec(kappa=kappa44)
     seq = multiscale_soe_solve(spec, space44, ctx44.soe)
     u = ctx44.u0.copy()
     phi = ctx44.fresh_history()
@@ -231,10 +220,10 @@ def test_chained_fine_propagation_is_sequential_solve(space44, ctx44):
     assert np.abs(chained - seq.states).max() <= 1e-12 * scale
 
 
-def test_chained_fine_propagation_is_the_march_bit_for_bit(space44):
+def test_chained_fine_propagation_is_the_march_bit_for_bit(space44, kappa44):
     # on the factorized path, with a tau_c that is no power of two, the
     # slabs step through the sequential march's own instants and loads
-    spec = make_spec(kappa=space44.kappa, T=0.5, tau_c=0.1, tau_f=0.01)
+    spec = make_spec(kappa=kappa44, T=0.5, tau_c=0.1, tau_f=0.01)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
     ctx = build_context(spec, space44, soe)
     assert not ctx.modal
@@ -247,23 +236,45 @@ def test_chained_fine_propagation_is_the_march_bit_for_bit(space44):
                           multiscale_soe_solve(spec, space44, soe).states)
 
 
-@pytest.mark.parametrize("modal", [False, True])
-def test_fixed_point_at_equal_steps_is_the_sequential_march(space44, modal):
+@pytest.mark.parametrize("modal,fine", [(False, False), (True, False),
+                                        (False, True)],
+                         ids=["False", "True", "fine"])
+def test_fixed_point_at_equal_steps_is_the_sequential_march(
+        space44, kappa44, ops44, modal, fine):
     # at tau_c = tau_f the tau_c history rebuild is the fine step's own
     # update, so the fixed point is the sequential march: bit for bit on
-    # the factorized path, up to the slab map's rounding on the modal one
+    # the factorized path, in space44 and on its fine grid, up to the slab
+    # map's rounding on the modal one
+    space = fine_space(space44.mesh, ops44) if fine else space44
     tau = 1.0 / 128.0 if modal else 1.0 / 32.0
-    spec = make_spec(kappa=space44.kappa, T=1.0 if modal else 0.5,
+    spec = make_spec(kappa=kappa44, T=1.0 if modal else 0.5,
                      tau_c=tau, tau_f=tau)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
-    ctx = build_context(spec, space44, soe)
+    ctx = build_context(spec, space, soe)
     assert ctx.modal == modal
     fixed = hybrid_fixed_point(ctx).solutions
-    seq = multiscale_soe_solve(spec, space44, soe).states
+    seq = multiscale_soe_solve(spec, space, soe).states
     if modal:
         assert np.linalg.norm(fixed - seq) <= 1e-15 * np.linalg.norm(seq)
     else:
         assert np.array_equal(fixed, seq)
+
+
+def test_wemp_solve_on_the_fine_space(mesh44, kappa44, ops44):
+    # parareal with no multiscale reduction, on the 225 free dofs of
+    # mesh44 (factorized path): slab 1 is the fine propagation within
+    # criterion 5's 1e-12, and the last iterate keeps its histories
+    spec = make_spec(kappa=kappa44)
+    ctx = build_context(spec, fine_space(mesh44, ops44),
+                        build_soe(spec.alpha, spec.tau_f, 1e-2))
+    assert not ctx.modal
+    states, _ = wemp_solve(ctx, delta=0.0, k_max=3)
+    first_slab, _ = fine_propagate(ctx, 0, ctx.u0.copy(), ctx.fresh_history())
+    for state in states[1:]:
+        assert state.solutions.shape == (ctx.n_slabs + 1, ops44.free_dofs.size)
+        assert np.abs(state.solutions[1] - first_slab).max() <= 1e-12
+    assert len(states[-1].histories) == ctx.n_slabs + 1
+    assert states[1].err > states[2].err > states[3].err
 
 
 def test_wemp_solve_stopping_and_timings(ctx44):
@@ -310,8 +321,8 @@ def load_instants(ctx, fine_marches):
 
 
 @pytest.mark.parametrize("modal", [False, True])
-def test_each_load_instant_is_evaluated_once_per_solve(space44, ctx44, modal):
-    ctx, calls = counting_context(modal_context(space44)[1] if modal
+def test_each_load_instant_is_evaluated_once_per_solve(space44, kappa44, ctx44, modal):
+    ctx, calls = counting_context(modal_context(space44, kappa44)[1] if modal
                                   else ctx44)
     assert ctx.modal == modal
     states, _ = wemp_solve(ctx, delta=0.0, k_max=3)
@@ -330,8 +341,8 @@ def test_each_load_instant_is_evaluated_once_per_solve(space44, ctx44, modal):
 
 
 @pytest.mark.parametrize("modal", [False, True])
-def test_load_blocks_match_per_instant_loads(space44, ctx44, modal):
-    ctx = modal_context(space44)[1] if modal else ctx44
+def test_load_blocks_match_per_instant_loads(space44, kappa44, ctx44, modal):
+    ctx = modal_context(space44, kappa44)[1] if modal else ctx44
     assert ctx.modal == modal
     blocks = [solvers.slab_instants(n, ctx.m_sub, ctx.tau_f)
               for n in (0, ctx.n_slabs - 1)]
@@ -376,10 +387,10 @@ def counting_factorizations(monkeypatch):
     return calls
 
 
-def test_equal_steps_factorize_once(space44, monkeypatch):
+def test_equal_steps_factorize_once(space44, kappa44, monkeypatch):
     # tau_c = tau_f (m_sub = 1): one distinct step size, one factorization
     calls = counting_factorizations(monkeypatch)
-    spec = make_spec(kappa=space44.kappa, tau_c=1.0 / 64.0)
+    spec = make_spec(kappa=kappa44, tau_c=1.0 / 64.0)
     build_context(spec, space44, build_soe(spec.alpha, spec.tau_f, 1e-2))
     assert calls == [(space44.n_columns, space44.n_columns)]
 
@@ -394,27 +405,27 @@ def test_solve_reuses_the_context_factorizations(ctx44, monkeypatch):
 @pytest.mark.parametrize("T,tau_c,tau_f,factorizations",
                          [(0.5, 0.1, 0.01, 1), (1.0, 0.125, 1.0 / 128.0, 0)])
 def test_sequential_march_factorizes_only_its_fine_step(
-        space44, monkeypatch, T, tau_c, tau_f, factorizations):
+        space44, kappa44, monkeypatch, T, tau_c, tau_f, factorizations):
     # 50 steps over the 81 columns of space44 take the factorized path and
     # factorize the tau_f step alone, never the tau_c one; 128 steps take
     # the modal path and factorize no step
     calls = counting_factorizations(monkeypatch)
-    spec = make_spec(kappa=space44.kappa, T=T, tau_c=tau_c, tau_f=tau_f)
+    spec = make_spec(kappa=kappa44, T=T, tau_c=tau_c, tau_f=tau_f)
     multiscale_soe_solve(spec, space44,
                          build_soe(spec.alpha, spec.tau_f, 1e-2))
     assert calls == [(space44.n_columns, space44.n_columns)] * factorizations
 
 
-def modal_context(space44, **kw):
+def modal_context(space44, kappa44, **kw):
     # 128 fine steps over the 81 columns of space44: the modal path
-    spec = make_spec(kappa=space44.kappa, tau_f=1.0 / 128.0, **kw)
+    spec = make_spec(kappa=kappa44, tau_f=1.0 / 128.0, **kw)
     return spec, build_context(spec, space44,
                                build_soe(spec.alpha, spec.tau_f, 1e-2))
 
 
-def test_modal_context_defers_its_modes(space44, caplog):
+def test_modal_context_defers_its_modes(space44, kappa44, caplog):
     # set-up neither factorizes nor decomposes; each solve decomposes once
-    _, ctx = modal_context(space44)
+    _, ctx = modal_context(space44, kappa44)
     assert ctx.modal and ctx.solves == {}
     assert "_modes" not in vars(ctx)
     with caplog.at_level(logging.DEBUG, logger="wemp.solvers"):
@@ -426,9 +437,9 @@ def test_modal_context_defers_its_modes(space44, caplog):
         assert np.array_equal(a.solutions, b.solutions)
 
 
-def test_modal_chaining_and_fixed_point(space44):
+def test_modal_chaining_and_fixed_point(space44, kappa44):
     # criterion 6 on the modal path
-    spec, ctx = modal_context(space44)
+    spec, ctx = modal_context(space44, kappa44)
     assert ctx.modal
     seq = multiscale_soe_solve(spec, space44, ctx.soe)
     u = ctx.u0.copy()
@@ -446,10 +457,10 @@ def test_modal_chaining_and_fixed_point(space44):
     assert np.abs(once.solutions - fixed.solutions).max() <= 1e-10 * scale
 
 
-def test_modal_states_keep_ms_solutions(space44):
+def test_modal_states_keep_ms_solutions(space44, kappa44):
     # solutions and err in ms coordinates, step values in modal ones, and
     # the first slab equal to the public fine propagation
-    _, ctx = modal_context(space44)
+    _, ctx = modal_context(space44, kappa44)
     prev = initial_coarse_sweep(ctx)
     state = wemp_iteration(ctx, prev)
     assert np.array_equal(state.solutions[0], ctx.u0)
@@ -461,24 +472,24 @@ def test_modal_states_keep_ms_solutions(space44):
     assert np.abs(state.solutions[1] - fine_v).max() <= 1e-12
 
 
-def test_modal_nonfinite_load_raises(space44):
+def test_modal_nonfinite_load_raises(space44, kappa44):
     def source(x, y, t):
         return np.full_like(x, np.nan)
-    _, ctx = modal_context(space44, f=source)
+    _, ctx = modal_context(space44, kappa44, f=source)
     with np.errstate(invalid="ignore"), \
             pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
         initial_coarse_sweep(ctx)
 
 
 @pytest.mark.parametrize("case", ["space44", "scalar"])
-def test_slab_map_matches_the_fine_march(space44, case):
+def test_slab_map_matches_the_fine_march(space44, kappa44, case):
     if case == "space44":
-        _, ctx = modal_context(space44)
+        _, ctx = modal_context(space44, kappa44)
     else:
         spec = make_spec(u0=lambda x, y: np.ones_like(x),
                          f=lambda x, y, t: np.cos(3.0 * t) + 0.0 * x,
                          tau_f=1.0 / 128.0)
-        ctx = build_context(spec, scalar_space(2.0),
+        ctx = build_context(spec, fine_space(*single_dof_setup(2.0)),
                             build_soe(spec.alpha, spec.tau_f, 1e-2))
     assert ctx.modal
     rng = np.random.default_rng(5)
@@ -491,9 +502,9 @@ def test_slab_map_matches_the_fine_march(space44, case):
                 <= 1e-12 * np.linalg.norm(marched))
 
 
-def test_modal_solve_steps_only_the_coarse_step(space44, monkeypatch):
+def test_modal_solve_steps_only_the_coarse_step(space44, kappa44, monkeypatch):
     # the slab map replaces every fine step of the solve
-    _, ctx = modal_context(space44)
+    _, ctx = modal_context(space44, kappa44)
     taus = []
     step = solvers.soe_implicit_step
 
@@ -506,7 +517,7 @@ def test_modal_solve_steps_only_the_coarse_step(space44, monkeypatch):
     assert taus == [ctx.tau_c] * (ctx.n_slabs * (1 + 2 * 2))
 
 
-def test_each_projection_factorizes_the_mass(space44, monkeypatch):
+def test_each_projection_factorizes_the_mass(space44, kappa44, monkeypatch):
     # a space holds its fields and no factorization; build_context and
     # multiscale_soe_solve each project u0 on the modal path, which
     # factorizes no step, so ms_mass is factorized once per projection
@@ -519,7 +530,7 @@ def test_each_projection_factorizes_the_mass(space44, monkeypatch):
         return fem.factorized_spd(matrix)
     monkeypatch.setattr(msfem, "factorized_spd", factorized_spd)
     monkeypatch.setattr(solvers, "factorized_spd", factorized_spd)
-    spec = make_spec(kappa=space44.kappa, tau_f=1.0 / 128.0)
+    spec = make_spec(kappa=kappa44, tau_f=1.0 / 128.0)
     soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
     build_context(spec, space44, soe)
     multiscale_soe_solve(spec, space44, soe)

@@ -71,9 +71,9 @@ def test_trajectory_validation():
         Trajectory(times=np.array([0.0, 0.5]), states=np.zeros((3, 2)))
 
 
-def test_solvers_share_the_slab_boundary_times(space44):
+def test_solvers_share_the_slab_boundary_times(space44, kappa44):
     mesh, ops = space44.mesh, space44.fine_ops
-    spec = make_spec(kappa=space44.kappa)
+    spec = make_spec(kappa=kappa44)
     soe = build_soe(0.5, spec.tau_f, 1e-2)
     trajectories = [reference_l1_solve(spec, mesh, ops),
                     fine_soe_solve(spec, mesh, ops, soe),
@@ -144,6 +144,30 @@ def test_first_step_agreement():
     l1 = reference_l1_solve(spec, mesh, ops)
     se = fine_soe_solve(spec, mesh, ops, soe)
     assert np.allclose(se.states[1], l1.states[1], rtol=1e-13, atol=1e-16)
+
+
+def test_fine_march_is_the_slab_march(mesh44, ops44):
+    # fine_soe_solve is the context chain on the fine space; on the
+    # factorized path (100 steps over 225 free dofs) it gives, bit for bit,
+    # soe_march slab by slab from u0 at the free dofs with per-instant loads
+    spec = make_spec()
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    free = ops44.free_dofs
+    solve = solvers.factorized_step(ops44.mass_free, ops44.stiffness_free,
+                                    spec.tau_f, spec.alpha)
+    coeffs = step_coefficients(soe, spec.tau_f)
+    v = v0 = spec.nodal_u0(mesh44)[free]
+    psi = np.zeros((soe.n_terms, free.size))
+    states = [v]
+    for n in range(spec.n_coarse):
+        instants = solvers.slab_instants(n, spec.m_sub, spec.tau_f)
+        v, psi = solvers.soe_march(
+            solve, ops44.mass_free, soe, coeffs, v, v0, psi, instants,
+            [assemble_load(mesh44, ops44, spec.f, t)[free] for t in instants])
+        states.append(v)
+    traj = fine_soe_solve(spec, mesh44, ops44, soe)
+    assert np.array_equal(traj.states[:, free], np.array(states))
+    assert not np.delete(traj.states, free, axis=1).any()
 
 
 def test_l1_slab_blocks_match_per_step_history():
@@ -314,15 +338,32 @@ def test_step_matrices_store_exactly_nnz(monkeypatch, space44, ops44):
 
 
 def test_modal_rule():
-    assert solvers.use_modes(1000, 833)          # the desk problem
-    assert not solvers.use_modes(50, 3825)       # the scale set-up
-    assert not solvers.use_modes(64, 81)         # criterion 6 on space44
+    # (steps, columns, half-bandwidth of the step) of the benchmark's
+    # marches (test_fem pins the half-bandwidths): desk and scale in the
+    # multiscale space, then on the fine grid
+    assert solvers.use_modes(1000, 833, 152)
+    assert not solvers.use_modes(50, 3825, 288)
+    assert not solvers.use_modes(1000, 3969, 64)
+    assert not solvers.use_modes(50, 16129, 128)
+    # the band term: 3825 columns pay from 6329 steps, the fine grids from
+    # 30,295 and 252,079
+    for n_steps, n, b in ((6329, 3825, 288), (30295, 3969, 64),
+                          (252079, 16129, 128)):
+        assert solvers.use_modes(n_steps, n, b)
+        assert not solvers.use_modes(n_steps - 1, n, b)
+    assert not solvers.use_modes(3825, 3825, 288)
+    # the floor n: 833 columns from 833 steps, where the band term alone
+    # gives 567; space44 (b = 44) stays factorized at criterion 6's 64
+    assert solvers.use_modes(833, 833, 152)
+    assert not solvers.use_modes(832, 833, 152)
+    assert not solvers.use_modes(64, 81, 44)
+    assert solvers.use_modes(81, 81, 44)
 
 
-def test_modal_march_matches_cholesky_march(space44):
-    spec = modal_spec(space44.kappa)
-    assert solvers.use_modes(spec.n_fine_total, space44.n_columns)
+def test_modal_march_matches_cholesky_march(space44, kappa44):
+    spec = modal_spec(kappa44)
     soe = build_soe(0.5, spec.tau_f, 1e-2)
+    assert solvers.march_context(spec, space44, soe, ()).modal
     modal = multiscale_soe_solve(spec, space44, soe)
 
     def load(t):
@@ -345,24 +386,24 @@ def test_modal_march_matches_cholesky_march(space44):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_modal_march_rejects_nonfinite_load(space44, bad):
+def test_modal_march_rejects_nonfinite_load(space44, kappa44, bad):
     # the modal step has no residual check to refuse a non-finite
     # right-hand side, so the stored states are checked instead
     def source(x, y, t):
         return np.where(t > 0.5, bad, source_smooth(x, y, t))
-    spec = modal_spec(space44.kappa, f=source)
-    assert solvers.use_modes(spec.n_fine_total, space44.n_columns)
+    spec = modal_spec(kappa44, f=source)
     soe = build_soe(0.5, spec.tau_f, 1e-2)
+    assert solvers.march_context(spec, space44, soe, ()).modal
     with np.errstate(invalid="ignore"), \
             pytest.raises(RuntimeError, match="non-finite"):
         multiscale_soe_solve(spec, space44, soe)
 
 
-def test_modal_march_logs_its_modes_once(space44, caplog):
+def test_modal_march_logs_its_modes_once(space44, kappa44, caplog):
     soe = build_soe(0.5, 1.0 / 128.0, 1e-2)
     with caplog.at_level(logging.DEBUG, logger="wemp.solvers"):
-        multiscale_soe_solve(modal_spec(space44.kappa), space44, soe)
-        multiscale_soe_solve(make_spec(kappa=space44.kappa, tau_f=1.0 / 64.0,
+        multiscale_soe_solve(modal_spec(kappa44), space44, soe)
+        multiscale_soe_solve(make_spec(kappa=kappa44, tau_f=1.0 / 64.0,
                                        tau_c=0.125), space44, soe)
     modal = [r.getMessage() for r in caplog.records
              if r.name == "wemp.solvers"]
