@@ -45,7 +45,8 @@ import scipy.sparse as sp
 from scipy.linalg import lapack
 
 from .mesh import TwoLevelMesh, NodeRectangle, coarse_neighborhood
-from .fem import (CoefficientField, OperatorPair, assemble_operators,
+from .fem import (CoefficientField, OperatorPair, assemble_load,
+                  assemble_loads, assemble_operators,
                   assemble_submesh_operators, rectangle_template,
                   triangle_geometry, factorized_spd)
 
@@ -286,13 +287,26 @@ class MultiscaleSpace:
     def project(self, v: np.ndarray) -> np.ndarray:
         return edge_projection(self, v)
 
+    def loads(self, f, times) -> np.ndarray:
+        """basis.T @ assemble_load(mesh, fine_ops, f, t) for each instant t
+        of times, one column each, from one call of f (fem.assemble_loads)."""
+        return self.basis.T @ assemble_loads(self.mesh, self.fine_ops, f,
+                                             times)
+
 
 class FineSpace(MultiscaleSpace):
-    """The free fine dofs as a space (fine_space); it projects exactly, by
-    restriction."""
+    """The free fine dofs as a space (fine_space). It projects exactly, by
+    restriction, and takes one assemble_load per instant, as the L1
+    reference march does, so both fine marches call f alike: with the node
+    coordinates and a scalar t."""
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return np.asarray(v)[self.fine_ops.free_dofs]
+
+    def loads(self, f, times) -> np.ndarray:
+        free = self.fine_ops.free_dofs
+        return np.column_stack([assemble_load(self.mesh, self.fine_ops, f,
+                                              t)[free] for t in times])
 
 
 def fine_space(mesh: TwoLevelMesh, ops: OperatorPair) -> FineSpace:

@@ -27,35 +27,38 @@ dofs and the trajectories embed zeros back at boundary nodes.
 Every exponential-sum march, sequential or parareal, on a multiscale space
 or the fine one, steps through one PropagatorContext, the one owner of how
 it steps; march_context builds it, projects u0 once and picks the path from
-the march's total step count and the half-bandwidth b of its step matrix:
-modal coordinates when it takes at least max(n, n^2 / (8 (b + 1))) steps
-over n columns (use_modes), else ms coordinates with one sparse
-factorization (fem.factorized_spd) per step size, made when the context is
-built. Its fine propagator F marches one slab, and its chain is the one
-loop over the slabs of a trajectory: of F for the sequential march, of its
-own step for each parareal iterate. The chain holds one history at a time;
-only parareal, whose next iteration reads them, keeps every boundary
-history (parareal._sweep). ms_modes solves K V = M V diag(mu),
-V^T M V = I, once per context, at its first step, and checks it once; in
-c = V^T M u each step divides by 1/(tau^alpha Gamma(2 - alpha)) + mu_i,
-with the identity for the mass and V^T b for a load, and a solution leaves
-modal coordinates once, as V c. Against band-factorized sparse steps the decomposition costs about 380
+the march's total step count, the space's width n and the half-bandwidth b
+of its step matrix (use_modes): modal coordinates for long marches over
+spaces whose dense n x n arrays fit the storage budget, else ms coordinates
+with one sparse factorization (fem.factorized_spd) per step size, made when
+the context is built. Its fine propagator F marches one slab, and its chain
+is the one loop over the slabs of a trajectory: of F for the sequential
+march, of its own step for each parareal iterate. The chain holds one
+history at a time; only parareal, whose next iteration reads them, keeps
+every boundary history (parareal._sweep). ms_modes solves
+K V = M V diag(mu), V^T M V = I, once per context, at its first step, and
+checks it once; in c = V^T M u each step divides by
+1/(tau^alpha Gamma(2 - alpha)) + mu_i, with the identity for the mass and
+V^T b for a load, and a solution leaves modal coordinates once, as V c.
+Against band-factorized sparse steps the decomposition costs about 380
 sparse steps at 833 columns and 2800 at 3825, and a modal step saves about
 0.63 and 0.47 of a sparse one (per-step march times, 2 OpenBLAS threads,
-medians of 5 and 3). So modes pay for themselves from about 0.7 n_columns
-steps at 833 columns, but only from about 1.6 n_columns steps at 3825. A
-fine grid's step is narrow (b = 64 at the desk's 3969 free dofs), so a
-fine march turns modal only from 30,295 steps there.
+medians of 5 and 3). A fine grid's step is narrow (b = 64 at the desk's
+3969 free dofs), so a fine march turns modal only from 30,295 steps there,
+and at the scale grid's 16129 free dofs never.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
 
-F takes one load block per slab (PropagatorContext.load_block): one call
-of f over the slab's instants (fem.assemble_loads), the sparse projection,
-the same numbers as basis.T @ assemble_load per instant, and on the modal
-path one dense product. On the modal path the context also folds a slab's
-fine steps into one exact affine map, which parareal reads instead of
-marching (PropagatorContext.fine_end).
+F takes one load block per slab (PropagatorContext.load_block): the
+space's loads at the slab's instants (MultiscaleSpace.loads) and, on the
+modal path, one dense product. A multiscale space takes them from one call
+of f over the slab's instants (fem.assemble_loads) and one sparse
+projection, the same numbers as basis.T @ assemble_load per instant; the
+fine space takes one assemble_load per instant, as the L1 reference does.
+On the modal path the context also folds a slab's fine steps into one
+exact affine map, which parareal reads instead of marching
+(PropagatorContext.fine_end).
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ import scipy.sparse as sp
 from scipy.special import gamma
 
 from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
-                  assemble_loads, factorized_spd, half_bandwidth, norms)
+                  factorized_spd, half_bandwidth, norms)
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .stepping import (history_weights, l1_coefficients, l1_known_weights,
                        propagate_history_with, soe_caputo_known_part)
@@ -107,7 +110,8 @@ class ProblemSpec:
     u0: Callable                      # (x, y) -> nodal values
     # (x, y, t) -> nodal values, or None for zero; a multiscale march calls
     # it with (n_nodes, 1) coordinate columns and a row of instants t, and
-    # the result must broadcast to (n_nodes, len(t)) (fem.assemble_loads)
+    # the result must broadcast to (n_nodes, len(t)) (fem.assemble_loads);
+    # the fine marches call it with node coordinates and a scalar t
     f: Optional[Callable]
     kappa: Optional[CoefficientField]
     level: int
@@ -193,16 +197,25 @@ def factorized_step(mass, stiffness, tau: float, alpha: float):
 def use_modes(n_steps: int, n_columns: int, half_band: int) -> bool:
     """Whether a march of n_steps steps over n = n_columns columns, whose
     step matrix has lower half-bandwidth b = half_band, runs in modal
-    coordinates: when n_steps >= max(n, n^2 / (8 (b + 1))).
+    coordinates: when n_steps >= max(n, n^2 / (8 (b + 1))) and the four
+    dense n x n arrays the decomposition holds at its peak (ms_modes,
+    measured at 441 and 833 columns) fit L1_STATE_BUDGET_BYTES, that is up
+    to 7905 columns.
 
     The decomposition costs O(n^3) and a band-factorized step O(n b); the
-    band term puts the crossover at 567 steps for 833 columns (b = 152;
-    measured 596) and 6329 for 3825 (b = 288; measured about 5960). The
-    floor n keeps a march shorter than its space is wide factorized on
-    narrow bands, where no measurement backs the band term.
+    band term puts the crossover at 6329 steps for 3825 columns (b = 288;
+    measured about 5960). On smaller spaces the band term is early, as the
+    decomposition's check and the dense product that takes each load into
+    modes weigh more there: the modal march first won at about 42 steps
+    over 81 columns (b = 44, band term 18), 90 over 153 (b = 84, 34), past
+    800 over 441 (b = 80, 300) and, in two harnesses, at 596 and near 780
+    over 833 (b = 152, 567; 2 cores, medians of 5 to 7 marches of 10 slabs
+    with a load). The floor n is nearer the first three than the band
+    term, and about as near the last.
     """
     return (n_steps >= n_columns
-            and 8 * (half_band + 1) * n_steps >= n_columns ** 2)
+            and 8 * (half_band + 1) * n_steps >= n_columns ** 2
+            and 4 * 8 * n_columns ** 2 <= L1_STATE_BUDGET_BYTES)
 
 
 def ms_modes(space: MultiscaleSpace) -> tuple:
@@ -306,13 +319,12 @@ class PropagatorContext:
 
     def load_block(self, times) -> np.ndarray:
         """basis.T @ assemble_load(..., f, t) in step coordinates for each
-        instant t of times, one row each, zeros when f is None: one
-        evaluation of f, its sparse products and, in modal coordinates, one
-        dense product."""
+        instant t of times, one row each, zeros when f is None: the space's
+        loads (MultiscaleSpace.loads) and, in modal coordinates, one dense
+        product."""
         if self.f is None:
             return np.zeros((len(times), self.space.n_columns))
-        block = (self.space.basis.T @ assemble_loads(
-            self.space.mesh, self.space.fine_ops, self.f, times)).T
+        block = self.space.loads(self.f, times).T
         return block @ self._modes[1] if self.modal else block
 
     def coarse(self, n: int, U: np.ndarray, Phi: np.ndarray) -> tuple:

@@ -126,33 +126,43 @@ def test_iteration_calls_jump_once_per_slab(space44, kappa44, monkeypatch, tau_f
 
 def test_traced_pass_yields_every_per_layer_metric(monkeypatch):
     # perfbench/run.py marks a traced run incorrect when a per_layer metric
-    # of BENCHMARK.json is missing; a tiny pass through the calls of the
-    # workloads must yield each one that layer_metrics computes (run.py
-    # adds the three column counts itself)
+    # of BENCHMARK.json is missing; a tiny pass through the calls of each
+    # workload (perfbench/workloads.py) must yield each one that
+    # layer_metrics computes (run.py adds the three column counts itself)
     spans = load_spans(monkeypatch)
     bench = json.loads((SPANS.parents[1] / "BENCHMARK.json").read_text())
     wanted = {m["name"] for m in bench["per_layer"]} - {
         "msfem.columns_built", "msfem.columns_kept", "msfem.kept_ratio"}
-    tracer = spans.Tracer()
-    with spans.installed(tracer):
-        tracer.active = True
-        mesh = wmesh.build_mesh(4, 4)
-        kappa = fem.CoefficientField.constant(mesh)
-        ops = fem.assemble_operators(mesh, kappa)
-        space = msfem.assemble_space(
-            mesh, kappa, msfem.build_partition_of_unity(mesh, kappa), 1)
-        spec = solvers.ProblemSpec(alpha=0.5, T=0.5, tau_f=1.0 / 32,
-                                   tau_c=0.125, u0=experiments.u0_standard,
-                                   f=experiments.source_smooth, kappa=kappa,
-                                   level=1, epsilon=1e-2)
-        approx = soe.build_soe(spec.alpha, spec.tau_f, 1e-2)
-        parareal.wemp_solve(parareal.build_context(spec, space, approx),
-                            delta=0.0, k_max=1)
-        solvers.reference_l1_solve(spec, mesh, ops)
-        solvers.fine_soe_solve(spec, mesh, ops, approx)
-        solvers.multiscale_soe_solve(spec, space, approx)
-    missing = wanted - set(spans.layer_metrics(tracer.take(), 1))
-    assert not missing, sorted(missing)
+    mesh = wmesh.build_mesh(4, 4)
+    kappa = fem.CoefficientField.constant(mesh)
+    spec = solvers.ProblemSpec(alpha=0.5, T=0.5, tau_f=1.0 / 32,
+                               tau_c=0.125, u0=experiments.u0_standard,
+                               f=experiments.source_smooth, kappa=kappa,
+                               level=1, epsilon=1e-2)
+    workloads = {"desk-parareal": ("parareal", "l1"),
+                 "sequential-march": ("l1", "fine", "ms"),
+                 "scale-setup": ("parareal", "fine")}
+    for workload, calls in workloads.items():
+        tracer = spans.Tracer()
+        with spans.installed(tracer):
+            tracer.active = True
+            ops = fem.assemble_operators(mesh, kappa)
+            space = msfem.assemble_space(
+                mesh, kappa, msfem.build_partition_of_unity(mesh, kappa), 1)
+            approx = soe.build_soe(spec.alpha, spec.tau_f, 1e-2)
+            run = {
+                "parareal": lambda: parareal.wemp_solve(
+                    parareal.build_context(spec, space, approx), delta=0.0,
+                    k_max=1),
+                "l1": lambda: solvers.reference_l1_solve(spec, mesh, ops),
+                "fine": lambda: solvers.fine_soe_solve(spec, mesh, ops,
+                                                       approx),
+                "ms": lambda: solvers.multiscale_soe_solve(spec, space,
+                                                           approx)}
+            for call in calls:
+                run[call]()
+        missing = wanted - set(spans.layer_metrics(tracer.take(), 1))
+        assert not missing, (workload, sorted(missing))
 
 
 def names_read(path):

@@ -170,6 +170,25 @@ def test_fine_march_is_the_slab_march(mesh44, ops44):
     assert not np.delete(traj.states, free, axis=1).any()
 
 
+def test_fine_marches_take_one_load_per_instant(mesh44, ops44):
+    # both fine marches call f once per step instant with a scalar t, so
+    # an f written for one instant serves them
+    calls = []
+
+    def f(x, y, t):
+        calls.append(t)
+        assert np.ndim(t) == 0 and np.ndim(x) == 1
+        return source_smooth(x, y, t)
+    spec = make_spec(T=0.2, f=f)
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    steps = [(n + 1) * spec.tau_f for n in range(spec.n_fine_total)]
+    for march in (lambda: fine_soe_solve(spec, mesh44, ops44, soe),
+                  lambda: reference_l1_solve(spec, mesh44, ops44)):
+        calls.clear()
+        march()
+        assert np.allclose(calls, steps, rtol=1e-14, atol=0.0)
+
+
 def test_l1_slab_blocks_match_per_step_history():
     # the slab GEMM plus within-slab window equals w @ states[:n + 1] per step
     mesh = build_mesh(2, 4)
@@ -345,13 +364,20 @@ def test_modal_rule():
     assert not solvers.use_modes(50, 3825, 288)
     assert not solvers.use_modes(1000, 3969, 64)
     assert not solvers.use_modes(50, 16129, 128)
-    # the band term: 3825 columns pay from 6329 steps, the fine grids from
-    # 30,295 and 252,079
-    for n_steps, n, b in ((6329, 3825, 288), (30295, 3969, 64),
-                          (252079, 16129, 128)):
+    # the band term: 3825 columns pay from 6329 steps, the desk's fine grid
+    # from 30,295
+    for n_steps, n, b in ((6329, 3825, 288), (30295, 3969, 64)):
         assert solvers.use_modes(n_steps, n, b)
         assert not solvers.use_modes(n_steps - 1, n, b)
     assert not solvers.use_modes(3825, 3825, 288)
+    # the storage budget: the scale fine grid, whose dense n x n arrays
+    # would take 8.3 GB, stays factorized at the band term's 252,079 steps
+    # and beyond; 7905 columns are the widest modal space
+    assert 8 * 129 * 252079 >= 16129 ** 2
+    assert not solvers.use_modes(252079, 16129, 128)
+    assert not solvers.use_modes(10 ** 9, 16129, 128)
+    assert solvers.use_modes(10 ** 6, 7905, 7904)
+    assert not solvers.use_modes(10 ** 6, 7906, 7905)
     # the floor n: 833 columns from 833 steps, where the band term alone
     # gives 567; space44 (b = 44) stays factorized at criterion 6's 64
     assert solvers.use_modes(833, 833, 152)
