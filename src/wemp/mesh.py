@@ -1,12 +1,15 @@
 """Two-level structured triangulation of the unit square.
 
 The coarse grid has `coarse_divisions` quadrilateral cells per axis (size H),
-each refined into `refinements_per_coarse` fine squares per axis (size h), and
-every fine square is split into two right triangles along the same diagonal.
-Node positions are kept as integer grid coordinates so conformity and boundary
-checks are exact; floats are derived on demand. A rectangle of fine cells, a
-coarse cell or a coarse vertex's neighbourhood, is a NodeRectangle: its
-cells, its integer node bounds and its four sides.
+each refined into `refinements_per_coarse` fine squares per axis (size h).
+P1 splits every fine square into two right triangles along its bottom-left
+to top-right diagonal. The mesh stores no triangle list: the split is a fact
+of fem.rectangle_template's reference cell and of the gradients in
+msfem.weighted_coefficient. Node positions are kept as integer grid
+coordinates so conformity and boundary checks are exact; floats are derived
+on demand. A rectangle of fine cells, a coarse cell or a coarse vertex's
+neighbourhood, is a NodeRectangle: its cells, its integer node bounds and
+its four sides.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ class TwoLevelMesh:
     coarse_divisions: int
     refinements_per_coarse: int
     fine_node_coords: np.ndarray      # (n_nodes, 2) float64 in [0,1]^2
-    fine_triangles: np.ndarray        # (n_tri, 3) int node indices, CCW
     coarse_vertex_interior: np.ndarray  # (n_cv,) bool
 
     @property
@@ -70,8 +72,8 @@ class NodeRectangle:
 
 
 def build_mesh(coarse_divisions: int, refinements_per_coarse: int) -> TwoLevelMesh:
-    """Build the two-level mesh; triangles split each fine square along the
-    bottom-left to top-right diagonal."""
+    """Build the two-level mesh: node coordinates and the interior flags of
+    the coarse vertices."""
     if coarse_divisions < 1 or refinements_per_coarse < 1:
         raise ValueError("coarse_divisions and refinements_per_coarse must be >= 1")
     n = coarse_divisions * refinements_per_coarse
@@ -84,20 +86,6 @@ def build_mesh(coarse_divisions: int, refinements_per_coarse: int) -> TwoLevelMe
     iy = iy.ravel()
     coords = np.column_stack([ix / n, iy / n]).astype(np.float64)
 
-    # two CCW triangles per fine square, diagonal from (i,j) to (i+1,j+1)
-    cx, cy = np.meshgrid(np.arange(n), np.arange(n), indexing="xy")
-    cx = cx.ravel()
-    cy = cy.ravel()
-    v00 = cy * (n + 1) + cx
-    v10 = v00 + 1
-    v01 = v00 + (n + 1)
-    v11 = v01 + 1
-    lower = np.column_stack([v00, v10, v11])
-    upper = np.column_stack([v00, v11, v01])
-    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
-    triangles[0::2] = lower
-    triangles[1::2] = upper
-
     g = np.arange(coarse_divisions + 1)
     inner = (g > 0) & (g < coarse_divisions)
 
@@ -105,7 +93,6 @@ def build_mesh(coarse_divisions: int, refinements_per_coarse: int) -> TwoLevelMe
         coarse_divisions=coarse_divisions,
         refinements_per_coarse=refinements_per_coarse,
         fine_node_coords=coords,
-        fine_triangles=triangles,
         coarse_vertex_interior=(inner[:, None] & inner[None, :]).ravel(),
     )
 

@@ -4,13 +4,16 @@ Construction stages:
 
 1. partition of unity: diffusivity-harmonic extensions of the affine
    corner data into every coarse cell, four colour fields in one
-   block-diagonal solve, from which each hat-like chi_i is read;
+   block-diagonal solve, kept as they are: each hat-like chi_i is its
+   colour's field on the closed neighbourhood of vertex i;
 2. Haar functions on the four edges of each vertex neighborhood omega_i,
    orthonormal in L2 of the edge;
 3. harmonic lifts of the edge data into omega_i, one block solve per
    neighborhood, and one Neumann corrector per neighborhood driven by the
    weighted coefficient kappa_tilde: one node pinned, the rest solved,
-   and the result shifted to zero mean;
+   and the result shifted to zero mean. kappa_tilde sums the squared P1
+   gradients of the colour fields, taken as grid differences on the two
+   triangles of each fine cell;
 4. global space: the columns chi_i * (local function) of each neighborhood
    form one block, made, filtered and scattered in one pass: LAPACK's
    pivoted Cholesky (dpstrf) of the block's Gram matrix, less the part the
@@ -21,8 +24,8 @@ Construction stages:
    entries of the Galerkin matrices, assembled once at their exact size.
 
 Stage 3 solves on each vertex neighbourhood (mesh.coarse_neighborhood)
-through a _LocalSolver and reads chi_i there through
-PartitionOfUnity.vertex_values. The neighbourhoods share one
+through a _LocalSolver and reads chi_i there, one column of the colour
+fields, through PartitionOfUnity.vertex_values. The neighbourhoods share one
 fem.rectangle_template, so each solver only gathers its cells' kappa into
 the template's patterns; the edge traces and overlaps, which depend only
 on shapes, are computed once. Every factorization is fem.factorized_spd.
@@ -48,29 +51,27 @@ from .mesh import TwoLevelMesh, NodeRectangle, coarse_neighborhood
 from .fem import (CoefficientField, OperatorPair, assemble_load,
                   assemble_loads, assemble_operators,
                   assemble_submesh_operators, rectangle_template,
-                  triangle_geometry, factorized_spd)
+                  factorized_spd)
 
 RANK_FILTER_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class PartitionOfUnity:
-    """Rows are the chi_i, one per coarse vertex, over all fine nodes."""
+    """The four colour fields of build_partition_of_unity, one column per
+    colour over all fine nodes; chi_i is its colour's column on the
+    closed neighbourhood of coarse vertex i and zero elsewhere."""
 
-    chi: sp.csr_matrix
+    colour_fields: np.ndarray     # (n_nodes, 4)
+    coarse_divisions: int
 
     def vertex_values(self, vertex: int, nodes: np.ndarray) -> np.ndarray:
-        """chi_vertex at the sorted fine nodes `nodes`, read from the
-        stored entries of its row without densifying it."""
-        lo, hi = self.chi.indptr[vertex], self.chi.indptr[vertex + 1]
-        cols = self.chi.indices[lo:hi]
-        pos = np.searchsorted(nodes, cols)
-        hit = pos < nodes.size
-        hit[hit] = nodes[pos[hit]] == cols[hit]
-        out = np.zeros(nodes.size)
-        # added to zero, as toarray does, so a stored -0.0 reads as 0.0
-        out[pos[hit]] += self.chi.data[lo:hi][hit]
-        return out
+        """chi_vertex at fine nodes `nodes`, which must lie in the vertex's
+        closed neighbourhood, as _vertex_columns' local nodes do: there
+        chi_vertex is its colour's field, which elsewhere holds the chi of
+        other vertices of that colour."""
+        vy, vx = divmod(vertex, self.coarse_divisions + 1)
+        return self.colour_fields[nodes, vx % 2 + 2 * (vy % 2)]
 
 
 def build_partition_of_unity(mesh: TwoLevelMesh,
@@ -84,7 +85,7 @@ def build_partition_of_unity(mesh: TwoLevelMesh,
     linear along cell sides; one factorization extends its four columns
     kappa-harmonically into every cell. Their sum has data 1, so it is 1:
     the chi_i, each its colour's column on its closed neighbourhood, form
-    a partition of unity.
+    a partition of unity. G itself is what is kept.
     """
     C, R, n = (mesh.coarse_divisions, mesh.refinements_per_coarse,
                mesh.n_fine_per_axis)
@@ -105,15 +106,7 @@ def build_partition_of_unity(mesh: TwoLevelMesh,
         rows = assemble_operators(mesh, kappa).stiffness[inner]
         G[inner] = 0.0
         G[inner] = factorized_spd(rows[:, inner], C * C)(-(rows @ G))
-
-    # vertex v x node i is vertex (vx, vy) x node (ix, iy), and the closed
-    # neighbourhood is |ix - R vx| <= R and |iy - R vy| <= R
-    near = np.abs(np.arange(n + 1) - R * np.arange(C + 1)[:, None]) <= R
-    chi = sp.kron(near, near, format="csr").astype(np.float64)
-    vy, vx = np.divmod(np.repeat(np.arange((C + 1) ** 2),
-                                 np.diff(chi.indptr)), C + 1)
-    chi.data = G[chi.indices, vx % 2 + 2 * (vy % 2)]
-    return PartitionOfUnity(chi=chi)
+    return PartitionOfUnity(colour_fields=G, coarse_divisions=C)
 
 
 def edge_wavelets(level: int, edge_coords: np.ndarray) -> np.ndarray:
@@ -239,16 +232,20 @@ def weighted_coefficient(mesh: TwoLevelMesh, kappa: CoefficientField,
     """Per-fine-cell field H^2 kappa sum_i |grad chi_i|^2.
 
     On each triangle one chi_i of each colour is nonzero, so the sum runs
-    over the colour fields G = chi^T (one-hot vertex colour), whose P1
-    gradients are per-triangle constants; a cell averages its two triangles.
+    over the four colour fields. P1 splits the cell with corners v00, v10,
+    v01, v11 into the triangles (v00, v10, v11) and (v00, v11, v01), on
+    which a field's gradient is two grid differences times 1/h; a cell
+    averages its two triangles.
     """
-    _, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
-    vy, vx = np.divmod(np.arange(pou.chi.shape[0]), mesh.coarse_divisions + 1)
-    G = pou.chi.T @ np.eye(4)[vx % 2 + 2 * (vy % 2)]
-    grad_g = np.einsum("tkc,tkd->tcd", G[mesh.fine_triangles], grads)
-    sum_sq = np.einsum("tcd,tcd->t", grad_g, grad_g)
-    val_tri = mesh.H ** 2 * np.repeat(kappa.values, 2) * sum_sq
-    return 0.5 * (val_tri[0::2] + val_tri[1::2])
+    n = mesh.n_fine_per_axis
+    G = pou.colour_fields.reshape(n + 1, n + 1, 4)
+    v00, v10, v01, v11 = G[:-1, :-1], G[:-1, 1:], G[1:, :-1], G[1:, 1:]
+    # cell row, cell column, triangle, colour, axis
+    grads = np.stack([np.stack([v10 - v00, v11 - v10], axis=-1),
+                      np.stack([v11 - v01, v01 - v00], axis=-1)], axis=2) * n
+    sum_sq = np.einsum("...cd,...cd->...", grads, grads)
+    val_tri = (mesh.H ** 2 * kappa.values.reshape(n, n))[..., None] * sum_sq
+    return (0.5 * (val_tri[..., 0] + val_tri[..., 1])).ravel()
 
 
 def eta_indicator(H: float, level: int, kappa: CoefficientField,

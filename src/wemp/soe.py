@@ -94,10 +94,11 @@ def build_soe(alpha: float, tau_f: float, epsilon: float) -> SOEApproximation:
     """Smallest odd term count whose bound meets epsilon on [tau_f, inf)."""
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    if tau_f <= 0.0:
-        raise ValueError("tau_f must be positive")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    # written so that NaN fails each check
+    if not 0.0 < tau_f < np.inf:
+        raise ValueError(f"tau_f must be finite and positive, got {tau_f}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     n_half = 1
     while soe_error_bound(alpha, tau_f, n_half) > epsilon:
         n_half += 1

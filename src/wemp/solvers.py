@@ -120,8 +120,9 @@ class ProblemSpec:
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-        if self.T <= 0 or self.tau_c <= 0 or self.tau_f <= 0:
-            raise ValueError("T, tau_c, tau_f must be positive")
+        # a comparison with NaN is false, so this refuses NaN and inf too
+        if not all(0.0 < x < np.inf for x in (self.T, self.tau_c, self.tau_f)):
+            raise ValueError("T, tau_c, tau_f must be finite and positive")
         if abs(self.n_coarse * self.tau_c - self.T) > 1e-9 * self.T:
             raise ValueError("tau_c must divide T into an integer step count")
         if abs(self.m_sub * self.tau_f - self.tau_c) > 1e-9 * self.tau_c:

@@ -1,6 +1,6 @@
-"""Shared fixtures, and test oracles: a reference dense P1 assembler, the
-domain boundary read from node coordinates, and a spy on the two kernels
-of fem.factorized_spd."""
+"""Shared fixtures, and test oracles: a reference dense P1 assembler and
+the triangles it takes, the domain boundary read from node coordinates,
+dense chi rows, and a spy on the two kernels of fem.factorized_spd."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from wemp.fem import CoefficientField, assemble_operators
-from wemp.mesh import build_mesh
+from wemp.mesh import build_mesh, coarse_neighborhood
 from wemp.msfem import assemble_space, build_partition_of_unity
 
 
@@ -35,6 +35,42 @@ def dense_p1_operators(coords, triangles, kappa_per_tri):
                 mass[tri[a], tri[b]] += area / 12.0 * (2.0 if a == b else 1.0)
                 stiff[tri[a], tri[b]] += kap * area * grads[a] @ grads[b]
     return mass, stiff
+
+
+def fine_triangles(mesh):
+    """The P1 triangles, counterclockwise, two per fine cell in cell order:
+    the lower (v00, v10, v11), then the upper (v00, v11, v01), the split
+    of fem.rectangle_template's reference cell."""
+    n = mesh.n_fine_per_axis
+    cy, cx = np.divmod(np.arange(n * n), n)
+    v00 = mesh.node_index(cx, cy)
+    v10, v01, v11 = v00 + 1, v00 + n + 1, v00 + n + 2
+    triangles = np.empty((2 * n * n, 3), dtype=np.int64)
+    triangles[0::2] = np.column_stack([v00, v10, v11])
+    triangles[1::2] = np.column_stack([v00, v11, v01])
+    return triangles
+
+
+def rectangle_nodes(mesh, rect):
+    """Sorted global nodes of a rectangle's closure, from its node bounds."""
+    (x0, x1), (y0, y1) = rect.node_range
+    ix, iy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
+    return np.sort(mesh.node_index(ix.ravel(), iy.ravel()))
+
+
+def chi_row(mesh, pou, vertex):
+    """chi_vertex as a dense vector over all fine nodes: vertex_values on
+    the vertex's closed neighbourhood, zero elsewhere."""
+    nodes = rectangle_nodes(mesh, coarse_neighborhood(mesh, vertex))
+    row = np.zeros(mesh.n_nodes)
+    row[nodes] = pou.vertex_values(vertex, nodes)
+    return row
+
+
+def chi_rows(mesh, pou):
+    """Every chi_i as a dense row, one per coarse vertex."""
+    return np.array([chi_row(mesh, pou, vertex)
+                     for vertex in range((mesh.coarse_divisions + 1) ** 2)])
 
 
 def domain_boundary(mesh):

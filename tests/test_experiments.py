@@ -475,6 +475,22 @@ def test_cli_infinite_contrast(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("epsilon", "nan", "epsilon must be positive"),
+    ("T", "inf", "finite and positive"),
+    ("tau_c", "inf", "finite and positive"),
+    ("tau_f", "nan", "finite and positive")])
+def test_cli_non_finite_problem_input(tmp_path, capsys, key, value, message):
+    # a NaN epsilon passes every `>` ceiling test and used to run a 3-term
+    # sum, and an infinite T or tau_c raised OverflowError from n_coarse
+    path = write_config(tmp_path / "a.ini", {"problem": {key: value}})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_negative_k_max(tmp_path, capsys):
     run = {"experiment": "wemp-convergence", "k_max": "-2"}
     path = write_config(tmp_path / "a.ini", {"run": run})

@@ -19,7 +19,8 @@ from wemp.mesh import build_mesh
 from wemp.msfem import assemble_space, build_partition_of_unity
 from wemp.solvers import factorized_step
 
-from conftest import dense_p1_operators, domain_boundary, kernel_spy
+from conftest import (dense_p1_operators, domain_boundary, fine_triangles,
+                      kernel_spy)
 
 
 def test_against_dense_assembly():
@@ -30,7 +31,7 @@ def test_against_dense_assembly():
     kappa = CoefficientField(rng.uniform(0.5, 4.0, mesh.n_fine_per_axis ** 2))
     op = assemble_operators(mesh, kappa)
     mass_ref, stiff_ref = dense_p1_operators(
-        mesh.fine_node_coords, mesh.fine_triangles, np.repeat(kappa.values, 2))
+        mesh.fine_node_coords, fine_triangles(mesh), np.repeat(kappa.values, 2))
     assert np.allclose(op.mass.toarray(), mass_ref, atol=1e-14)
     assert np.allclose(op.stiffness.toarray(), stiff_ref, atol=1e-12)
 
@@ -237,7 +238,7 @@ def test_submesh_operators_match_the_dense_oracle(x_cells, y_cells):
     cells = np.sort(mesh.cell_index(cx, cy).ravel())
     local_nodes, m_loc, a_loc = assemble_submesh_operators(mesh, kappa, cells)
     tri_idx = np.sort(np.concatenate([2 * cells, 2 * cells + 1]))
-    tris = mesh.fine_triangles[tri_idx]
+    tris = fine_triangles(mesh)[tri_idx]
     assert np.array_equal(local_nodes, np.unique(tris))
     mass_ref, stiff_ref = dense_p1_operators(
         mesh.fine_node_coords[local_nodes],

@@ -9,7 +9,6 @@ from conftest import domain_boundary
 def test_single_cell_mesh():
     mesh = build_mesh(1, 1)
     assert mesh.n_nodes == 4
-    assert mesh.fine_triangles.shape == (2, 3)
     assert not mesh.coarse_vertex_interior.any()
     assert mesh.H == 1.0
     assert mesh.h == 1.0
@@ -26,7 +25,6 @@ def test_paper_scale_counts():
 def test_two_by_two_counts():
     mesh = build_mesh(2, 2)
     assert mesh.n_nodes == 25
-    assert mesh.fine_triangles.shape[0] == 32
     assert domain_boundary(mesh).size == 16
     assert mesh.coarse_vertex_interior.shape == (9,)
     assert mesh.coarse_vertex_interior.sum() == 1
@@ -44,30 +42,6 @@ def test_node_indexing_roundtrip():
     # array form
     ks = mesh.node_index(np.array([0, 2, n]), np.array([1, 1, n]))
     assert ks.tolist() == [n + 1, n + 3, (n + 1) * (n + 1) - 1]
-
-
-def test_triangle_layout_and_areas():
-    mesh = build_mesh(2, 3)
-    n = mesh.n_fine_per_axis
-    h = mesh.h
-    tris = mesh.fine_triangles
-    coords = mesh.fine_node_coords
-    # cell k owns triangles 2k (lower) and 2k+1 (upper)
-    for cy in range(n):
-        for cx in range(n):
-            k = mesh.cell_index(cx, cy)
-            v00 = mesh.node_index(cx, cy)
-            v10 = mesh.node_index(cx + 1, cy)
-            v01 = mesh.node_index(cx, cy + 1)
-            v11 = mesh.node_index(cx + 1, cy + 1)
-            assert tris[2 * k].tolist() == [v00, v10, v11]
-            assert tris[2 * k + 1].tolist() == [v00, v11, v01]
-    # positive orientation, equal areas
-    p = coords[tris]
-    cross = ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-             - (p[:, 1, 1] - p[:, 0, 1]) * (p[:, 2, 0] - p[:, 0, 0]))
-    assert np.all(cross > 0)
-    assert np.allclose(0.5 * cross, h * h / 2.0)
 
 
 def test_coarse_vertex_layout():

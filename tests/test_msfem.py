@@ -22,7 +22,9 @@ from wemp.msfem import (
     weighted_coefficient,
 )
 
-from conftest import dense_p1_operators, domain_boundary, kernel_spy
+from conftest import (chi_row, chi_rows, dense_p1_operators,
+                      domain_boundary, fine_triangles, kernel_spy,
+                      rectangle_nodes)
 
 
 def contrast_field(mesh, contrast, seed=2):
@@ -45,18 +47,6 @@ def contrast_field(mesh, contrast, seed=2):
 def rectangle_boundary(rect):
     """Sorted global nodes of a rectangle's outer boundary."""
     return np.unique(np.concatenate(rect.boundary_edges))
-
-
-def rectangle_nodes(mesh, rect):
-    """Sorted global nodes of a rectangle's closure, from its node bounds."""
-    (x0, x1), (y0, y1) = rect.node_range
-    ix, iy = np.meshgrid(np.arange(x0, x1 + 1), np.arange(y0, y1 + 1))
-    return np.sort(mesh.node_index(ix.ravel(), iy.ravel()))
-
-
-def chi_row(pou, vertex):
-    """chi_vertex as a dense vector over all fine nodes."""
-    return pou.chi[vertex].toarray().ravel()
 
 
 def lift_per_column(mesh, kappa, rect, traces):
@@ -117,7 +107,7 @@ def edge_columns_per_column(mesh, kappa, pou, level, vertex):
     hood = coarse_neighborhood(mesh, vertex)
     bnd = rectangle_boundary(hood)
     bnd_pos = {g: i for i, g in enumerate(bnd)}
-    chi_local = chi_row(pou, vertex)[rectangle_nodes(mesh, hood)]
+    chi_local = chi_row(mesh, pou, vertex)[rectangle_nodes(mesh, hood)]
     cols = []
     for side in hood.boundary_edges:
         for w in edge_wavelets(level, mesh.fine_node_coords[side]):
@@ -130,11 +120,13 @@ def edge_columns_per_column(mesh, kappa, pou, level, vertex):
 
 
 def weighted_coefficient_per_vertex(mesh, kappa, pou):
-    """kappa_tilde from one dense nodal vector per coarse vertex."""
-    _, grads = triangle_geometry(mesh.fine_node_coords, mesh.fine_triangles)
-    sum_sq = np.zeros(mesh.fine_triangles.shape[0])
-    for vert in range(pou.chi.shape[0]):
-        nodal = chi_row(pou, vert)[mesh.fine_triangles]
+    """kappa_tilde from one dense nodal vector per coarse vertex, with the
+    P1 gradients of each triangle from its node coordinates."""
+    triangles = fine_triangles(mesh)
+    _, grads = triangle_geometry(mesh.fine_node_coords, triangles)
+    sum_sq = np.zeros(triangles.shape[0])
+    for vert in range((mesh.coarse_divisions + 1) ** 2):
+        nodal = chi_row(mesh, pou, vert)[triangles]
         active = np.any(nodal != 0.0, axis=1)
         vec = np.einsum("ti,tik->tk", nodal[active], grads[active])
         sum_sq[active] += vec[:, 0] ** 2 + vec[:, 1] ** 2
@@ -163,12 +155,16 @@ def block_case(request):
 def test_pou_matches_per_vertex_assembly(block_case):
     # the cells' interiors come from one block-diagonal factorization, not
     # one per cell, so the values match to rounding (1.1e-13 measured on
-    # the contrast case, and chi is at most 1); the pattern is the same
+    # the contrast case, and chi is at most 1); the oracle's chi_v lives on
+    # v's closed neighbourhood, where vertex_values reads it
     mesh, kappa, pou, _ = block_case
     ref = pou_per_vertex(mesh, kappa)
-    for name in ("indices", "indptr"):
-        assert same_bits(getattr(pou.chi, name), getattr(ref, name))
-    assert np.abs(pou.chi.data - ref.data).max() <= 1e-12
+    for vert in range(ref.shape[0]):
+        nodes = rectangle_nodes(mesh, coarse_neighborhood(mesh, vert))
+        row = ref[vert]
+        assert np.array_equal(row.indices, nodes)
+        assert (np.abs(pou.vertex_values(vert, nodes) - row.data).max()
+                <= 1e-12)
 
 
 def test_weighted_coefficient_matches_per_vertex_loop(block_case):
@@ -211,21 +207,21 @@ def test_block_lift_matches_per_column_lifts(block_case):
 def test_pou_sums_to_one_high_contrast():
     mesh = build_mesh(4, 4)
     kappa = contrast_field(mesh, 1e4)
-    pou = build_partition_of_unity(mesh, kappa)
-    total = np.asarray(pou.chi.sum(axis=0)).ravel()
-    assert np.max(np.abs(total - 1.0)) < 1e-10
-    assert pou.chi.min() >= -1e-12
-    assert pou.chi.max() <= 1.0 + 1e-12
+    chi = chi_rows(mesh, build_partition_of_unity(mesh, kappa))
+    assert np.max(np.abs(chi.sum(axis=0) - 1.0)) < 1e-10
+    assert chi.min() >= -1e-12
+    assert chi.max() <= 1.0 + 1e-12
 
 
 def test_pou_kronecker_at_coarse_vertices(mesh44, pou44):
     r = mesh44.refinements_per_coarse
     c = mesh44.coarse_divisions
+    chi = chi_rows(mesh44, pou44)
     for gy in range(c + 1):
         for gx in range(c + 1):
             vert = mesh44.coarse_vertex_index(gx, gy)
             node = mesh44.node_index(gx * r, gy * r)
-            col = pou44.chi[:, node].toarray().ravel()
+            col = chi[:, node]
             expected = np.zeros((c + 1) ** 2)
             expected[vert] = 1.0
             assert np.allclose(col, expected, atol=1e-12)
@@ -235,7 +231,7 @@ def test_pou_linear_along_coarse_edges(mesh44, pou44):
     # chi varies linearly on the skeleton, e.g. along y = H between vertices
     r = mesh44.refinements_per_coarse
     vert = mesh44.coarse_vertex_index(1, 1)
-    chi = chi_row(pou44, vert)
+    chi = chi_row(mesh44, pou44, vert)
     nodes = mesh44.node_index(np.arange(2 * r + 1), np.full(2 * r + 1, r))
     expected = np.concatenate([np.linspace(0, 1, r + 1),
                                np.linspace(1, 0, r + 1)[1:]])
@@ -243,12 +239,14 @@ def test_pou_linear_along_coarse_edges(mesh44, pou44):
 
 
 def test_pou_support_is_neighborhood(mesh44, pou44):
+    # chi_v vanishes on its neighbourhood's boundary, so its zero extension
+    # is continuous, and is positive at every node inside
     vert = mesh44.coarse_vertex_index(1, 2)
     hood = coarse_neighborhood(mesh44, vert)
-    chi = chi_row(pou44, vert)
-    outside = np.setdiff1d(np.arange(mesh44.n_nodes),
-                           rectangle_nodes(mesh44, hood))
-    assert np.all(chi[outside] == 0.0)
+    bnd = rectangle_boundary(hood)
+    assert np.all(pou44.vertex_values(vert, bnd) == 0.0)
+    inside = np.setdiff1d(rectangle_nodes(mesh44, hood), bnd)
+    assert np.all(pou44.vertex_values(vert, inside) > 0.0)
 
 
 def test_pou_vanishes_exactly_off_its_neighborhood_when_h_is_no_power_of_two():
@@ -270,29 +268,16 @@ def test_pou_vanishes_exactly_off_its_neighborhood_when_h_is_no_power_of_two():
 
 
 def test_vertex_values_match_the_dense_row(block_case):
-    # node sets holding a whole support, part of one, or none of it, over
-    # rows that store explicit zeros
+    # node sets holding a whole closed neighbourhood, part of one, or none
+    # of it
     mesh, _, pou, _ = block_case
     rng = np.random.default_rng(3)
-    every = np.arange(mesh.n_nodes)
-    for vert in range(pou.chi.shape[0]):
-        row = chi_row(pou, vert)
-        for nodes in (every, np.sort(rng.choice(every, 10, replace=False)),
-                      every[:0]):
+    for vert in range((mesh.coarse_divisions + 1) ** 2):
+        row = chi_row(mesh, pou, vert)
+        hood = rectangle_nodes(mesh, coarse_neighborhood(mesh, vert))
+        part = np.sort(rng.choice(hood, hood.size // 2, replace=False))
+        for nodes in (hood, part, hood[:0]):
             assert same_bits(pou.vertex_values(vert, nodes), row[nodes])
-
-
-def test_vertex_values_read_a_stored_negative_zero_as_zero():
-    # toarray adds each stored entry to a zero, so a stored -0.0 reads
-    # as 0.0; vertex_values must agree bit for bit
-    chi = sp.csr_matrix((np.array([0.5, -0.0, 0.25]), np.array([1, 3, 4]),
-                         np.array([0, 3])), shape=(1, 6))
-    assert np.signbit(chi.data).sum() == 1
-    pou = msfem.PartitionOfUnity(chi=chi)
-    for nodes in (np.arange(6), np.array([3]), np.array([0, 3, 5])):
-        values = pou.vertex_values(0, nodes)
-        assert same_bits(values, chi_row(pou, 0)[nodes])
-        assert not np.signbit(values).any()
 
 
 def test_pou_is_cellwise_harmonic():
@@ -309,8 +294,8 @@ def test_pou_is_cellwise_harmonic():
     inner = np.flatnonzero(strict[:, None] & strict[None, :]).ravel()
     iy_grid, ix_grid = np.divmod(np.arange(mesh.n_nodes), mesh.n_fine_per_axis + 1)
     mask = strict[ix_grid] & strict[iy_grid]
-    for vert in range(pou.chi.shape[0]):
-        res = op.stiffness @ chi_row(pou, vert)
+    for vert in range((mesh.coarse_divisions + 1) ** 2):
+        res = op.stiffness @ chi_row(mesh, pou, vert)
         assert np.max(np.abs(res[mask])) < 1e-11
 
 
@@ -319,7 +304,7 @@ def test_pou_center_value_closed_form():
     # interior node gives exactly 1/4, matching the bilinear corner function
     mesh = build_mesh(1, 2)
     pou = build_partition_of_unity(mesh, CoefficientField.constant(mesh))
-    chi = chi_row(pou, mesh.coarse_vertex_index(0, 0))
+    chi = chi_row(mesh, pou, mesh.coarse_vertex_index(0, 0))
     assert chi[mesh.node_index(1, 1)] == pytest.approx(0.25, abs=1e-14)
 
 
@@ -353,16 +338,19 @@ def test_pou_on_the_skeleton_is_the_corner_formula_bit_for_bit():
                     assert same_bits(pou.vertex_values(vert, bnd), data)
 
 
-def test_pou_rows_hold_exactly_the_closed_neighbourhood():
-    # chi_v is stored on its closed neighbourhood, and nowhere else
+def test_colour_fields_are_the_sums_of_their_chi():
+    # each chi_v read on its closed neighbourhood only, the chi of one
+    # colour sum to that colour's field bit for bit: the neighbourhoods of
+    # one colour cover the domain and meet only where both chi vanish
     for mesh, kappa in pou_meshes():
         pou = build_partition_of_unity(mesh, kappa)
-        for vert in range(pou.chi.shape[0]):
-            nodes = rectangle_nodes(mesh, coarse_neighborhood(mesh, vert))
-            lo, hi = pou.chi.indptr[vert], pou.chi.indptr[vert + 1]
-            assert np.array_equal(pou.chi.indices[lo:hi], nodes)
-            row = chi_row(pou, vert)
-            assert np.all(np.delete(row, nodes) == 0.0)
+        vy, vx = np.divmod(np.arange((mesh.coarse_divisions + 1) ** 2),
+                           mesh.coarse_divisions + 1)
+        colour = vx % 2 + 2 * (vy % 2)
+        chi = chi_rows(mesh, pou)
+        for c in range(4):
+            assert same_bits(chi[colour == c].sum(axis=0),
+                             pou.colour_fields[:, c])
 
 
 def test_pou_checks_each_cell_against_its_own_norm(monkeypatch):
@@ -517,7 +505,7 @@ def test_harmonic_lift_interior_residual():
     lift = _LocalSolver(mesh, kappa, hood).lift(trace)
 
     tri_idx = np.sort(np.concatenate([2 * hood.fine_cells, 2 * hood.fine_cells + 1]))
-    tris = mesh.fine_triangles[tri_idx]
+    tris = fine_triangles(mesh)[tri_idx]
     local_nodes = np.unique(tris)
     remap = np.full(mesh.n_nodes, -1, dtype=np.int64)
     remap[local_nodes] = np.arange(local_nodes.size)

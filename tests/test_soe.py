@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import expit, gamma
 
+from wemp.cli import main
 from wemp.soe import (
     MAX_TERMS,
     SOEApproximation,
@@ -157,6 +158,17 @@ def test_build_validation():
         soe_error_bound(0.5, 1e-3, 14.5)      # not an integer
     with pytest.raises(ValueError):
         soe_error_bound(0.5, 1e-3, 0)         # below 1
+
+
+@pytest.mark.parametrize("tau_f,epsilon", [
+    ("1e-3", "nan"), ("inf", "1e-2"), ("nan", "1e-2")])
+def test_soe_table_refuses_non_finite_input(capsys, tau_f, epsilon):
+    # a NaN epsilon fails no `bound > epsilon` test, so build_soe's search
+    # used to stop at 3 terms whatever the bound, and print that table
+    assert main(["soe-table", "0.5", tau_f, epsilon]) == 1
+    captured = capsys.readouterr()
+    assert "config error" in captured.err and "must be" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_build_logs_no_warning(caplog):
