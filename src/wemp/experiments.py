@@ -172,6 +172,10 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("[mesh] divisions and refinements must be >= 1")
     if cfg.k_max < 0:
         raise ConfigError(f"[run] k_max must be >= 0, got {cfg.k_max}")
+    # written so that NaN fails: a NaN delta stops no iteration
+    if not 0.0 <= cfg.delta < np.inf:
+        raise ConfigError(
+            f"[run] delta must be finite and >= 0, got {cfg.delta}")
     if cfg.experiment != "wemp-convergence":
         return
     if cfg.coarse_divisions < 2:

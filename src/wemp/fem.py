@@ -27,8 +27,9 @@ SOLVE_RTOL = 1e-10
 # holds at most this many times the matrix's stored entries. It sits
 # between the fine step matrices of the benchmark's two grids, measured
 # end to end with this limit moved to put each on the other kernel
-# (seed 7, 2-core Xeon, OpenBLAS at its default threads, medians of 10
-# alternating pairs of perfbench/run.py):
+# (seed 7, 2-core Xeon, every call at OpenBLAS's default 2 threads, before
+# wemp._blas ran all but ms_modes's eigh at one, medians of 10 alternating
+# pairs of perfbench/run.py):
 # * 63^2 free nodes, band 9.5 times nnz: on the band, sequential-march's
 #   fine exponential-sum march takes 0.82 s against SuperLU's 1.15 s,
 #   and its L1 march 0.83 against 1.18 s (band faster in 10 of 10).
@@ -37,9 +38,17 @@ SOLVE_RTOL = 1e-10
 #   band's 0.49 s (SuperLU faster in 10 of 10). The band factors faster
 #   (37 against 76 ms), but its solves inside the march are slower (4.8
 #   against 4.1 ms median, 8.8 against 4.6 ms at the 90th percentile).
+#   On the kernels alone at one thread, as factorized_spd now runs, the
+#   band wins this step: one factorization and 50 checked solves take
+#   97-102 ms against SuperLU's 127-129 ms (factor 20 against 47-49 ms,
+#   solve 1.5 ms on both; medians of 7 in each of two processes). The
+#   same harness at the default 2 threads gives 106-116 against
+#   134-182 ms, so the kernels alone favour the band at either setting,
+#   and only end-to-end pairs at one thread can move this limit.
 # At 255^2 free nodes (a 32 x 8 mesh), band 36.9 times nnz, SuperLU wins
 # even on the kernels alone from the 20th solve of one factor on: it
-# factors in 570 ms and solves in 21 ms against the band's 380 and 31 ms.
+# factors in 570 ms and solves in 21 ms against the band's 380 and 31 ms
+# (default 2 threads).
 BAND_FILL_LIMIT = 12
 
 

@@ -169,6 +169,9 @@ def wemp_solve(ctx: PropagatorContext, delta: float = 1e-8, k_max: int = 10,
     is ignored: the slabs run serially, and the keyword stays only because
     perfbench/workloads.py passes it.
     """
+    # written so that NaN fails: no err <= NaN, so it would never stop
+    if not delta >= 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
     ctx = replace(ctx)
     t0 = time.perf_counter()
     states = [initial_coarse_sweep(ctx)]

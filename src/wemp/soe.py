@@ -90,13 +90,17 @@ def _build_terms(alpha: float, tau_f: float, n_half: int):
     return weights, rates
 
 
-def build_soe(alpha: float, tau_f: float, epsilon: float) -> SOEApproximation:
-    """Smallest odd term count whose bound meets epsilon on [tau_f, inf)."""
+def _check_alpha_tau_f(alpha: float, tau_f: float) -> None:
+    # written so that NaN fails each check
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
-    # written so that NaN fails each check
     if not 0.0 < tau_f < np.inf:
         raise ValueError(f"tau_f must be finite and positive, got {tau_f}")
+
+
+def build_soe(alpha: float, tau_f: float, epsilon: float) -> SOEApproximation:
+    """Smallest odd term count whose bound meets epsilon on [tau_f, inf)."""
+    _check_alpha_tau_f(alpha, tau_f)
     if not epsilon > 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     n_half = 1
@@ -111,6 +115,7 @@ def build_soe(alpha: float, tau_f: float, epsilon: float) -> SOEApproximation:
 
 def build_soe_for_terms(alpha: float, tau_f: float, n_terms: int) -> SOEApproximation:
     """Build with a fixed odd term count; epsilon becomes the realized bound."""
+    _check_alpha_tau_f(alpha, tau_f)
     if n_terms < 3 or n_terms % 2 == 0:
         raise ValueError(f"term count must be odd and >= 3, got {n_terms}")
     if n_terms > MAX_TERMS:

@@ -42,10 +42,12 @@ checks it once; in c = V^T M u each step divides by
 V^T b for a load, and a solution leaves modal coordinates once, as V c.
 Against band-factorized sparse steps the decomposition costs about 380
 sparse steps at 833 columns and 2800 at 3825, and a modal step saves about
-0.63 and 0.47 of a sparse one (per-step march times, 2 OpenBLAS threads,
-medians of 5 and 3). A fine grid's step is narrow (b = 64 at the desk's
-3969 free dofs), so a fine march turns modal only from 30,295 steps there,
-and at the scale grid's 16129 free dofs never.
+0.63 and 0.47 of a sparse one (per-step march times, medians of 5 and 3,
+with every BLAS call at OpenBLAS's default 2 threads on 2 cores, before
+wemp._blas set all but the decomposition to one). A fine grid's step is
+narrow (b = 64 at the desk's 3969 free dofs), so a fine march turns modal
+only from 30,295 steps there, and at the scale grid's 16129 free dofs
+never.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
@@ -74,6 +76,7 @@ import scipy.linalg
 import scipy.sparse as sp
 from scipy.special import gamma
 
+from ._blas import full_pools
 from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
                   factorized_spd, half_bandwidth, norms)
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
@@ -210,9 +213,11 @@ def use_modes(n_steps: int, n_columns: int, half_band: int) -> bool:
     modes weigh more there: the modal march first won at about 42 steps
     over 81 columns (b = 44, band term 18), 90 over 153 (b = 84, 34), past
     800 over 441 (b = 80, 300) and, in two harnesses, at 596 and near 780
-    over 833 (b = 152, 567; 2 cores, medians of 5 to 7 marches of 10 slabs
-    with a load). The floor n is nearer the first three than the band
-    term, and about as near the last.
+    over 833 (b = 152, 567). The floor n is nearer the first three than
+    the band term, and about as near the last. Every crossover here is a
+    median of 5 to 7 marches of 10 slabs with a load, with every BLAS call
+    at OpenBLAS's default 2 threads on 2 cores, before wemp._blas set all
+    but the decomposition to one.
     """
     return (n_steps >= n_columns
             and 8 * (half_band + 1) * n_steps >= n_columns ** 2
@@ -230,9 +235,12 @@ def ms_modes(space: MultiscaleSpace) -> tuple:
     """
     K, M = space.ms_stiffness, space.ms_mass
     # Fortran-order throwaway copies let LAPACK work in place: 11 MB less
-    # peak memory at 833 columns, the same eigenpairs bit for bit
-    mu, V = scipy.linalg.eigh(K.toarray(order="F"), M.toarray(order="F"),
-                              overwrite_a=True, overwrite_b=True)
+    # peak memory at 833 columns, the same eigenpairs bit for bit; eigh is
+    # the one call that gains from every BLAS thread (wemp._blas)
+    with full_pools():
+        mu, V = scipy.linalg.eigh(K.toarray(order="F"),
+                                  M.toarray(order="F"),
+                                  overwrite_a=True, overwrite_b=True)
     res = np.linalg.norm(K @ V - (M @ V) * mu, axis=0)
     k_norm = float(np.abs(K).sum(axis=1).max())
     m_norm = float(np.abs(M).sum(axis=1).max())

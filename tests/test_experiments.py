@@ -491,6 +491,17 @@ def test_cli_non_finite_problem_input(tmp_path, capsys, key, value, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("delta", ["nan", "inf", "-1e-8"])
+def test_cli_bad_delta(tmp_path, capsys, delta):
+    # no error is <= NaN: a NaN delta would run all k_max iterations
+    run = {"experiment": "wemp-convergence", "delta": delta}
+    path = write_config(tmp_path / "a.ini", {"run": run})
+    assert main(["run", path, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "delta must be finite and >= 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_negative_k_max(tmp_path, capsys):
     run = {"experiment": "wemp-convergence", "k_max": "-2"}
     path = write_config(tmp_path / "a.ini", {"run": run})

@@ -289,6 +289,13 @@ def test_wemp_solve_stopping_and_timings(ctx44):
     assert len(states2) == 3          # k_max caps the loop
 
 
+@pytest.mark.parametrize("delta", [float("nan"), -1e-8])
+def test_wemp_solve_rejects_a_bad_delta(ctx44, delta):
+    # no error is <= NaN, so a NaN delta would run all k_max iterations
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        wemp_solve(ctx44, delta=delta, k_max=2)
+
+
 def test_wemp_solve_keeps_only_the_last_histories(ctx44):
     states, _ = wemp_solve(ctx44, delta=0.0, k_max=3)
     by_hand = [initial_coarse_sweep(ctx44)]

@@ -160,6 +160,17 @@ def test_build_validation():
         soe_error_bound(0.5, 1e-3, 0)         # below 1
 
 
+@pytest.mark.parametrize("alpha,tau_f,match", [
+    (1.5, 1e-3, "alpha must lie"), (float("nan"), 1e-3, "alpha must lie"),
+    (0.5, float("nan"), "tau_f must be"), (0.5, -1e-3, "tau_f must be"),
+    (0.5, float("inf"), "tau_f must be"), (0.5, 0.0, "tau_f must be")])
+def test_build_for_terms_validates_alpha_and_tau_f(alpha, tau_f, match):
+    # unchecked, a NaN tau_f gives an all-NaN sum, a negative one a
+    # TypeError about a complex number, and alpha = 1.5 a sum
+    with pytest.raises(ValueError, match=match):
+        build_soe_for_terms(alpha, tau_f, 31)
+
+
 @pytest.mark.parametrize("tau_f,epsilon", [
     ("1e-3", "nan"), ("inf", "1e-2"), ("nan", "1e-2")])
 def test_soe_table_refuses_non_finite_input(capsys, tau_f, epsilon):
