@@ -7,8 +7,8 @@ parareal engine (parareal), and the experiment harness (experiments, cli).
 Import from the submodules, e.g. `from wemp.msfem import assemble_space`.
 
 Importing wemp sets the OpenBLAS pools that the numpy and scipy wheels
-bundle to one thread each (README, "BLAS threads"); a caller who wants
-other counts sets them after the import.
+bundle to one thread each, for the whole process (README, "BLAS threads");
+a caller who wants other counts sets them after the import.
 """
 
 from . import _blas  # noqa: F401

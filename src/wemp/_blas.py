@@ -1,18 +1,21 @@
 """One OpenBLAS thread, except around the one call that gains from more.
 
 The numpy and scipy wheels each bundle their own OpenBLAS with its own
-thread pool. On importing wemp both pools drop to one thread: the marches'
-many small BLAS calls ran slower at two, with a pool's idle worker spinning
-on the core the other pool or the main thread needed next. full_pools()
-restores the counts the pools had on import, for the generalized
-eigendecomposition (solvers.ms_modes). A pool this module cannot find, as
-on conda, MKL or Accelerate builds, is left alone.
+thread pool. Importing wemp drops both pools to one thread, for the whole
+process, unrelated numpy and scipy code included: on a 2-core machine, the
+only one this was measured on, the marches' many small BLAS calls ran
+slower at two, with a pool's idle worker spinning on the core the other
+pool or the main thread needed next. full_pools() sets the counts the
+pools had on import for the generalized eigendecomposition
+(solvers.ms_modes), then puts back the counts it found. A pool this module
+cannot find, as on conda, MKL or Accelerate builds, is left alone.
 """
 
 import contextlib
 import ctypes
 import glob
 import os
+import threading
 from typing import Callable, NamedTuple
 
 import numpy
@@ -53,14 +56,20 @@ for _pool in POOLS:
     _pool.set(1)
 
 
+# one body at a time, so that each puts back the counts it found
+_LOCK = threading.Lock()
+
+
 @contextlib.contextmanager
 def full_pools():
-    """Run the body with every pool at its count on import, then at one
-    thread again, also when the body raises."""
-    try:
-        for pool in POOLS:
-            pool.set(pool.count)
-        yield
-    finally:
-        for pool in POOLS:
-            pool.set(1)
+    """Run the body with every pool at its count on import, then at the
+    count it had on entry, also when the body raises."""
+    with _LOCK:
+        entry = [pool.get() for pool in POOLS]
+        try:
+            for pool in POOLS:
+                pool.set(pool.count)
+            yield
+        finally:
+            for pool, count in zip(POOLS, entry):
+                pool.set(count)

@@ -1,5 +1,6 @@
 """The thread policy of wemp._blas: every bundled OpenBLAS pool at one
-thread, except at its count on import around solvers.ms_modes's eigh."""
+thread, except at its count on import around solvers.ms_modes's eigh, and
+at the caller's count again after it."""
 
 import numpy as np
 import pytest
@@ -34,7 +35,9 @@ def test_import_pins_every_pool_to_one_thread():
 
 
 @needs_pools
-def test_eigh_runs_on_the_full_pools(monkeypatch, space44):
+@pytest.mark.parametrize("entry", [1, 2])
+def test_eigh_runs_on_the_full_pools(monkeypatch, space44, entry):
+    # entry 2: a caller who sets other counts after importing wemp keeps them
     seen = []
 
     def spy(*args, **kwargs):
@@ -42,9 +45,15 @@ def test_eigh_runs_on_the_full_pools(monkeypatch, space44):
         return eigh(*args, **kwargs)
     eigh = scipy.linalg.eigh
     monkeypatch.setattr(solvers.scipy.linalg, "eigh", spy)
-    mu, V = solvers.ms_modes(space44)
+    try:
+        for pool in _blas.POOLS:
+            pool.set(entry)
+        mu, V = solvers.ms_modes(space44)
+        assert counts() == [entry] * len(_blas.POOLS)
+    finally:
+        for pool in _blas.POOLS:
+            pool.set(1)
     assert seen == [[pool.count for pool in _blas.POOLS]]
-    assert counts() == [1] * len(_blas.POOLS)
     assert mu.size == space44.ms_mass.shape[0]
 
 
