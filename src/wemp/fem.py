@@ -325,7 +325,7 @@ def assemble_loads(mesh: TwoLevelMesh, op: OperatorPair, f,
     return op.mass @ np.broadcast_to(f(x, y, t), (x.shape[0], t.size))
 
 
-def factorized_spd(matrix, blocks: int = 1):
+def factorized_spd(matrix, blocks: int = 1, checked: bool = True):
     """Factorize once, return a solver closed over the factorization.
 
     The program's one factorization. Takes a scipy sparse SPD matrix,
@@ -345,17 +345,17 @@ def factorized_spd(matrix, blocks: int = 1):
       stably without row interchanges.
 
     A factor that meets a non-positive pivot, on either kernel, raises
-    RuntimeError, so a matrix that is not SPD is refused. Every solve
-    verifies the residual to SOLVE_RTOL relative, block by block, each
-    against its own norm, for `blocks` equal diagonal blocks.
+    RuntimeError, so a matrix that is not SPD is refused. When `checked`,
+    every solve verifies the residual to SOLVE_RTOL relative, block by
+    block, each against its own norm (row_norms), for `blocks` equal
+    diagonal blocks, and the solver holds the matrix for that. Unchecked,
+    it holds only the factor, and its caller checks the solutions
+    (solvers.FactorizedStep, whose marches check a block of steps at once).
     """
     if matrix.format not in ("csr", "csc"):
         matrix = matrix.tocsc()
     n = matrix.shape[0]
     major, depth = _depths(matrix)
-    rows = major if matrix.format == "csr" else matrix.indices
-    row_sums = np.bincount(rows, np.abs(matrix.data), n)
-    anorm = np.max(row_sums.reshape(blocks, -1), axis=1, initial=0.0)
     b = int(depth.max(initial=0))
     if (b + 1) * n <= BAND_FILL_LIMIT * matrix.nnz:
         # LAPACK's lower band storage, ab[i - j, j] = a[i, j], built in
@@ -382,6 +382,9 @@ def factorized_spd(matrix, blocks: int = 1):
         raise RuntimeError(
             f"SPD factorization failed: the leading minor of order "
             f"{info} is not positive definite")
+    if not checked:
+        return kernel
+    anorm = row_norms(matrix, blocks)
 
     def solve(rhs: np.ndarray) -> np.ndarray:
         x = kernel(rhs)
@@ -405,10 +408,20 @@ def half_bandwidth(matrix) -> int:
     return int(_depths(matrix)[1].max(initial=0))
 
 
-def _check_residual(matrix, anorm, x, rhs, blocks=1):
+def row_norms(matrix, blocks: int = 1) -> np.ndarray:
+    """|A| of the residual check: the largest absolute row sum of each of
+    `blocks` equal runs of rows of a CSR or CSC matrix, one entry each."""
+    rows = _depths(matrix)[0] if matrix.format == "csr" else matrix.indices
+    row_sums = np.bincount(rows, np.abs(matrix.data), matrix.shape[0])
+    return np.max(row_sums.reshape(blocks, -1), axis=1, initial=0.0)
+
+
+def _check_residual(matrix, anorm, x, rhs, blocks=1, instants=None):
     # normwise backward error |Ax-b| / (|A| |x| + |b|) of each right-hand
     # side column on each of `blocks` equal runs of rows (one anorm each),
-    # robust to high-contrast scale spread; a zero rhs is solved exactly
+    # robust to high-contrast scale spread; a zero rhs is solved exactly.
+    # matrix is anything that takes `@`; instants, one per column of a
+    # one-block check, name the time step of the first column that fails
     res, rhs_norm, x_norm = (
         np.linalg.norm(np.reshape(v, (blocks, -1) + x.shape[1:]), axis=1)
         for v in (matrix @ x - rhs, rhs, x))
@@ -416,9 +429,11 @@ def _check_residual(matrix, anorm, x, rhs, blocks=1):
     failed = np.flatnonzero((rhs_norm != 0.0) & ~(res <= SOLVE_RTOL * denom))
     if failed.size:
         j = failed[0]
+        at = "" if instants is None else f" at t = {instants[j]:.6g}"
         raise RuntimeError(
-            f"SPD solve failed the residual check: |Ax-b| = {res.flat[j]:.3e}, "
-            f"|A||x|+|b| = {denom.flat[j]:.3e}, rtol = {SOLVE_RTOL:.1e}")
+            f"SPD solve failed the residual check{at}: |Ax-b| = "
+            f"{res.flat[j]:.3e}, |A||x|+|b| = {denom.flat[j]:.3e}, "
+            f"rtol = {SOLVE_RTOL:.1e}")
 
 
 def norms(op: OperatorPair, v: np.ndarray) -> tuple:

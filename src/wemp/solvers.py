@@ -44,13 +44,21 @@ Against band-factorized sparse steps the decomposition costs about 380
 sparse steps at 833 columns and 2800 at 3825, and a modal step saves about
 0.63 and 0.47 of a sparse one (per-step march times, medians of 5 and 3,
 with every BLAS call at OpenBLAS's default 2 threads on 2 cores, before
-wemp._blas set all but the decomposition to one). A fine grid's step is
+wemp._blas set all but the decomposition to one, and with each sparse
+step checking its own solve, before the block checks below). A fine
+grid's step is
 narrow (b = 64 at the desk's 3969 free dofs), so a fine march turns modal
 only from 30,295 steps there, and at the scale grid's 16129 free dofs
 never.
 A march keeps its states and histories in these step coordinates and
 converts only what it returns: an ms round trip per step would move the
 answer, since V^T M V - I reaches 8e-8 on the desk space.
+
+A factorized step (FactorizedStep) keeps only its factor and solves
+unchecked; soe_march checks a block's solutions in one pass before the
+history update reads them, and reference_l1_solve a slab's before the next
+far product does, with fem._check_residual's bound. The set-up's
+factorizations check each solve.
 
 F takes one load block per slab (PropagatorContext.load_block): the
 space's loads at the slab's instants (MultiscaleSpace.loads) and, on the
@@ -77,8 +85,9 @@ import scipy.sparse as sp
 from scipy.special import gamma
 
 from ._blas import full_pools
-from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, assemble_load,
-                  factorized_spd, half_bandwidth, norms)
+from .fem import (SOLVE_RTOL, CoefficientField, OperatorPair, _check_residual,
+                  assemble_load, factorized_spd, half_bandwidth, norms,
+                  row_norms)
 from .soe import SOEApproximation, StepCoefficients, step_coefficients
 from .stepping import (history_weights, l1_coefficients, l1_known_weights,
                        propagate_history_with, soe_caputo_known_part)
@@ -186,16 +195,61 @@ def _embed(free_values: np.ndarray, n_nodes: int, free: np.ndarray) -> np.ndarra
     return out
 
 
-def factorized_step(mass, stiffness, tau: float, alpha: float):
-    """Solver for the implicit-step matrix M / (tau^alpha Gamma(2 - alpha))
-    + A of the exponential-sum scheme.
+# columns per residual product of FactorizedStep.check, which so allocates
+# no block-sized array: a desk L1 slab (100 steps, 3969 dofs) checks in
+# 6.5 ms at 16, 7.7 ms at 8 and 11.3 ms at 32 (medians of 7, one thread,
+# 2-core Xeon), and 16 is fastest at 16129 dofs too
+CHECK_COLUMNS = 16
 
-    scipy's sparse sum keeps room for nnz(M) + nnz(A) entries, and the
-    solver's residual check holds the matrix for its life, so the matrix
-    is copied to its exact size first.
+
+@dataclass(frozen=True)
+class FactorizedStep:
+    """The implicit-step matrix M s + A, s = 1 / (tau^alpha Gamma(2 -
+    alpha)), of both time schemes, factorized once (factorized_step).
+
+    Calling it solves one step unchecked; a march checks a block of
+    solutions at once (check). `@` applies the step as (M @ x) s + A @ x,
+    from the M and A the march's space holds anyway, so the step matrix
+    itself is not kept.
     """
-    step = mass / (tau ** alpha * float(gamma(2 - alpha))) + stiffness
-    return factorized_spd(step.copy())
+
+    solve: Callable            # fem.factorized_spd's unchecked solver
+    mass: sp.spmatrix
+    stiffness: sp.spmatrix
+    scale: float               # s
+    anorm: float               # fem.row_norms of the factorized matrix
+
+    def __call__(self, rhs: np.ndarray) -> np.ndarray:
+        return self.solve(rhs)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        x = np.ascontiguousarray(x)    # else each sparse product copies it
+        return (self.mass @ x) * self.scale + self.stiffness @ x
+
+    def check(self, states: np.ndarray, rhs: np.ndarray, instants) -> None:
+        """Raise RuntimeError unless every row of states solves the step
+        with the same row of rhs to SOLVE_RTOL (fem._check_residual, each
+        column against the matrix's own norm), naming the instant of the
+        first that fails; instants holds one float per row."""
+        for start in range(0, len(states), CHECK_COLUMNS):
+            rows = slice(start, start + CHECK_COLUMNS)
+            _check_residual(self, self.anorm, states[rows].T, rhs[rows].T,
+                            instants=instants[rows])
+
+
+def factorized_step(mass, stiffness, tau: float, alpha: float
+                    ) -> FactorizedStep:
+    """The implicit step M / (tau^alpha Gamma(2 - alpha)) + A, factorized.
+
+    The step matrix is freed when this returns: the factorization keeps
+    only its factor, and the step's check applies M and A instead.
+    """
+    denominator = tau ** alpha * float(gamma(2 - alpha))
+    step = mass / denominator + stiffness
+    return FactorizedStep(solve=factorized_spd(step, checked=False),
+                          mass=mass, stiffness=stiffness,
+                          scale=1.0 / denominator,
+                          anorm=float(row_norms(step)[0]))
 
 
 def use_modes(n_steps: int, n_columns: int, half_band: int) -> bool:
@@ -217,7 +271,8 @@ def use_modes(n_steps: int, n_columns: int, half_band: int) -> bool:
     the band term, and about as near the last. Every crossover here is a
     median of 5 to 7 marches of 10 slabs with a load, with every BLAS call
     at OpenBLAS's default 2 threads on 2 cores, before wemp._blas set all
-    but the decomposition to one.
+    but the decomposition to one, and with each sparse step checking its
+    own solve, before soe_march checked a block at once.
     """
     return (n_steps >= n_columns
             and 8 * (half_band + 1) * n_steps >= n_columns ** 2
@@ -267,7 +322,7 @@ class PropagatorContext:
     fine propagator F over slab n, and the sequential march is
     chain(fine, ...); coarse(n, ...) is parareal's one tau_c step G.
 
-    On the factorized path `solves` holds the factorized_step of each step
+    On the factorized path `solves` holds the FactorizedStep of each step
     size. The modes, u0 in step coordinates, the coarse loads and the slab
     map are made at first use and kept by this object only, so replace(ctx)
     starts without them while it shares any factorizations.
@@ -282,7 +337,7 @@ class PropagatorContext:
     m_sub: int
     n_slabs: int
     modal: bool
-    solves: dict               # step size -> factorized_step; empty if modal
+    solves: dict               # step size -> FactorizedStep; empty if modal
 
     @property
     def tau_c(self) -> float:
@@ -437,18 +492,19 @@ def march_context(spec: ProblemSpec, space: MultiscaleSpace,
 
 
 def soe_implicit_step(solve, mass, soe, coeffs, v_curr, v0, t_next,
-                      weighted: np.ndarray, load_vec) -> np.ndarray:
+                      weighted: np.ndarray, load_vec) -> tuple:
     """One implicit step of the exponential-sum scheme, from the weighted
     history omega . psi of the step (stepping.history_weights); returns
-    v_next.
+    (v_next, rhs).
 
-    Solves (M / (tau^alpha c_alpha) + A) v_next = M @ known + F. `solve`
-    must be the factorization of that left matrix; mass None stands for the
-    identity of modal coordinates.
+    Solves (M / (tau^alpha c_alpha) + A) v_next = rhs = M @ known + F.
+    `solve` must be the factorization of that left matrix; mass None stands
+    for the identity of modal coordinates.
     """
     known = soe_caputo_known_part(weighted, soe, coeffs.tau, v_curr, v0,
                                   t_next)
-    return solve((known if mass is None else mass @ known) + load_vec)
+    rhs = (known if mass is None else mass @ known) + load_vec
+    return solve(rhs), rhs
 
 
 def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
@@ -461,7 +517,9 @@ def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
     product of the block's far weights with psi gives every step's weighted
     history but for the block's own states, each step adds those through
     its near weights, and propagate_history_with advances psi over the
-    block in one product.
+    block in one product. On the factorized path (mass not None), solve is
+    a FactorizedStep, which checks the block's solutions against their
+    right-hand sides, kept in the rows of `weighted` the steps have used.
     """
     steps = zip(instants, loads, strict=True)
     for start in range(0, len(instants), soe.n_terms):
@@ -472,8 +530,12 @@ def soe_march(solve, mass, soe, coeffs, v, v0, psi: np.ndarray, instants,
         states[0] = v
         for k, (t, load) in enumerate(itertools.islice(steps, n_block)):
             weighted[k] += near[k, :k + 1] @ states[:k + 1]
-            v = states[k + 1] = soe_implicit_step(
+            v, weighted[k] = soe_implicit_step(
                 solve, mass, soe, coeffs, v, v0, t, weighted[k], load)
+            states[k + 1] = v
+        if mass is not None:
+            solve.check(states[1:], weighted,
+                        instants[start:start + n_block])
         psi = propagate_history_with(psi, coeffs, states)
     next(steps, None)              # raises if loads outlast instants
     return v, psi
@@ -486,7 +548,9 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
 
     Slab by slab, one product of the slab's weight rows with the states
     before it gives each step's far history; each step adds the slab's own
-    states.
+    states, and leaves its right-hand side in its row of the far block,
+    where the step's check reads the slab's solutions before the next far
+    product or the returned trajectory does.
     """
     tau = spec.tau_f
     n_steps, m_sub = spec.n_fine_total, spec.m_sub
@@ -509,8 +573,10 @@ def reference_l1_solve(spec: ProblemSpec, mesh, ops: OperatorPair
             n = first + k
             known = (far[k] + rows[k, first + 1:n + 1]
                      @ states[first + 1:n + 1]) / scale
-            rhs = M_ff @ known + _load_free(spec, mesh, ops, (n + 1) * tau)
-            states[n + 1] = solve(rhs)
+            far[k] = M_ff @ known + _load_free(spec, mesh, ops, (n + 1) * tau)
+            states[n + 1] = solve(far[k])
+        solve.check(states[first + 1:first + m_sub + 1], far,
+                    slab_instants(first // m_sub, m_sub, tau))
 
     return Trajectory(times=_boundary_times(spec),
                       states=_embed(states[::m_sub], ops.mass.shape[0],

@@ -1,6 +1,7 @@
 """Shared fixtures, and test oracles: a reference dense P1 assembler and
 the triangles it takes, the domain boundary read from node coordinates,
-dense chi rows, and a spy on the two kernels of fem.factorized_spd."""
+dense chi rows, and a spy on the two kernels of fem.factorized_spd and
+the settings that pick each."""
 
 import numpy as np
 import pytest
@@ -77,6 +78,11 @@ def domain_boundary(mesh):
     """Sorted fine nodes on the boundary of the unit square."""
     xy = mesh.fine_node_coords
     return np.flatnonzero(((xy == 0.0) | (xy == 1.0)).any(axis=1))
+
+
+# BAND_FILL_LIMIT values that put any matrix on one kernel of
+# factorized_spd
+KERNELS = (("band", 10 ** 9), ("superlu", 0))
 
 
 def kernel_spy(monkeypatch) -> list:

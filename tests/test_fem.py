@@ -19,8 +19,8 @@ from wemp.mesh import build_mesh
 from wemp.msfem import assemble_space, build_partition_of_unity
 from wemp.solvers import factorized_step
 
-from conftest import (dense_p1_operators, domain_boundary, fine_triangles,
-                      kernel_spy)
+from conftest import (KERNELS, dense_p1_operators, domain_boundary,
+                      fine_triangles, kernel_spy)
 
 
 def test_against_dense_assembly():
@@ -95,11 +95,6 @@ def test_factorized_spd_sparse():
     a = sp.csc_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
     x = factorized_spd(a)(np.array([1.0, 1.0]))
     assert np.allclose(x, [1.0 / 3.0, 1.0 / 3.0])
-
-
-# BAND_FILL_LIMIT values that put any matrix on one kernel of
-# factorized_spd
-KERNELS = (("band", 10 ** 9), ("superlu", 0))
 
 
 def test_block_solve_equals_column_solves(monkeypatch):

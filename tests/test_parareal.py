@@ -366,30 +366,34 @@ def test_load_blocks_match_per_instant_loads(space44, kappa44, ctx44, modal):
 
 
 def nan_coarse_solve(ctx):
-    """ctx with a tau_c solve that returns NaN (a Cholesky-path context)."""
+    """ctx with a tau_c step whose solve returns NaN (a Cholesky-path
+    context); the step keeps its check."""
+    step = ctx.solves[ctx.tau_c]
     return dataclasses.replace(ctx, solves={
-        **ctx.solves, ctx.tau_c: lambda rhs: np.full_like(rhs, np.nan)})
+        **ctx.solves, ctx.tau_c: dataclasses.replace(
+            step, solve=lambda rhs: np.full_like(rhs, np.nan))})
 
 
 def test_nonfinite_solution_raises(ctx44):
+    # the first jump's coarse step fails its check, at the end of slab 0
     broken = nan_coarse_solve(ctx44)
-    with pytest.raises(RuntimeError, match="slab"):
+    with pytest.raises(RuntimeError, match="residual check at t = 0.125:"):
         wemp_iteration(broken, initial_coarse_sweep(ctx44))
 
 
 def test_nonfinite_coarse_sweep_raises(ctx44):
-    # iterate 0 runs through the same sweep, so it is checked too
+    # iterate 0 runs through the same steps, so it is checked too
     broken = nan_coarse_solve(ctx44)
-    with pytest.raises(RuntimeError, match="iteration 0, slab boundary 1"):
+    with pytest.raises(RuntimeError, match="residual check at t = 0.125:"):
         initial_coarse_sweep(broken)
 
 
 def counting_factorizations(monkeypatch):
     calls = []
 
-    def factorized_spd(matrix):
+    def factorized_spd(matrix, **kwargs):
         calls.append(matrix.shape)
-        return fem.factorized_spd(matrix)
+        return fem.factorized_spd(matrix, **kwargs)
     monkeypatch.setattr(solvers, "factorized_spd", factorized_spd)
     return calls
 

@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
 import logging
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from wemp import solvers
+from wemp import fem, solvers
 from wemp.experiments import generate_kappa, source_rough, source_smooth, u0_standard
 from wemp.fem import (CoefficientField, assemble_load, assemble_operators,
                       factorized_spd)
@@ -20,7 +24,10 @@ from wemp.solvers import (
     single_dof_setup,
     write_error_csv,
 )
+from wemp.parareal import build_context, wemp_solve
 from wemp.stepping import l1_coefficients, l1_known_weights, mittag_leffler_neg
+
+from conftest import KERNELS, kernel_spy
 
 
 def zero_u0(x, y):
@@ -337,23 +344,142 @@ def modal_spec(kappa, **kw):
     return make_spec(kappa=kappa, tau_f=1.0 / 128.0, tau_c=0.125, **kw)
 
 
-def test_step_matrices_store_exactly_nnz(monkeypatch, space44, ops44):
-    # the residual check keeps each step matrix for the solver's life, so
-    # it holds no room left over from the sparse sum
-    held = []
+@pytest.mark.parametrize("kernel,limit", KERNELS)
+def test_step_solver_keeps_no_step_matrix(monkeypatch, space44, ops44,
+                                          kernel, limit):
+    # the factorization keeps its factor and the check the space's own M
+    # and A, so the step matrix is freed once factorized_step returns
+    monkeypatch.setattr(fem, "BAND_FILL_LIMIT", limit)
+    used, held = kernel_spy(monkeypatch), []
 
-    def spy(matrix):
-        held.append(matrix)
-        return factorized_spd(matrix)
+    def spy(matrix, **kwargs):
+        held.append(weakref.ref(matrix))
+        return factorized_spd(matrix, **kwargs)
     monkeypatch.setattr(solvers, "factorized_spd", spy)
     for mass, stiffness in ((space44.ms_mass, space44.ms_stiffness),
                             (ops44.mass_free, ops44.stiffness_free)):
-        solvers.factorized_step(mass, stiffness, 1e-3, 0.5)
-    assert len(held) == 2
-    for matrix in held:
-        assert all(a.size == matrix.nnz
-                   and (a.base is None or a.base.nbytes == a.nbytes)
-                   for a in (matrix.data, matrix.indices))
+        step = solvers.factorized_step(mass, stiffness, 1e-3, 0.5)
+        assert held.pop()() is None
+        assert step.mass is mass and step.stiffness is stiffness
+        rhs = np.ones(mass.shape[0])
+        step.check(step(rhs)[None], rhs[None], [1e-3])
+    assert used == [kernel] * 2
+
+
+def off_at(solve, calls):
+    """solve, with the solution of each of its calls numbered in `calls`
+    (from 0) off by 1e-6 relative."""
+    count = itertools.count()
+
+    def corrupted(rhs):
+        x = solve(rhs)
+        return x * (1.0 + 1e-6) if next(count) in calls else x
+    return corrupted
+
+
+@pytest.mark.parametrize("kernel,limit", KERNELS)
+def test_wrong_solution_fails_its_block_check(monkeypatch, mesh44, ops44,
+                                              kernel, limit):
+    # steps 2 and 5 of the second block are wrong: soe_march raises at the
+    # end of that block, naming step 2's instant, after one history update
+    monkeypatch.setattr(fem, "BAND_FILL_LIMIT", limit)
+    used = kernel_spy(monkeypatch)
+    spec = make_spec()
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    step = solvers.factorized_step(ops44.mass_free, ops44.stiffness_free,
+                                   spec.tau_f, spec.alpha)
+    assert used == [kernel]
+    first = soe.n_terms + 2
+    broken = dataclasses.replace(
+        step, solve=off_at(step.solve, {first, first + 3}))
+    instants = solvers.slab_instants(0, 2 * soe.n_terms, spec.tau_f)
+    updates = []
+    propagate = solvers.propagate_history_with
+    monkeypatch.setattr(solvers, "propagate_history_with",
+                        lambda *args: updates.append(1) or propagate(*args))
+    v0 = spec.nodal_u0(mesh44)[ops44.free_dofs]
+    with pytest.raises(RuntimeError,
+                       match=f"residual check at t = {instants[first]:.6g}:"):
+        solvers.soe_march(broken, ops44.mass_free, soe,
+                          step_coefficients(soe, spec.tau_f), v0, v0,
+                          np.zeros((soe.n_terms, v0.size)), instants,
+                          [np.zeros(v0.size)] * len(instants))
+    assert len(updates) == 1
+
+
+@pytest.mark.parametrize("kernel,limit", KERNELS)
+def test_wrong_l1_solution_fails_its_slab_check(monkeypatch, mesh44, ops44,
+                                                kernel, limit):
+    # step 3 of slab 0 is wrong: the L1 march raises at the end of slab 0,
+    # naming its instant, before it loads a step of slab 1
+    monkeypatch.setattr(fem, "BAND_FILL_LIMIT", limit)
+    used = kernel_spy(monkeypatch)
+    monkeypatch.setattr(solvers, "factorized_spd", lambda matrix, **kw:
+                        off_at(factorized_spd(matrix, **kw), {3}))
+    loads = []
+    load = solvers.assemble_load
+    monkeypatch.setattr(solvers, "assemble_load",
+                        lambda *args: loads.append(1) or load(*args))
+    spec = make_spec()
+    with pytest.raises(RuntimeError,
+                       match=f"residual check at t = {4 * spec.tau_f:.6g}:"):
+        reference_l1_solve(spec, mesh44, ops44)
+    assert used == [kernel] and len(loads) == spec.m_sub
+
+
+def checked_solves(monkeypatch) -> tuple:
+    """Counters of the solutions the step solvers made from now on and of
+    the columns that march checks passed, each by its bytes."""
+    solved, checked = Counter(), Counter()
+
+    def counted(solve):
+        def run(rhs):
+            x = solve(rhs)
+            solved[x.tobytes()] += 1
+            return x
+        return run
+    monkeypatch.setattr(solvers, "factorized_spd", lambda matrix, **kw:
+                        counted(factorized_spd(matrix, **kw)))
+    check = solvers._check_residual
+
+    def spy(matrix, anorm, x, rhs, **kwargs):
+        checked.update(np.ascontiguousarray(c).tobytes() for c in x.T)
+        return check(matrix, anorm, x, rhs, **kwargs)
+    monkeypatch.setattr(solvers, "_check_residual", spy)
+    return solved, checked
+
+
+def test_desk_fine_march_checks_each_step_once(monkeypatch):
+    # the desk problem's fine exponential-sum march: 1000 steps, each
+    # solution checked once, however the blocks and chunks fall
+    mesh = build_mesh(8, 8)
+    ops = assemble_operators(mesh, CoefficientField.constant(mesh))
+    spec = make_spec(tau_f=1e-3)
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    solved, checked = checked_solves(monkeypatch)
+    fine_soe_solve(spec, mesh, ops, soe)
+    assert solved == checked
+    assert sum(checked.values()) == spec.n_fine_total == 1000
+
+
+def test_every_march_checks_each_step_once(monkeypatch, mesh44, ops44,
+                                           space44, kappa44):
+    # the L1 march, and both propagators of a parareal solve on the
+    # factorized path, whose coarse steps are blocks of one step
+    spec = make_spec(kappa=kappa44, tau_f=1.0 / 64.0, tau_c=0.125)
+    soe = build_soe(spec.alpha, spec.tau_f, 1e-2)
+    solved, checked = checked_solves(monkeypatch)
+    reference_l1_solve(spec, mesh44, ops44)
+    assert solved == checked and sum(checked.values()) == spec.n_fine_total
+    solved.clear()
+    checked.clear()
+    ctx = build_context(spec, space44, soe)
+    assert not ctx.modal
+    wemp_solve(ctx, delta=0.0, k_max=2)
+    # the coarse sweep, then per iteration the jumps' fine and coarse
+    # steps and the sweep's coarse steps
+    steps = spec.n_coarse * (1 + 2 * (spec.m_sub + 2))
+    assert solved == checked and sum(checked.values()) == steps
 
 
 def test_modal_rule():

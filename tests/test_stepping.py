@@ -122,6 +122,26 @@ def test_block_history_equals_chained_steps(n_steps):
     assert np.abs(block - chained).max() <= 1e-14 * np.abs(chained).max()
 
 
+@pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1])
+def test_history_weights_hold_no_subnormal_entry(tau):
+    # the benchmark's sum: a mid-range rate's powers of e^(-lambda tau)
+    # reach the subnormal range within a block, and they are zeroed in the
+    # far weights, the block update and the decay over the block
+    soe = build_soe(0.5, 1e-3, 1e-2)
+    coeffs = step_coefficients(soe, tau)
+    n = soe.n_terms
+    far, near = history_weights(soe, coeffs, n)
+    # with psi zero and the states the identity, a block's update is the
+    # transpose of its update matrix; with psi the identity and the states
+    # zero, it is the decay over the block
+    update = propagate_history_with(np.zeros((n, n + 1)), coeffs,
+                                    np.eye(n + 1))
+    decay = propagate_history_with(np.eye(n), coeffs, np.zeros((n + 1, n)))
+    tiny = np.finfo(np.float64).tiny
+    for weights in (far, near, update, decay):
+        assert not np.any((weights != 0.0) & (np.abs(weights) < tiny))
+
+
 def test_history_shape_validation():
     soe = build_soe(0.5, 1e-3, 1e-1)
     coeffs = step_coefficients(soe, 1e-3)
